@@ -22,7 +22,7 @@ from .matutil import (
     mat_mul,
     mat_scale,
     mat_sub,
-    rank_over_field,
+    rank,
     zeros,
 )
 from .spinop import SpinorDiffOp
@@ -146,9 +146,9 @@ class SpinorRep:
         """Rank of the 2^n ordered c-monomial images over Q(i, sqrt2)."""
         rows = []
         for subset in _subset_bases(self.sig.n):
-            mat = self.monomial_matrix(subset)
-            rows.append([entry for row in mat for entry in row])
-        return rank_over_field(rows)
+            entries = (entry for row in self.monomial_matrix(subset) for entry in row)
+            rows.append({col: entry for col, entry in enumerate(entries) if entry})
+        return rank(rows, self.size * self.size)
 
 
 def sig_eta(sig: Signature, i: int, j: int) -> int:

@@ -3,9 +3,12 @@
 The search works in a fixed bidegree (k in p, kappa in xi) with
 constant coefficients: translation invariance forces x-independence, so
 the ansatz is the span of the monomials p^alpha xi^I with |alpha| = k and
-|I| = kappa.  Every generator action is expanded over the monomial times
-(h-power times scalar-part) basis, giving an exact rational linear
-system whose kernel is computed by Gaussian elimination over Q.
+|I| = kappa.  The actions of T1..Tn and K1 are expanded over the monomial
+times (h-power times scalar-part) basis, giving a sparse exact rational
+linear system whose kernel, in reduced form, is the invariant subspace.
+That is the kernel of all of conf: the module actions are Lie-algebra
+morphisms and these n + 1 fields generate conf under the bracket.
+check_invariance still applies, and reports, every generator.
 Optional flags enlarge the ansatz with bounded x-degree or h-degree as a
 sanity check; both default to off.
 """
@@ -19,10 +22,11 @@ from math import factorial
 
 from .coeff import Scalar
 from .confmod import act_D_symbolside, act_S, act_T, normal_order, normal_order_inverse
+from .matutil import kernel
 from .spinop import SpinorDiffOp
 from .star import star_mul
 from .superpoly import Signature, SuperPolynomial
-from .symplectic import conformal_generators
+from .symplectic import conformal_generating_set, conformal_generators
 
 MODULE_TAGS = ("T", "S", "D")
 
@@ -157,97 +161,6 @@ def check_invariance(
     return InvariantReport(candidate, module_tag, weights, tuple(residuals))
 
 
-# -- exact linear algebra ------------------------------------------------------
-
-
-def exact_kernel(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Kernel basis of a rational matrix, in reduced echelon form.
-
-    Pivots are chosen deterministically: leftmost column first, then the
-    smallest row index.  Each kernel vector has a leading 1 in its own
-    free column and zeros in the other free columns.
-    """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    work = [[Fraction(entry) for entry in row] for row in rows]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [entry * inv for entry in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return _kernel_from_rref(work[: len(pivot_cols)], pivot_cols, ncols)
-
-
-def _kernel_from_rref(
-    rref_rows: list[list[Fraction]], pivot_cols: list[int], ncols: int
-) -> list[list[Fraction]]:
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = -rref_rows[r][free]
-        basis.append(vec)
-    return basis
-
-
-def _streaming_kernel(rows, ncols: int) -> list[list[Fraction]]:
-    """Kernel via incremental row reduction; canonical (same RREF) result.
-
-    Stops consuming rows once the rank saturates, which is the common
-    case for invariant searches with trivial kernels.
-    """
-    from bisect import insort
-
-    pivots: dict[int, list[Fraction]] = {}
-    ordered_cols: list[int] = []
-    for row in rows:
-        vec = list(row)
-        for col in ordered_cols:
-            if vec[col]:
-                factor = vec[col]
-                pivot_row = pivots[col]
-                vec = [a - factor * b for a, b in zip(vec, pivot_row)]
-        lead = next((c for c, v in enumerate(vec) if v), None)
-        if lead is None:
-            continue
-        inv = 1 / vec[lead]
-        pivots[lead] = [v * inv for v in vec]
-        insort(ordered_cols, lead)
-        if len(pivots) == ncols:
-            return []
-    pivot_cols = ordered_cols
-    # back-substitute to reduced echelon form
-    for idx, col in enumerate(pivot_cols):
-        for other in pivot_cols[idx + 1 :]:
-            row = pivots[col]
-            if row[other]:
-                factor = row[other]
-                pivots[col] = [a - factor * b for a, b in zip(row, pivots[other])]
-    rref_rows = [pivots[c] for c in pivot_cols]
-    return _kernel_from_rref(rref_rows, pivot_cols, ncols)
-
-
 # -- exhaustive search ----------------------------------------------------------
 
 
@@ -307,6 +220,26 @@ def _ansatz_monomials(
     return monomials
 
 
+def _linear_system(
+    sig: Signature, module_tag: str, weights: Weights, monomials: list[SuperPolynomial]
+) -> list[dict[int, Fraction]]:
+    """Sparse rows {ansatz column: coefficient} of the generating-set actions.
+
+    There is one row per (generator, monomial key, h-power, scalar part)
+    that some action reaches; the kernel of the system is the invariant
+    subspace of the ansatz.
+    """
+    generators = conformal_generating_set(sig)
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for col, mono in enumerate(monomials):
+        for gen in generators:
+            residual = _apply_action(module_tag, gen, weights, mono, sig)
+            for key, scalar in residual.items():
+                for (hpow, part), value in scalar.components().items():
+                    rows.setdefault((gen.name, key, hpow, part), {})[col] = value
+    return list(rows.values())
+
+
 def search_invariants(
     sig: Signature,
     k: int,
@@ -316,41 +249,20 @@ def search_invariants(
     x_degree: int = 0,
     h_degree: int = 0,
 ) -> SearchResult:
-    """Exact kernel of all generator actions on the fixed-bidegree ansatz."""
+    """Exact kernel of the generating-set actions on the fixed-bidegree ansatz."""
     if k < 0 or not 0 <= kappa <= sig.n:
         raise ValueError("bidegree out of range")
+    if x_degree < 0 or h_degree < 0:
+        raise ValueError("x-degree and h-degree must be non-negative")
     if module_tag not in MODULE_TAGS:
         raise ValueError(f"unknown module tag {module_tag!r}")
     monomials = _ansatz_monomials(sig, k, kappa, x_degree, h_degree)
-    generators = conformal_generators(sig)
-    row_index: dict[tuple, int] = {}
-    columns: list[dict[int, Fraction]] = []
-    for mono in monomials:
-        column: dict[int, Fraction] = {}
-        for gen in generators:
-            residual = _apply_action(module_tag, gen, weights, mono, sig)
-            for key, scalar in residual.items():
-                for (hpow, part), value in scalar.components().items():
-                    row_key = (gen.name, key, hpow, part)
-                    row = row_index.setdefault(row_key, len(row_index))
-                    column[row] = column.get(row, Fraction(0)) + value
-        columns.append(column)
-
-    def rows():
-        seen = set()
-        for row in range(len(row_index)):
-            vec = tuple(columns[col].get(row, Fraction(0)) for col in range(len(monomials)))
-            if any(vec) and vec not in seen:
-                seen.add(vec)
-                yield vec
-
-    kernel = _streaming_kernel(rows(), len(monomials))
+    rows = _linear_system(sig, module_tag, weights, monomials)
     basis = []
-    for vec in kernel:
+    for vec in kernel(rows, len(monomials)):
         poly = SuperPolynomial.zero(sig.n)
-        for coeff, mono in zip(vec, monomials):
-            if coeff:
-                poly = poly + mono.scale(coeff)
+        for col, coeff in vec.items():
+            poly = poly + monomials[col].scale(coeff)
         basis.append(poly)
     return SearchResult(sig, (k, kappa), module_tag, weights, tuple(basis), len(monomials))
 

@@ -1,6 +1,10 @@
-"""Small dense matrices over the exact scalar ring."""
+"""Small dense matrices over the exact scalar ring, and exact sparse elimination."""
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Mapping
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .coeff import Scalar
 
@@ -60,30 +64,87 @@ def is_zero(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
 
-def rank_over_field(rows: list[list[Scalar]]) -> int:
-    """Rank over the field Q(i, sqrt2); entries must be h-free."""
-    work = [row[:] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+# -- exact elimination on sparse rows ----------------------------------------------
+#
+# A row is a dict {column: nonzero entry} over any exact field whose
+# elements support +, -, * and /: Fraction for Q, or Scalar restricted to
+# h-free elements of Q(i, sqrt2).
+
+
+def _reduce(row: dict, pivots: dict[int, dict]) -> None:
+    """Subtract pivot rows from `row` in place until no pivot column is left in it.
+
+    Pivot rows have no entry left of their pivot column, so eliminating
+    pivot columns in increasing order never refills one already cleared.
+    """
+    todo = [col for col in row if col in pivots]
+    heapify(todo)
+    while todo:
+        col = heappop(todo)
+        factor = row.pop(col, None)
+        if factor is None:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = work[rank][col].inv()
-        work[rank] = [entry * inv for entry in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
+        for c, v in pivots[col].items():
+            if c == col:
+                continue
+            old = row.get(c)
+            new = -(factor * v) if old is None else old - factor * v
+            if new:
+                if old is None and c in pivots:
+                    heappush(todo, c)
+                row[c] = new
+            else:
+                del row[c]
+
+
+def _row_echelon(rows: Iterable[Mapping[int, object]], ncols: int) -> dict[int, dict]:
+    """Echelon form of the row space, as {pivot column: row with a 1 there}.
+
+    Rows are consumed one at a time and reduced against the pivots found
+    so far; consumption stops once the rank equals `ncols`.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        _reduce(row, pivots)
+        if not row:
+            continue
+        lead = min(row)
+        head = row[lead]
+        pivots[lead] = {c: v / head for c, v in row.items()}
+        if len(pivots) == ncols:
             break
-    return rank
+    return pivots
+
+
+def rank(rows: Iterable[Mapping[int, object]], ncols: int) -> int:
+    return len(_row_echelon(rows, ncols))
+
+
+def kernel(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+    """Reduced kernel basis of a rational matrix, one sparse vector per free column.
+
+    Back-substitution brings the echelon form to the unique reduced one,
+    so each vector has a 1 in its own free column, 0 in the other free
+    columns and minus the reduced entries in the pivot columns: the
+    basis depends on the row space only, not on the order of the rows.
+    """
+    pivots = _row_echelon(rows, ncols)
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        one = row.pop(col)
+        _reduce(row, pivots)
+        row[col] = one
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        for col, row in pivots.items():
+            if free in row:
+                vec[col] = -row[free]
+        basis.append(dict(sorted(vec.items())))
+    return basis
 
 
 def to_json(a: Matrix) -> list[list[list[dict]]]:

@@ -161,6 +161,17 @@ def conformal_generators(sig: Signature) -> list[VectorFieldOnM]:
     return fields
 
 
+def conformal_generating_set(sig: Signature) -> list[VectorFieldOnM]:
+    """T1..Tn and K1, which generate conf under vf_bracket.
+
+    [T1, K1] and [Ti, K1] (i > 1) give D and R_1i, [R_1i, K1] gives Ki and
+    [R_1i, R_1j] gives R_ij, so a Lie-algebra morphism that kills these
+    n + 1 fields kills every conformal generator.
+    """
+    fields = conformal_generators(sig)
+    return fields[: sig.n] + [fields[-sig.n]]
+
+
 def generator_by_name(sig: Signature, name: str) -> VectorFieldOnM:
     for gen in conformal_generators(sig):
         if gen.name == name:

@@ -79,6 +79,16 @@ def test_search_json_schema(capsys):
     assert len(rebuilt) == 2
 
 
+def test_search_rejects_negative_ansatz_degrees(capsys):
+    # an empty ansatz used to print "invariant dimension: 0" and exit 0
+    for flag in ("--h-degree", "--x-degree"):
+        code, out, err = run_cli(
+            capsys, "search", "--dim", "2", "--bidegree", "1,1", "--module", "S",
+            "--delta", "1/2", flag, "-1",
+        )
+        assert code == 2 and out == "" and "non-negative" in err
+
+
 def test_dirac_power_output(capsys):
     code, out, _ = run_cli(capsys, "dirac-power", "--s", "1", "--dim", "4")
     assert code == 0

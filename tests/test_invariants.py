@@ -10,10 +10,10 @@ from supercot.invariants import (
     canonical_symbol,
     check_invariance,
     dirac_power,
-    exact_kernel,
     predicted_dimension,
     search_invariants,
 )
+from supercot.matutil import kernel
 from supercot.parse import sp_parse
 from supercot.star import star_mul
 from supercot.superpoly import Signature, SuperPolynomial
@@ -78,14 +78,14 @@ def test_weight_rigidity():
 
 def test_exact_kernel():
     one, zero = Fraction(1), Fraction(0)
-    assert exact_kernel([[one, zero], [zero, one]]) == []
-    assert len(exact_kernel([[zero] * 4, [zero] * 4])) == 4
-    assert exact_kernel([[one, one]]) == [[-one, one]]
-    basis = exact_kernel([[one, 2, 3], [zero, zero, zero]])
-    assert basis == [[Fraction(-2), one, zero], [Fraction(-3), zero, one]]
+    assert kernel([{0: one, 1: zero}, {0: zero, 1: one}], 2) == []
+    assert len(kernel([dict.fromkeys(range(4), zero)] * 2, 4)) == 4
+    assert kernel([{0: one, 1: one}], 2) == [{0: -one, 1: one}]
+    basis = kernel([{0: one, 1: 2, 2: 3}, {0: zero, 1: zero, 2: zero}], 3)
+    assert basis == [{0: Fraction(-2), 1: one}, {0: Fraction(-3), 2: one}]
     # kernel vectors are actual solutions
     for vec in basis:
-        assert vec[0] * 1 + vec[1] * 2 + vec[2] * 3 == 0
+        assert vec.get(0, 0) * 1 + vec.get(1, 0) * 2 + vec.get(2, 0) * 3 == 0
 
 
 def test_search_examples():
@@ -189,3 +189,28 @@ def test_search_basis_reverified_by_checker():
         assert res.dimension > 0
         for b in res.basis:
             assert check_invariance(b, tag, w, sig).invariant
+
+
+def test_grid_bases_invariant_under_every_generator():
+    # the search solves the T1..Tn, K1 system only; on the criterion-08 grid
+    # at resonant weights every basis vector must still pass the full check
+    found = 0
+    for sig in (E2, Signature(1, 1), Signature(4, 0), Signature(3, 1)):
+        n = sig.n
+        for k in range(0, 4):
+            for kappa in range(0, n + 1):
+                if 2 * k + kappa > 7:
+                    continue
+                delta = Fraction(k, n)
+                lam = Fraction(n - k, 2 * n)
+                for tag, w in (
+                    ("T", Weights.symbol(delta)),
+                    ("S", Weights.symbol(delta)),
+                    ("D", Weights.operator(lam, lam + delta)),
+                ):
+                    res = search_invariants(sig, k, kappa, tag, w)
+                    assert res.dimension == predicted_dimension(sig, k, kappa, tag, w)
+                    for b in res.basis:
+                        assert check_invariance(b, tag, w, sig).invariant, (sig, k, kappa, tag)
+                    found += res.dimension
+    assert found > 0

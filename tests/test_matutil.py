@@ -1,0 +1,136 @@
+"""The sparse exact eliminator against sympy, an independent implementation.
+
+sympy's ``Matrix.nullspace`` returns the same canonical basis as
+``matutil.kernel``: one vector per free column, 1 there, 0 in the other
+free columns and minus the reduced-echelon entries in the pivot columns.
+"""
+
+import random
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
+
+from supercot.coeff import PART_I, PART_IS, PART_ONE, PART_S, Scalar
+from supercot.invariants import Weights, _ansatz_monomials, _linear_system
+from supercot.matutil import kernel, rank
+from supercot.superpoly import Signature
+
+
+def _sympy_matrix(rows, ncols):
+    # with no rows sympy would build a 0 x 0 matrix; one zero row keeps ncols
+    rows = rows or [{}]
+    return sympy.Matrix(
+        [[sympy.Rational(*_pair(row.get(c, 0))) for c in range(ncols)] for row in rows]
+    )
+
+
+def _pair(value):
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _oracle_kernel(rows, ncols):
+    return [
+        {c: Fraction(int(x.p), int(x.q)) for c, x in enumerate(vec) if x != 0}
+        for vec in _sympy_matrix(rows, ncols).nullspace()
+    ]
+
+
+def _check(rows, ncols):
+    assert kernel(rows, ncols) == _oracle_kernel(rows, ncols)
+    assert rank(rows, ncols) == _sympy_matrix(rows, ncols).rank()
+
+
+def _random_rows(rng, nrows, cols, density=0.5):
+    return [
+        {c: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for c in cols if rng.random() < density}
+        for _ in range(nrows)
+    ]
+
+
+def test_kernel_matches_sympy_on_seeded_sparse_matrices():
+    rng = random.Random(1595)
+    for _ in range(12):
+        ncols = rng.randint(1, 9)
+        cols = range(ncols)
+        rows = _random_rows(rng, rng.randint(1, 9), cols)
+        _check(rows, ncols)
+        # zero rows, empty or with explicit zero entries
+        _check(rows + [{}, dict.fromkeys(cols, Fraction(0))] + rows, ncols)
+        # duplicate and proportional rows
+        dup = rows + [dict(r) for r in rows] + [{c: 3 * v for c, v in r.items()} for r in rows]
+        rng.shuffle(dup)
+        _check(dup, ncols)
+        # full rank: a unit upper-triangular square block, fed in random order
+        tri = [{i: Fraction(1), **_random_rows(rng, 1, range(i + 1, ncols))[0]} for i in cols]
+        rng.shuffle(tri)
+        assert kernel(tri, ncols) == [] and rank(tri, ncols) == ncols
+        _check(tri, ncols)
+        # zero columns: columns that no row touches
+        used = [c for c in cols if rng.random() < 0.6]
+        _check(_random_rows(rng, rng.randint(1, 6), used), ncols)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda ncols: st.tuples(
+            st.just(ncols),
+            st.lists(
+                st.dictionaries(
+                    st.integers(0, ncols - 1),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                ),
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_kernel_matches_sympy_property(case):
+    ncols, rows = case
+    _check(rows, ncols)
+
+
+def test_kernel_matches_sympy_on_search_systems():
+    cases = [
+        (Signature(2, 0), 1, 1, "S", Weights.symbol(Fraction(1, 2))),
+        (Signature(2, 0), 0, 2, "T", Weights.symbol(0)),
+        (Signature(1, 1), 3, 1, "D", Weights.operator(Fraction(-1, 4), Fraction(5, 4))),
+        (Signature(3, 1), 1, 1, "D", Weights.operator(Fraction(3, 8), Fraction(5, 8))),
+        (Signature(4, 0), 2, 0, "S", Weights.symbol(Fraction(1, 2))),
+    ]
+    found = 0
+    for sig, k, kappa, tag, w in cases:
+        monomials = _ansatz_monomials(sig, k, kappa, 0, 0)
+        rows = _linear_system(sig, tag, w, monomials)
+        _check(rows, len(monomials))
+        found += len(kernel(rows, len(monomials)))
+    assert found > 0
+
+
+def test_rank_over_q_i_sqrt2_matches_sympy():
+    rng = random.Random(2)
+    field = sympy.QQ.algebraic_field(sympy.sqrt(2), sympy.I)
+    i, s = field.from_sympy(sympy.I), field.from_sympy(sympy.sqrt(2))
+    part_values = {PART_ONE: field.one, PART_I: i, PART_S: s, PART_IS: i * s}
+
+    def to_field(value: Scalar):
+        out = field.zero
+        for (_h, part), c in Scalar.coerce(value).components().items():
+            out += field.convert(sympy.Rational(*_pair(c))) * part_values[part]
+        return out
+
+    def element():
+        return Scalar({(0, part): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for part in range(4)})
+
+    for ncols in (2, 3, 4):
+        for _ in range(3):
+            base = [{c: element() for c in range(ncols) if rng.random() < 0.8} for _ in range(2)]
+            a, b = element(), element()
+            combo = {c: a * base[0].get(c, 0) + b * base[1].get(c, 0) for c in range(ncols)}
+            rows = base + [combo] + [{c: element() for c in range(ncols)}]
+            dense = [[to_field(r.get(c, 0)) for c in range(ncols)] for r in rows]
+            want = DomainMatrix(dense, (len(rows), ncols), field).rank()
+            assert rank(rows, ncols) == want

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from supercot.coeff import Scalar
 from supercot.diffop import SuperDiffOp
@@ -13,6 +14,7 @@ from supercot.symplectic import (
     VectorFieldOnM,
     comoment_even,
     comoment_odd,
+    conformal_generating_set,
     conformal_generators,
     conformal_killing_factor,
     generator_by_name,
@@ -176,3 +178,40 @@ def test_diffop_compose_matches_apply():
         )
         F = random_superpoly(rng, 2, terms=3)
         assert A.compose(B).apply(F) == A.apply(B.apply(F))
+
+
+def _span_rank(fields) -> int:
+    """Rank over Q of vector fields with rational coefficients, computed by sympy."""
+    coords = [
+        {(i, key): coeff.rational_value() for i, comp in enumerate(X.components)
+         for key, coeff in comp.items()}
+        for X in fields
+    ]
+    keys = sorted({key for c in coords for key in c})
+    zero = Fraction(0)
+    return sympy.Matrix(
+        [[sympy.Rational(c.get(key, zero).numerator, c.get(key, zero).denominator)
+          for key in keys] for c in coords]
+    ).rank()
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2)])
+def test_generating_set_spans_conf(p, q):
+    # the search solves only the T1..Tn, K1 system: closing that set under
+    # brackets must give all of conf, of dimension (n+1)(n+2)/2
+    sig = Signature(p, q)
+    n = sig.n
+    gens = conformal_generating_set(sig)
+    assert [g.name for g in gens] == [f"T{i}" for i in range(1, n + 1)] + ["K1"]
+    span, frontier = list(gens), list(gens)
+    while frontier:
+        added = []
+        for X in gens:
+            for Y in frontier:
+                Z = vf_bracket(X, Y)
+                if _span_rank(span + [Z]) > len(span):
+                    span.append(Z)
+                    added.append(Z)
+        frontier = added
+    assert len(span) == (n + 1) * (n + 2) // 2
+    assert _span_rank(span + conformal_generators(sig)) == len(span)
