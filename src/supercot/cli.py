@@ -42,8 +42,12 @@ def _signature(args) -> Signature:
             raise CliError(f"cannot parse signature {args.signature!r}, expected p,q")
         if p + q != dim:
             raise CliError(f"signature {p},{q} does not sum to dimension {dim}")
+    else:
+        p, q = dim, 0
+    try:
         return Signature(p, q)
-    return Signature(dim, 0)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _fraction(text: str, label: str) -> Fraction:
@@ -73,8 +77,11 @@ def _weights(args, module: str) -> Weights:
 
 def _read_expression(raw: str) -> str:
     if raw.startswith("@"):
-        with open(raw[1:], "r", encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(raw[1:], "r", encoding="utf-8") as handle:
+                return handle.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {raw[1:]!r}: {exc.strerror or exc}")
     return raw
 
 
@@ -137,7 +144,10 @@ def cmd_check(args) -> int:
         poly = sp_parse(_read_expression(args.expr), sig.n)
     except ParseError as exc:
         raise CliError(f"parse error: {exc}")
-    report = check_invariance(poly, args.module, weights, sig)
+    try:
+        report = check_invariance(poly, args.module, weights, sig)
+    except ValueError as exc:
+        raise CliError(str(exc))
     if args.format == "json":
         payload = {
             "candidate": poly.to_json(),

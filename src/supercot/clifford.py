@@ -137,7 +137,7 @@ class SpinorRep:
                     mat_mul(self.c_matrix(i), self.c_matrix(j)),
                     mat_mul(self.c_matrix(j), self.c_matrix(i)),
                 )
-                expected = identity(self.size, Scalar.rational(-sig_eta(self.sig, i, j)))
+                expected = identity(self.size, Scalar.rational(-self.sig.eta(i, j)))
                 if not mat_eq(anti, expected):
                     return False
         return True
@@ -149,10 +149,6 @@ class SpinorRep:
             entries = (entry for row in self.monomial_matrix(subset) for entry in row)
             rows.append({col: entry for col, entry in enumerate(entries) if entry})
         return rank(rows, self.size * self.size)
-
-
-def sig_eta(sig: Signature, i: int, j: int) -> int:
-    return sig.eta(i) if i == j else 0
 
 
 def build_spin_rep(sig: Signature) -> SpinorRep:

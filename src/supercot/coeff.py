@@ -7,9 +7,13 @@ Negative powers of h are allowed because the odd part of the graded
 Poisson bracket divides by h.
 
 Values are immutable and canonical: the defining relations are always
-reduced away, rational coefficients are kept in lowest terms with a
-positive denominator (guaranteed by fractions.Fraction), and zero terms
-are never stored.  Equality and hashing are structural.
+reduced away, zero terms are never stored, and each rational coefficient
+is an ``int`` when it is integral and otherwise a fractions.Fraction in
+lowest terms with a positive denominator.  The two types mix freely
+(``Fraction(2) == 2`` and the two hash alike), so equality and hashing
+stay structural; keeping integers as ``int`` lets the common products by
+small integers skip Fraction arithmetic altogether.  A scalar equal to a
+rational number compares and hashes like that number.
 """
 
 from __future__ import annotations
@@ -33,12 +37,26 @@ _PART_MUL = (
 )
 
 
-def _coerce_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _rational(value: RationalLike) -> RationalLike:
+    """Canonical coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _scaled(terms: dict, factor: RationalLike) -> dict:
+    """terms times a nonzero canonical rational, coefficients kept canonical."""
+    out = {}
+    for key, c in terms.items():
+        c = c * factor
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        out[key] = c
+    return out
 
 
 class Scalar:
@@ -47,13 +65,20 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], RationalLike] | None = None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
+        cleaned: dict[tuple[int, int], RationalLike] = {}
         if terms:
             for (hpow, part), coeff in terms.items():
-                frac = _coerce_fraction(coeff)
-                if frac:
-                    cleaned[(int(hpow), int(part))] = frac
+                coeff = _rational(coeff)
+                if coeff:
+                    cleaned[(int(hpow), int(part))] = coeff
         self._terms = cleaned
+
+    @staticmethod
+    def _wrap(terms: dict) -> "Scalar":
+        """A Scalar over a table that is already canonical."""
+        out = Scalar.__new__(Scalar)
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------
 
@@ -67,7 +92,7 @@ class Scalar:
 
     @staticmethod
     def rational(value: RationalLike) -> "Scalar":
-        return Scalar({(0, PART_ONE): _coerce_fraction(value)})
+        return Scalar({(0, PART_ONE): value})
 
     @staticmethod
     def i() -> "Scalar":
@@ -79,7 +104,7 @@ class Scalar:
 
     @staticmethod
     def h(power: int = 1, coeff: RationalLike = 1) -> "Scalar":
-        return Scalar({(power, PART_ONE): _coerce_fraction(coeff)})
+        return Scalar({(power, PART_ONE): coeff})
 
     @staticmethod
     def coerce(value: "Scalar | RationalLike") -> "Scalar":
@@ -90,24 +115,31 @@ class Scalar:
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
-        other = Scalar.coerce(other)
+        if type(other) is not Scalar:
+            other = Scalar.coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = terms.get(key, Fraction(0)) + coeff
-            if acc:
-                terms[key] = acc
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = coeff
+                continue
+            acc = acc + coeff
+            if not acc:
+                del terms[key]
+            elif type(acc) is not int and acc.denominator == 1:
+                terms[key] = acc.numerator
             else:
-                terms.pop(key, None)
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+                terms[key] = acc
+        return Scalar._wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        out = Scalar.__new__(Scalar)
-        out._terms = {key: -coeff for key, coeff in self._terms.items()}
-        return out
+        return Scalar._wrap({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
         return self + (-Scalar.coerce(other))
@@ -116,20 +148,41 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
-        other = Scalar.coerce(other)
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (hp1, p1), c1 in self._terms.items():
-            for (hp2, p2), c2 in other._terms.items():
+        if type(other) is not Scalar:
+            factor = _rational(other)
+            if factor == 1:
+                return self
+            if not factor or not self._terms:
+                return Scalar()
+            return Scalar._wrap(_scaled(self._terms, factor))
+        left, right = self._terms, other._terms
+        if not left or not right:
+            return Scalar()
+        if len(left) == 1 and len(right) == 1:
+            ((hp1, p1), c1), = left.items()
+            ((hp2, p2), c2), = right.items()
+            factor, part = _PART_MUL[p1][p2]
+            coeff = c1 * c2 * factor
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
+            return Scalar._wrap({(hp1 + hp2, part): coeff})
+        terms: dict[tuple[int, int], RationalLike] = {}
+        for (hp1, p1), c1 in left.items():
+            for (hp2, p2), c2 in right.items():
                 factor, part = _PART_MUL[p1][p2]
                 key = (hp1 + hp2, part)
-                acc = terms.get(key, Fraction(0)) + c1 * c2 * factor
+                acc = c1 * c2 * factor
+                old = terms.get(key)
+                if old is not None:
+                    acc = old + acc
                 if acc:
                     terms[key] = acc
                 else:
-                    terms.pop(key, None)
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+                    del terms[key]
+        for key, acc in terms.items():
+            if type(acc) is not int and acc.denominator == 1:
+                terms[key] = acc.numerator
+        return Scalar._wrap(terms)
 
     __rmul__ = __mul__
 
@@ -146,7 +199,13 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # a rational scalar hashes like the number it equals
+        terms = self._terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and (0, PART_ONE) in terms:
+            return hash(terms[(0, PART_ONE)])
+        return hash(frozenset(terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -162,9 +221,7 @@ class Scalar:
         for (hpow, part), coeff in self._terms.items():
             sign = -1 if (hpow + (part in (PART_I, PART_IS))) % 2 else 1
             terms[(hpow, part)] = coeff * sign
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+        return Scalar._wrap(terms)
 
     def _galois(self, flip_i: bool, flip_s: bool) -> "Scalar":
         """Field automorphism of Q(i, s) fixing h."""
@@ -176,27 +233,18 @@ class Scalar:
             if flip_s and part in (PART_S, PART_IS):
                 sign = -sign
             terms[(hpow, part)] = coeff * sign
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+        return Scalar._wrap(terms)
 
     def specialize_h(self, value: RationalLike) -> "Scalar":
         """Substitute a rational number for h; i and s are untouched."""
-        value = _coerce_fraction(value)
-        terms: dict[tuple[int, int], Fraction] = {}
+        value = Fraction(_rational(value))  # a Fraction, so value**-k stays exact
+        terms: dict[tuple[int, int], RationalLike] = {}
         for (hpow, part), coeff in self._terms.items():
             if hpow < 0 and value == 0:
                 raise ZeroDivisionError("cannot specialize h := 0 on a pole in h")
-            scaled = coeff * value**hpow
             key = (0, part)
-            acc = terms.get(key, Fraction(0)) + scaled
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+            terms[key] = terms.get(key, 0) + coeff * value**hpow
+        return Scalar(terms)
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse of h^k * w with w a nonzero element of Q(i, s).
@@ -218,33 +266,28 @@ class Scalar:
         norm_terms = norm._terms
         if set(norm_terms) != {(0, PART_ONE)}:
             raise AssertionError("norm of a Q(i,s) element must be rational")
-        return conj_prod * Scalar.h(power=-hpow, coeff=1 / norm_terms[(0, PART_ONE)])
+        return conj_prod * Scalar.h(power=-hpow, coeff=Fraction(1, norm_terms[(0, PART_ONE)]))
 
     # -- inspection -----------------------------------------------------
 
     def mul_hpow(self, shift: int) -> "Scalar":
-        out = Scalar.__new__(Scalar)
-        out._terms = {(hpow + shift, part): c for (hpow, part), c in self._terms.items()}
-        return out
-
-    def h_degrees(self) -> tuple[int, int] | None:
-        """(min, max) power of h present, or None for the zero scalar."""
-        if not self._terms:
-            return None
-        hpows = [hpow for (hpow, _part) in self._terms]
-        return min(hpows), max(hpows)
+        return Scalar._wrap({(hpow + shift, part): c for (hpow, part), c in self._terms.items()})
 
     def rational_value(self) -> Fraction:
         """The value of a purely rational scalar; raises otherwise."""
         if not self._terms:
             return Fraction(0)
         if set(self._terms) == {(0, PART_ONE)}:
-            return self._terms[(0, PART_ONE)]
+            return Fraction(self._terms[(0, PART_ONE)])
         raise ValueError(f"scalar {self} is not a plain rational")
 
     def components(self) -> dict[tuple[int, int], Fraction]:
-        """Copy of the canonical (hpow, part) -> rational table."""
-        return dict(self._terms)
+        """The (hpow, part) -> rational table, every value a Fraction.
+
+        Fraction, not the int of the canonical form, so that callers may
+        divide the values with ``/`` and stay exact.
+        """
+        return {key: Fraction(c) for key, c in self._terms.items()}
 
     # -- serialization ----------------------------------------------------
 
@@ -263,11 +306,11 @@ class Scalar:
 
     @staticmethod
     def from_json(records: Iterable[Mapping]) -> "Scalar":
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], RationalLike] = {}
         for record in records:
             key = (int(record["hpow"]), _PART_BY_NAME[record["part"]])
             coeff = Fraction(int(record["num"]), int(record["den"]))
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return Scalar(terms)
 
     # -- printing -------------------------------------------------------
@@ -301,7 +344,3 @@ class Scalar:
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
-
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-HALF = Scalar.rational(Fraction(1, 2))

@@ -112,11 +112,16 @@ class SpinorDiffOp:
         result: dict[SpinKey, SuperPolynomial] = {}
         for (cliffA, dxA), cA in self._terms.items():
             monA = SuperPolynomial.monomial(n, xi=cliffA)
+            orderA = sum(dxA)
             for (cliffB, dxB), cB in other._terms.items():
                 cliff_product = star_mul(monA, SuperPolynomial.monomial(n, xi=cliffB), self.sig)
                 if cliff_product.is_zero():
                     continue
+                # derivatives of cB of order above its x-degree vanish
+                min_kept = orderA - cB.x_degree()
                 for gamma, factor in _sub_multi_indices(dxA):
+                    if sum(gamma) < min_kept:
+                        continue
                     rest = tuple(a - g for a, g in zip(dxA, gamma))
                     passed = _derive_multi(cB, "x", rest)
                     if passed.is_zero():
@@ -177,12 +182,6 @@ class SpinorDiffOp:
         return tuple(out)
 
     # -- inspection ------------------------------------------------------------------
-
-    def order(self) -> int:
-        return max((sum(dx) for (_cliff, dx) in self._terms), default=0)
-
-    def hamiltonian_degree(self) -> int:
-        return max((2 * sum(dx) + len(cliff) for (cliff, dx) in self._terms), default=0)
 
     def items(self):
         return iter(sorted(self._terms.items(), key=lambda kv: (kv[0][0], kv[0][1])))

@@ -12,7 +12,10 @@ with the conventional gamma matrices gamma^i = sqrt2 * c^i.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
+from .coeff import Scalar
 from .superpoly import Signature, SuperPolynomial
 
 
@@ -23,33 +26,43 @@ def star_left_generator(index: int, G: SuperPolynomial, sig: Signature) -> Super
     return wedge + contraction
 
 
+@lru_cache(maxsize=None)
+def _word_product(
+    left: tuple[int, ...], right: tuple[int, ...], sig: Signature
+) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
+    """xi^left * xi^right as (word, coefficient) pairs, by star_left_generator."""
+    value = SuperPolynomial.monomial(sig.n, xi=right)
+    for index in reversed(left):
+        value = star_left_generator(index, value, sig)
+    return tuple((word, coeff) for (_x, _p, word), coeff in value._terms.items())
+
+
 def star_mul(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPolynomial:
-    """Star product F * G; even variables of F act as central factors."""
+    """Star product F * G; even variables and scalars of both factors are central.
+
+    Each pair of xi-words is multiplied through the cached Clifford table
+    of _word_product; the even parts and the coefficients multiply outside it.
+    """
     if F.n != G.n or F.n != sig.n:
         raise ValueError("dimension mismatch")
-    n = F.n
-    result = SuperPolynomial.zero(n)
-    for (xexp, pexp, xi), coeff in F.items():
-        value = G
-        for index in reversed(xi):
-            value = star_left_generator(index, value, sig)
-        if value.is_zero():
-            continue
-        even = SuperPolynomial.monomial(n, xexp=xexp, pexp=pexp, coeff=coeff)
-        result = result + even * value
-    return result
-
-
-def star_power(F: SuperPolynomial, power: int, sig: Signature) -> SuperPolynomial:
-    result = SuperPolynomial.one(F.n)
-    for _ in range(power):
-        result = star_mul(result, F, sig)
-    return result
-
-
-def graded_star_commutator(
-    u: SuperPolynomial, v: SuperPolynomial, sig: Signature
-) -> SuperPolynomial:
-    """u * v - (-1)^{|u||v|} v * u for parity-homogeneous u and v."""
-    sign = -1 if (u.parity() and v.parity()) else 1
-    return star_mul(u, v, sig) - star_mul(v, u, sig).scale(sign)
+    terms: dict = {}
+    for (x1, p1, xi1), c1 in F._terms.items():
+        for (x2, p2, xi2), c2 in G._terms.items():
+            product = _word_product(xi1, xi2, sig)
+            if not product:
+                continue
+            xexp, pexp = tuple(map(add, x1, x2)), tuple(map(add, p1, p2))
+            coeff = c1 * c2
+            for word, factor in product:
+                key = (xexp, pexp, word)
+                contribution = coeff * factor
+                acc = terms.get(key)
+                if acc is None:
+                    terms[key] = contribution
+                    continue
+                acc = acc + contribution
+                if acc:
+                    terms[key] = acc
+                else:
+                    del terms[key]
+    return SuperPolynomial._wrap(F.n, terms)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .coeff import Scalar
@@ -55,6 +56,10 @@ def merge_xi(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[
 
     None signals a repeated Grassmann factor, i.e. a vanishing product.
     """
+    if not left:
+        return 1, right
+    if not right:
+        return 1, left
     if set(left) & set(right):
         return None
     merged = []
@@ -107,6 +112,14 @@ class SuperPolynomial:
                 if coeff:
                     cleaned[key] = coeff
         self._terms = cleaned
+
+    @staticmethod
+    def _wrap(n: int, terms: dict[Key, Scalar]) -> "SuperPolynomial":
+        """A polynomial over a table that holds no zero coefficient."""
+        out = SuperPolynomial.__new__(SuperPolynomial)
+        out.n = n
+        out._terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -171,12 +184,16 @@ class SuperPolynomial:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = terms.get(key, Scalar.zero()) + (-coeff if negate else coeff)
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = -coeff if negate else coeff
+                continue
+            acc = acc - coeff if negate else acc + coeff
             if acc:
                 terms[key] = acc
             else:
-                terms.pop(key, None)
-        return SuperPolynomial(self.n, terms)
+                del terms[key]
+        return SuperPolynomial._wrap(self.n, terms)
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         return self._binop(other, negate=False)
@@ -185,11 +202,13 @@ class SuperPolynomial:
         return self._binop(other, negate=True)
 
     def __neg__(self) -> "SuperPolynomial":
-        return SuperPolynomial(self.n, {k: -c for k, c in self._terms.items()})
+        return SuperPolynomial._wrap(self.n, {k: -c for k, c in self._terms.items()})
 
     def scale(self, factor: Scalar | int | Fraction) -> "SuperPolynomial":
-        factor = Scalar.coerce(factor)
-        return SuperPolynomial(self.n, {k: c * factor for k, c in self._terms.items()})
+        # the scalar ring has no zero divisors: a nonzero factor keeps every term
+        if not factor:
+            return SuperPolynomial(self.n)
+        return SuperPolynomial._wrap(self.n, {k: c * factor for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -205,17 +224,20 @@ class SuperPolynomial:
                 if merged is None:
                     continue
                 sign, word = merged
-                key = (
-                    tuple(a + b for a, b in zip(x1, x2)),
-                    tuple(a + b for a, b in zip(p1, p2)),
-                    word,
-                )
-                acc = terms.get(key, Scalar.zero()) + c1 * c2 * sign
+                key = (tuple(map(add, x1, x2)), tuple(map(add, p1, p2)), word)
+                coeff = c1 * c2
+                if sign < 0:
+                    coeff = -coeff
+                acc = terms.get(key)
+                if acc is None:
+                    terms[key] = coeff
+                    continue
+                acc = acc + coeff
                 if acc:
                     terms[key] = acc
                 else:
-                    terms.pop(key, None)
-        return SuperPolynomial(self.n, terms)
+                    del terms[key]
+        return SuperPolynomial._wrap(self.n, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -225,37 +247,32 @@ class SuperPolynomial:
     # -- derivations ----------------------------------------------------
 
     def derive(self, kind: str, index: int) -> "SuperPolynomial":
-        """Left partial derivative with respect to x^i, p_i or xi^i."""
+        """Left partial derivative with respect to x^i, p_i or xi^i.
+
+        Each derivative maps distinct monomials to distinct monomials and
+        multiplies by a nonzero integer, so no two terms merge or cancel.
+        """
         _check_index(index, self.n)
         terms: dict[Key, Scalar] = {}
         pos = index - 1
-        for (xexp, pexp, xi), coeff in self._terms.items():
-            if kind == "x":
+        if kind == "x":
+            for (xexp, pexp, xi), coeff in self._terms.items():
                 e = xexp[pos]
-                if not e:
-                    continue
-                key = (_dec(xexp, pos), pexp, xi)
-                delta = coeff * e
-            elif kind == "p":
+                if e:
+                    terms[(_dec(xexp, pos), pexp, xi)] = coeff * e
+        elif kind == "p":
+            for (xexp, pexp, xi), coeff in self._terms.items():
                 e = pexp[pos]
-                if not e:
-                    continue
-                key = (xexp, _dec(pexp, pos), xi)
-                delta = coeff * e
-            elif kind == "xi":
-                if index not in xi:
-                    continue
-                slot = xi.index(index)
-                key = (xexp, pexp, xi[:slot] + xi[slot + 1 :])
-                delta = coeff * (-1 if slot % 2 else 1)
-            else:
-                raise ValueError(f"unknown variable kind {kind!r}")
-            acc = terms.get(key, Scalar.zero()) + delta
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
-        return SuperPolynomial(self.n, terms)
+                if e:
+                    terms[(xexp, _dec(pexp, pos), xi)] = coeff * e
+        elif kind == "xi":
+            for (xexp, pexp, xi), coeff in self._terms.items():
+                if index in xi:
+                    slot = xi.index(index)
+                    terms[(xexp, pexp, xi[:slot] + xi[slot + 1 :])] = -coeff if slot % 2 else coeff
+        else:
+            raise ValueError(f"unknown variable kind {kind!r}")
+        return SuperPolynomial._wrap(self.n, terms)
 
     def euler_odd(self) -> "SuperPolynomial":
         """Odd Euler operator: multiplies each term by its xi-degree."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeff import Scalar
 from .diffop import SuperDiffOp
@@ -113,7 +114,16 @@ def pair_beta(D: SuperDiffOp, sig: Signature) -> SuperPolynomial:
 
 
 def conformal_generators(sig: Signature) -> list[VectorFieldOnM]:
-    """T1..Tn, R_ij (i<j), D and K1..Kn: a basis of conf for flat eta."""
+    """T1..Tn, R_ij (i<j), D and K1..Kn: a basis of conf for flat eta.
+
+    Built once per signature; each call returns a fresh list of the same
+    (immutable) fields, so a caller may extend or reorder it.
+    """
+    return list(_conformal_generators(sig))
+
+
+@lru_cache(maxsize=None)
+def _conformal_generators(sig: Signature) -> tuple[VectorFieldOnM, ...]:
     n = sig.n
     if n < 2:
         raise ValueError("conformal generators need dimension >= 2")
@@ -158,7 +168,7 @@ def conformal_generators(sig: Signature) -> list[VectorFieldOnM]:
                 comp = comp + norm
             comps.append(comp)
         fields.append(VectorFieldOnM(n, tuple(comps), name=f"K{i}"))
-    return fields
+    return tuple(fields)
 
 
 def conformal_generating_set(sig: Signature) -> list[VectorFieldOnM]:

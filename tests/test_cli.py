@@ -51,6 +51,22 @@ def test_usage_errors(capsys):
     assert code == 2 and "even" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "p1", "--module", "S", "--delta", "1", "--dim", "1"),
+        ("verify", "--suite", "spinrep", "--dim", "0"),
+        ("search", "--bidegree", "1,1", "--module", "S", "--delta", "1/2", "--dim", "0"),
+        ("check", "@{missing}", "--module", "S", "--delta", "1", "--dim", "2"),
+    ],
+)
+def test_bad_inputs_exit_2_without_traceback(capsys, tmp_path, argv):
+    argv = [arg.format(missing=tmp_path / "missing.txt") for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_json_and_file_input(capsys, tmp_path):
     path = tmp_path / "expr.txt"
     path.write_text("p1*xi1 + p2*xi2\n")

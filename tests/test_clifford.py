@@ -11,6 +11,7 @@ from supercot.clifford import (
     weyl_bracket_check,
 )
 from supercot.coeff import Scalar
+from supercot.invariants import dirac_power
 from supercot.matutil import (
     anticommutator,
     identity,
@@ -29,6 +30,7 @@ from supercot.symplectic import (
     VectorFieldOnM,
     comoment_even,
     conformal_generators,
+    generator_by_name,
     vf_bracket,
 )
 from supercot.confmod import normal_order
@@ -174,3 +176,47 @@ def test_kosmann_weight_term():
     plain = kosmann_lie(D, E2)
     diff = op - plain
     assert diff == SpinorDiffOp.term(E2, P2("1"))  # (1/2) * div(D) = (1/2) * 2
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (3, 1), (2, 2)])
+def test_star_word_table_against_oracle_exhaustive(p, q):
+    # every pair of xi-words, each with a seeded central even part and scalar
+    sig = Signature(p, q)
+    n = sig.n
+    rng = random.Random(17 + n)
+    words = [tuple(i for i in range(1, n + 1) if code >> (i - 1) & 1) for code in range(1 << n)]
+
+    def term(word):
+        xexp = tuple(rng.randint(0, 1) for _ in range(n))
+        coeff = Scalar.h(rng.randint(-1, 1), Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+        return SuperPolynomial.monomial(n, xexp=xexp, xi=word, coeff=coeff)
+
+    for left in words:
+        for right in words:
+            F, G = term(left), term(right)
+            assert star_mul(F, G, sig) == oracle_star(F, G, sig), (left, right)
+
+
+def test_spinor_compose_matches_applying_twice():
+    # N(Delta R^2) has order 5, kosmann_lie(K1) x-degree 2: composition skips
+    # the Leibniz terms that differentiate K1's coefficients more than twice
+    sig = Signature(3, 1)
+    n = sig.n
+    rep = build_spin_rep(sig)
+    A = dirac_power(2, sig).operator
+    B = kosmann_lie(generator_by_name(sig, "K1"), sig, Fraction(1, 4))
+    rng = random.Random(29)
+    for _ in range(2):
+        psi = []
+        for _ in range(rep.size):
+            comp = SuperPolynomial.zero(n)
+            for _ in range(2):
+                xexp = [0] * n
+                for _ in range(rng.randint(3, 5)):
+                    xexp[rng.randrange(n)] += 1
+                comp = comp + SuperPolynomial.monomial(n, xexp=xexp, coeff=rng.randint(-3, 3) or 1)
+            psi.append(comp)
+        psi = tuple(psi)
+        once = A.compose(B).apply_spinor(psi, rep)
+        assert once == A.apply_spinor(B.apply_spinor(psi, rep), rep)
+        assert any(not comp.is_zero() for comp in once)

@@ -134,3 +134,17 @@ def test_rank_over_q_i_sqrt2_matches_sympy():
             dense = [[to_field(r.get(c, 0)) for c in range(ncols)] for r in rows]
             want = DomainMatrix(dense, (len(rows), ncols), field).rank()
             assert rank(rows, ncols) == want
+
+
+def test_search_rows_and_kernels_stay_fraction():
+    # Scalar stores integral coefficients as int; the rows the search feeds to
+    # the eliminator must still be Fractions, or `/` would produce floats
+    for sig, k, kappa, tag, w in [
+        (Signature(2, 0), 1, 1, "S", Weights.symbol(Fraction(1, 2))),
+        (Signature(3, 1), 1, 1, "D", Weights.operator(Fraction(3, 8), Fraction(5, 8))),
+    ]:
+        monomials = _ansatz_monomials(sig, k, kappa, 0, 1)
+        rows = _linear_system(sig, tag, w, monomials)
+        assert all(type(v) is Fraction for row in rows for v in row.values())
+        basis = kernel(rows, len(monomials))
+        assert basis and all(type(v) is Fraction for vec in basis for v in vec.values())

@@ -215,3 +215,15 @@ def test_generating_set_spans_conf(p, q):
         frontier = added
     assert len(span) == (n + 1) * (n + 2) // 2
     assert _span_rank(span + conformal_generators(sig)) == len(span)
+
+
+def test_conformal_generators_returns_a_fresh_list():
+    # the fields are built once per signature; callers may still mutate the list
+    sig = Signature(3, 1)
+    first = conformal_generators(sig)
+    names = [g.name for g in first]
+    first.reverse()
+    first.append(first[0])
+    again = conformal_generators(sig)
+    assert [g.name for g in again] == names and again is not first
+    assert generator_by_name(sig, "K1") is again[-4]
