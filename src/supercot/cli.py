@@ -92,11 +92,6 @@ def _specialize_poly(poly: SuperPolynomial, value: Fraction) -> SuperPolynomial:
     return SuperPolynomial(poly.n, terms)
 
 
-def _emit(data, args) -> None:
-    if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=False))
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -256,6 +251,7 @@ def cmd_spin_rep(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    """Print the canonical form; exponents above parse.MAX_EXPONENT exit 2."""
     sig = _signature(args)
     try:
         poly = sp_parse(_read_expression(args.expr), sig.n)

@@ -188,13 +188,12 @@ def normal_order(F: SuperPolynomial, sig: Signature) -> SpinorDiffOp:
     if F.n != sig.n:
         raise ValueError("dimension mismatch")
     n = sig.n
-    op = SpinorDiffOp.zero(sig)
-    for (xexp, pexp, word), coeff in F.items():
-        xcoeff = SuperPolynomial.monomial(
-            n, xexp=xexp, coeff=coeff.mul_hpow(sum(pexp))
-        )
-        op = op + SpinorDiffOp.term(sig, xcoeff, cliff=word, dx=pexp)
-    return op
+    zero = (0,) * n
+    # distinct monomials of F land on distinct (word, dx, x-monomial) slots
+    tables: dict = {}
+    for (xexp, pexp, word), coeff in F._terms.items():
+        tables.setdefault((word, pexp), {})[(xexp, zero, ())] = coeff.mul_hpow(sum(pexp))
+    return SpinorDiffOp(sig, {k: SuperPolynomial._wrap(n, t) for k, t in tables.items()})
 
 
 def normal_order_inverse(A: SpinorDiffOp) -> SuperPolynomial:

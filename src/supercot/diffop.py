@@ -7,44 +7,70 @@ into the coefficient; ``dxi^(i1,..,ik)`` denotes the composition
 d_{xi^i1} o ... o d_{xi^ik}, the rightmost factor acting first.
 Composition is exact and uses the graded Leibniz rule to move derivative
 blocks past coefficients, so associativity holds on the nose.
+
+Both run on the superpoly kernels: a whole block reaches a polynomial in
+one ``partial`` pass, and each product is accumulated in place into the
+term table of its result key by ``add_product``.  The Leibniz expansions
+of a block (the sub-multi-indices with their binomial factors, and the
+Grassmann splits with their signs) are computed once per block and cached.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, prod
 from typing import Iterable, Mapping
 
 from .coeff import Scalar
-from .superpoly import SuperPolynomial, sort_xi_word, term_sort_key
+from .superpoly import SuperPolynomial, add_product, sort_xi_word, term_sort_key
 
 OpKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # (dxi, dx, dp)
 
 
 def _parity_involution(poly: SuperPolynomial) -> SuperPolynomial:
     """Multiply each term by (-1)^parity; splits graded Leibniz signs."""
-    terms = {}
-    for key, coeff in poly.items():
-        terms[key] = coeff * (-1 if len(key[2]) % 2 else 1)
-    return SuperPolynomial(poly.n, terms)
+    return SuperPolynomial._wrap(
+        poly.n, {key: -c if len(key[2]) % 2 else c for key, c in poly._terms.items()}
+    )
 
 
-def _derive_multi(poly: SuperPolynomial, kind: str, exps: tuple[int, ...]) -> SuperPolynomial:
-    for index, count in enumerate(exps, start=1):
-        for _ in range(count):
-            poly = poly.derive(kind, index)
-    return poly
-
-
+@lru_cache(maxsize=None)
 def _sub_multi_indices(alpha: tuple[int, ...]):
-    """All gamma <= alpha with the multinomial factor prod C(alpha_i, gamma_i)."""
-    ranges = [range(a + 1) for a in alpha]
-    for gamma in product(*ranges):
-        factor = 1
-        for a, g in zip(alpha, gamma):
-            factor *= comb(a, g)
-        yield gamma, factor
+    """(gamma, |gamma|, alpha - gamma, prod C(alpha_i, gamma_i)) for every gamma <= alpha.
+
+    gamma -> alpha - gamma reverses the enumeration order of the box, so
+    each entry shares its alpha - gamma tuple with the mirrored entry.
+    """
+    gammas = list(product(*(range(a + 1) for a in alpha)))
+    return tuple(
+        (gamma, sum(gamma), rest, prod(map(comb, alpha, gamma)))
+        for gamma, rest in zip(gammas, reversed(gammas))
+    )
+
+
+@lru_cache(maxsize=None)
+def _grassmann_splits(word: tuple[int, ...]):
+    """Graded Leibniz rule for dxi^word o c, as (derived, passed, sign, flip) tuples.
+
+    dxi^word o c = sum sign * P^flip(dxi^derived c) o dxi^passed over the
+    splits of word, with P the parity involution: each index either
+    differentiates c or passes it (turning it into P(c)), and moving the
+    P's to the left past the derivatives applied before them gives sign.
+    """
+    splits = []
+    for mask in range(1 << len(word)):
+        derived, passed, crossings = [], [], 0
+        for bit, index in enumerate(word):
+            if mask >> bit & 1:
+                passed.append(index)
+                crossings += len(derived)
+            else:
+                derived.append(index)
+        sign = -1 if crossings % 2 else 1
+        splits.append((tuple(derived), tuple(passed), sign, len(passed) % 2))
+    return tuple(splits)
 
 
 class SuperDiffOp:
@@ -135,68 +161,49 @@ class SuperDiffOp:
     def apply(self, poly: SuperPolynomial) -> SuperPolynomial:
         if poly.n != self.n:
             raise ValueError("dimension mismatch")
-        result = SuperPolynomial.zero(self.n)
+        terms: dict = {}
         for (dxi, dx, dp), coeff in self._terms.items():
-            value = _derive_multi(poly, "x", dx)
-            value = _derive_multi(value, "p", dp)
-            for index in reversed(dxi):
-                value = value.derive("xi", index)
-            if value.is_zero():
-                continue
-            result = result + coeff * value
-        return result
+            add_product(terms, coeff, poly.partial(dx, dp, dxi))
+        return SuperPolynomial._wrap(self.n, terms)
 
     def compose(self, other: "SuperDiffOp") -> "SuperDiffOp":
-        """Operator product self o other in canonical form."""
+        """Operator product self o other in canonical form.
+
+        Each block dxi^I dx^a dp^b of self moves past a coefficient cB of
+        other by the Leibniz rule; derivatives of cB of x-order above its
+        x-degree vanish and are skipped.
+        """
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         n = self.n
-        result: dict[OpKey, SuperPolynomial] = {}
+        result: dict[OpKey, dict] = {}
+        b_terms = [(key, cB, cB.x_degree()) for key, cB in other._terms.items()]
         for (dxiA, dxA, dpA), cA in self._terms.items():
-            for (dxiB, dxB, dpB), cB in other._terms.items():
-                # move dp^dpA, dx^dxA, dxi^dxiA past the coefficient cB
-                moved: list[tuple[SuperPolynomial, tuple, tuple, tuple]] = []
-                for delta, fac_p in _sub_multi_indices(dpA):
-                    rest_p = tuple(a - d for a, d in zip(dpA, delta))
-                    poly_p = _derive_multi(cB, "p", rest_p)
-                    if poly_p.is_zero():
-                        continue
-                    for gamma, fac_x in _sub_multi_indices(dxA):
-                        rest_x = tuple(a - g for a, g in zip(dxA, gamma))
-                        poly_x = _derive_multi(poly_p, "x", rest_x)
-                        if poly_x.is_zero():
+            orderA = sum(dxA)
+            p_table = _sub_multi_indices(dpA)
+            x_table = _sub_multi_indices(dxA)
+            splits = _grassmann_splits(dxiA)
+            for (dxiB, dxB, dpB), cB, degreeB in b_terms:
+                min_kept = orderA - degreeB
+                for delta, _d, rest_p, fac_p in p_table:
+                    dp_out = tuple(a + b for a, b in zip(delta, dpB))
+                    for gamma, order, rest_x, fac_x in x_table:
+                        if order < min_kept:
                             continue
-                        moved.append((poly_x.scale(fac_p * fac_x), gamma, delta, ()))
-                # graded Leibniz for the Grassmann block, rightmost factor first
-                for index in reversed(dxiA):
-                    next_moved = []
-                    for poly, gamma, delta, word in moved:
-                        derived = poly.derive("xi", index)
-                        if not derived.is_zero():
-                            next_moved.append((derived, gamma, delta, word))
-                        flipped = _parity_involution(poly)
-                        next_moved.append((flipped, gamma, delta, (index,) + word))
-                    moved = next_moved
-                for poly, gamma, delta, word in moved:
-                    sorted_word = sort_xi_word(word + dxiB)
-                    if sorted_word is None:
-                        continue
-                    sign, merged = sorted_word
-                    key = (
-                        merged,
-                        tuple(a + b for a, b in zip(gamma, dxB)),
-                        tuple(a + b for a, b in zip(delta, dpB)),
-                    )
-                    contribution = (cA * poly).scale(sign)
-                    if contribution.is_zero():
-                        continue
-                    acc = result.get(key)
-                    acc = contribution if acc is None else acc + contribution
-                    if acc.is_zero():
-                        result.pop(key, None)
-                    else:
-                        result[key] = acc
-        return SuperDiffOp(n, result)
+                        dx_out = tuple(a + b for a, b in zip(gamma, dxB))
+                        for derived, passed, sign, flip in splits:
+                            poly = cB.partial(rest_x, rest_p, derived)
+                            if not poly:
+                                continue
+                            sorted_word = sort_xi_word(passed + dxiB)
+                            if sorted_word is None:
+                                continue
+                            if flip:
+                                poly = _parity_involution(poly)
+                            key = (sorted_word[1], dx_out, dp_out)
+                            factor = fac_p * fac_x * sign * sorted_word[0]
+                            add_product(result.setdefault(key, {}), cA, poly, factor)
+        return SuperDiffOp(n, {k: SuperPolynomial._wrap(n, t) for k, t in result.items()})
 
     def commutator(self, other: "SuperDiffOp") -> "SuperDiffOp":
         return self.compose(other) - other.compose(self)

@@ -11,7 +11,9 @@ Grammar (whitespace insignificant)::
 
 A '/' divisor must be an invertible constant (rational, i, s or a power
 of h), which covers inputs like ``h/2 * xi1*xi2``.  Exponents on h may
-be negative, matching the Laurent scalar ring.
+be negative, matching the Laurent scalar ring.  No exponent may exceed
+MAX_EXPONENT (1000) in absolute value: a larger one is a ParseError, so
+that an input like ``p1^99999999999`` is rejected instead of expanded.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from fractions import Fraction
 
 from .coeff import Scalar
 from .superpoly import SuperPolynomial
+
+
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -57,7 +62,18 @@ class _Tokenizer:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a number", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError("number too long", start) from None
+
+    def take_exponent(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        power = self.take_uint()
+        if power > MAX_EXPONENT:
+            raise ParseError(f"exponent {power} exceeds the maximum {MAX_EXPONENT}", start)
+        return power
 
     def take_name(self) -> tuple[str, int]:
         self.skip_ws()
@@ -136,7 +152,7 @@ class _Parser:
                 base = _CONSTS[name]()
                 if tok.accept("^"):
                     negative = tok.accept("-")
-                    power = tok.take_uint()
+                    power = tok.take_exponent()
                     if name != "h" and negative:
                         raise ParseError("negative power only allowed on h", start)
                     base = _scalar_power(base, -power if negative else power, name)
@@ -154,7 +170,7 @@ class _Parser:
                 else:
                     var = SuperPolynomial.var_xi(self.n, index)
                 if tok.accept("^"):
-                    power = tok.take_uint()
+                    power = tok.take_exponent()
                     result = SuperPolynomial.one(self.n)
                     for _ in range(power):
                         result = result * var
@@ -187,5 +203,9 @@ def _constant_inverse(divisor: SuperPolynomial, position: int) -> SuperPolynomia
 
 
 def sp_parse(text: str, n: int) -> SuperPolynomial:
-    """Parse an expression into canonical form in dimension n."""
+    """Parse an expression into canonical form in dimension n.
+
+    Raises ParseError on a syntax error, an out-of-range index or an
+    exponent above MAX_EXPONENT.
+    """
     return _Parser(text, n).parse()

@@ -6,7 +6,9 @@ the c-normalisation (c^i c^j + c^j c^i = -eta^ij, gamma^i = sqrt2 c^i),
 xcoeff is a polynomial in x over the exact scalars, and dx^a is a
 partial-derivative multi-index.  Composition multiplies Clifford blocks
 with the star product and moves derivatives past coefficients by the
-Leibniz rule, so the algebra is associative on the nose.
+Leibniz rule, so the algebra is associative on the nose.  The Clifford
+product of two blocks is read from the star product's cached word table,
+and coefficients multiply in place into the result (``add_product``).
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .coeff import Scalar
-from .star import star_mul
-from .superpoly import Signature, SuperPolynomial, sort_xi_word
-from .diffop import _derive_multi, _sub_multi_indices
+from .diffop import _sub_multi_indices
+from .star import _word_product
+from .superpoly import Signature, SuperPolynomial, add_product, sort_xi_word
 
 SpinKey = tuple[tuple[int, ...], tuple[int, ...]]  # (cliff, dx)
 
 
 def _check_xcoeff(coeff: SuperPolynomial) -> None:
-    for (key, _c) in coeff.items():
+    for key in coeff._terms:
         if any(key[1]) or key[2]:
             raise ValueError("SpinorDiffOp coefficients must be polynomials in x only")
 
@@ -108,36 +110,31 @@ class SpinorDiffOp:
     def compose(self, other: "SpinorDiffOp") -> "SpinorDiffOp":
         if self.sig != other.sig:
             raise ValueError("signature mismatch")
-        n = self.n
-        result: dict[SpinKey, SuperPolynomial] = {}
+        sig = self.sig
+        result: dict[SpinKey, dict] = {}
+        b_terms = [(key, cB, cB.x_degree()) for key, cB in other._terms.items()]
         for (cliffA, dxA), cA in self._terms.items():
-            monA = SuperPolynomial.monomial(n, xi=cliffA)
             orderA = sum(dxA)
-            for (cliffB, dxB), cB in other._terms.items():
-                cliff_product = star_mul(monA, SuperPolynomial.monomial(n, xi=cliffB), self.sig)
-                if cliff_product.is_zero():
+            x_table = _sub_multi_indices(dxA)
+            for (cliffB, dxB), cB, degreeB in b_terms:
+                cliff_product = _word_product(cliffA, cliffB, sig)
+                if not cliff_product:
                     continue
                 # derivatives of cB of order above its x-degree vanish
-                min_kept = orderA - cB.x_degree()
-                for gamma, factor in _sub_multi_indices(dxA):
-                    if sum(gamma) < min_kept:
+                min_kept = orderA - degreeB
+                for gamma, order, rest, factor in x_table:
+                    if order < min_kept:
                         continue
-                    rest = tuple(a - g for a, g in zip(dxA, gamma))
-                    passed = _derive_multi(cB, "x", rest)
-                    if passed.is_zero():
+                    passed = cB.partial(rest)
+                    if not passed:
                         continue
-                    base = (cA * passed).scale(factor)
                     dx_out = tuple(a + b for a, b in zip(gamma, dxB))
-                    for (_x, _p, word), scalar in cliff_product.items():
-                        key = (word, dx_out)
-                        contribution = base.scale(scalar)
-                        acc = result.get(key)
-                        acc = contribution if acc is None else acc + contribution
-                        if acc.is_zero():
-                            result.pop(key, None)
-                        else:
-                            result[key] = acc
-        return SpinorDiffOp(self.sig, result)
+                    for word, scalar in cliff_product:
+                        table = result.setdefault((word, dx_out), {})
+                        add_product(table, cA, passed, scalar * factor)
+        return SpinorDiffOp(sig, {
+            key: SuperPolynomial._wrap(self.n, table) for key, table in result.items()
+        })
 
     def commutator(self, other: "SpinorDiffOp") -> "SpinorDiffOp":
         return self.compose(other) - other.compose(self)
@@ -167,19 +164,14 @@ class SpinorDiffOp:
         size = len(rep.basis)
         if len(components) != size:
             raise ValueError("component count must match the spin module dimension")
-        out = [SuperPolynomial.zero(self.n) for _ in range(size)]
+        out: list[dict] = [{} for _ in range(size)]
         for (cliff, dx), coeff in self._terms.items():
             mat = rep.monomial_matrix(cliff)
-            derived = [_derive_multi(comp, "x", dx) for comp in components]
+            derived = [comp.partial(dx) for comp in components]
             for row in range(size):
-                acc = SuperPolynomial.zero(self.n)
                 for col in range(size):
-                    entry = mat[row][col]
-                    if entry and not derived[col].is_zero():
-                        acc = acc + derived[col].scale(entry)
-                if not acc.is_zero():
-                    out[row] = out[row] + coeff * acc
-        return tuple(out)
+                    add_product(out[row], coeff, derived[col], mat[row][col])
+        return tuple(SuperPolynomial._wrap(self.n, table) for table in out)
 
     # -- inspection ------------------------------------------------------------------
 

@@ -7,12 +7,21 @@ scalar ring of coeff.Scalar.  Storage is sparse: a monomial key is
 and xi is a strictly increasing tuple of 1-based indices.  Any sign
 produced by reordering Grassmann factors is absorbed into the
 coefficient, so keys are canonical and equality is structural.
+
+Two kernels carry the operator layers.  ``partial`` applies a whole
+derivative multi-index to every term in one pass: an even block lowers
+each exponent and multiplies by the falling factorial, an odd block
+removes its xi indices with the sign of their positions.  ``add_product``
+accumulates ``factor * left * right`` into a caller-owned term table, so
+a sum of many products is built in one table instead of one copy per
+summand; ``__mul__`` is ``add_product`` into a fresh table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -56,10 +65,6 @@ def merge_xi(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[
 
     None signals a repeated Grassmann factor, i.e. a vanishing product.
     """
-    if not left:
-        return 1, right
-    if not right:
-        return 1, left
     if set(left) & set(right):
         return None
     merged = []
@@ -109,6 +114,7 @@ class SuperPolynomial:
         cleaned: dict[Key, Scalar] = {}
         if terms:
             for key, coeff in terms.items():
+                _check_key(key, n)
                 if coeff:
                     cleaned[key] = coeff
         self._terms = cleaned
@@ -129,8 +135,7 @@ class SuperPolynomial:
 
     @staticmethod
     def constant(n: int, value: Scalar | int | Fraction) -> "SuperPolynomial":
-        zero_exp = (0,) * n
-        return SuperPolynomial(n, {(zero_exp, zero_exp, ()): Scalar.coerce(value)})
+        return SuperPolynomial.monomial(n, coeff=value)
 
     @staticmethod
     def one(n: int) -> "SuperPolynomial":
@@ -144,19 +149,22 @@ class SuperPolynomial:
         xi: Iterable[int] = (),
         coeff: Scalar | int | Fraction = 1,
     ) -> "SuperPolynomial":
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
         xexp = tuple(xexp) or (0,) * n
         pexp = tuple(pexp) or (0,) * n
         if len(xexp) != n or len(pexp) != n:
             raise ValueError("exponent tuples must have length n")
-        if any(e < 0 for e in xexp + pexp):
-            raise ValueError("negative exponents are not allowed")
+        if any(type(e) is not int or e < 0 for e in xexp + pexp):
+            raise ValueError("exponents must be non-negative ints")
         sorted_word = sort_xi_word(xi)
         if sorted_word is None:
             return SuperPolynomial.zero(n)
         sign, word = sorted_word
         if word and not (1 <= word[0] and word[-1] <= n):
             raise IndexError(f"xi index out of range 1..{n}")
-        return SuperPolynomial(n, {(xexp, pexp, word): Scalar.coerce(coeff) * sign})
+        coeff = Scalar.coerce(coeff) * sign
+        return SuperPolynomial._wrap(n, {(xexp, pexp, word): coeff} if coeff else {})
 
     @staticmethod
     def var_x(n: int, i: int) -> "SuperPolynomial":
@@ -218,25 +226,7 @@ class SuperPolynomial:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         terms: dict[Key, Scalar] = {}
-        for (x1, p1, xi1), c1 in self._terms.items():
-            for (x2, p2, xi2), c2 in other._terms.items():
-                merged = merge_xi(xi1, xi2)
-                if merged is None:
-                    continue
-                sign, word = merged
-                key = (tuple(map(add, x1, x2)), tuple(map(add, p1, p2)), word)
-                coeff = c1 * c2
-                if sign < 0:
-                    coeff = -coeff
-                acc = terms.get(key)
-                if acc is None:
-                    terms[key] = coeff
-                    continue
-                acc = acc + coeff
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
+        add_product(terms, self, other)
         return SuperPolynomial._wrap(self.n, terms)
 
     def __rmul__(self, other):
@@ -272,6 +262,47 @@ class SuperPolynomial:
                     terms[(xexp, pexp, xi[:slot] + xi[slot + 1 :])] = -coeff if slot % 2 else coeff
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
+        return SuperPolynomial._wrap(self.n, terms)
+
+    def partial(
+        self,
+        dx: tuple[int, ...] = (),
+        dp: tuple[int, ...] = (),
+        dxi: tuple[int, ...] = (),
+    ) -> "SuperPolynomial":
+        """Apply dxi^I dx^a dp^b in one pass; dxi is a strictly increasing word.
+
+        d_xi^(i1,..,ik) is d_{xi^i1} o ... o d_{xi^ik}.  Removing its
+        indices from the largest down leaves the position of each smaller
+        one unchanged, so the sign is (-1)^(sum of their slots in the
+        word).  An empty multi-index is no derivative; as in ``derive``
+        no two terms merge, so the table is built without accumulation.
+        """
+        xs = [(pos, a) for pos, a in enumerate(dx) if a]
+        ps = [(pos, a) for pos, a in enumerate(dp) if a]
+        if not (xs or ps or dxi):
+            return self
+        terms: dict[Key, Scalar] = {}
+        for (xexp, pexp, xi), coeff in self._terms.items():
+            factor = 1
+            if xs:
+                lowered = _lower(xexp, xs)
+                if lowered is None:
+                    continue
+                xexp, factor = lowered
+            if ps:
+                lowered = _lower(pexp, ps)
+                if lowered is None:
+                    continue
+                pexp, pfactor = lowered
+                factor *= pfactor
+            if dxi:
+                if not all(index in xi for index in dxi):
+                    continue
+                if sum(map(xi.index, dxi)) % 2:
+                    factor = -factor
+                xi = tuple(i for i in xi if i not in dxi)
+            terms[(xexp, pexp, xi)] = coeff * factor
         return SuperPolynomial._wrap(self.n, terms)
 
     def euler_odd(self) -> "SuperPolynomial":
@@ -422,6 +453,69 @@ class SuperPolynomial:
 
     def __repr__(self) -> str:
         return f"SuperPolynomial(n={self.n}, {self})"
+
+
+def add_product(
+    terms: dict[Key, Scalar],
+    left: SuperPolynomial,
+    right: SuperPolynomial,
+    factor: Scalar | int | Fraction = 1,
+) -> None:
+    """Add factor * left * right into ``terms`` in place; cancelled keys are removed."""
+    if not factor:
+        return
+    scaled = type(factor) is not int or factor != 1
+    right_items = right._terms.items()
+    for (x1, p1, xi1), c1 in left._terms.items():
+        if scaled:
+            c1 = c1 * factor
+        for (x2, p2, xi2), c2 in right_items:
+            if xi1 and xi2:
+                merged = merge_xi(xi1, xi2)
+                if merged is None:
+                    continue
+                sign, word = merged
+            else:
+                sign, word = 1, xi1 or xi2
+            key = (tuple(map(add, x1, x2)), tuple(map(add, p1, p2)), word)
+            coeff = c1 * c2
+            if sign < 0:
+                coeff = -coeff
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = coeff
+                continue
+            acc = acc + coeff
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
+
+
+def _check_key(key, n: int) -> None:
+    """Reject a monomial key that is not (xexp, pexp, xi) in canonical form."""
+    if not (isinstance(key, tuple) and len(key) == 3):
+        raise ValueError(f"monomial key {key!r} is not (xexp, pexp, xi)")
+    xexp, pexp, xi = key
+    for exp in (xexp, pexp):
+        if not (isinstance(exp, tuple) and len(exp) == n and all(type(e) is int and e >= 0 for e in exp)):
+            raise ValueError(f"exponents {exp!r} must be a tuple of {n} non-negative ints")
+    if not (isinstance(xi, tuple) and all(type(i) is int for i in xi)
+            and list(xi) == sorted(set(xi)) and set(xi) <= set(range(1, n + 1))):
+        raise ValueError(f"xi word {xi!r} must be strictly increasing within 1..{n}")
+
+
+def _lower(exp: tuple[int, ...], slots: list[tuple[int, int]]):
+    """(exp - a, prod e!/(e - a)!) for the nonzero slots of a, or None if it vanishes."""
+    out = list(exp)
+    factor = 1
+    for pos, a in slots:
+        e = out[pos]
+        if e < a:
+            return None
+        out[pos] = e - a
+        factor *= perm(e, a)
+    return tuple(out), factor
 
 
 def _check_index(index: int, n: int) -> None:

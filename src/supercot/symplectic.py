@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .coeff import Scalar
 from .diffop import SuperDiffOp
-from .superpoly import Signature, SuperPolynomial
+from .superpoly import Signature, SuperPolynomial, add_product
 
 
 class NotConformalError(ValueError):
@@ -31,6 +31,7 @@ class VectorFieldOnM:
     n: int
     components: tuple[SuperPolynomial, ...]
     name: str = field(default="", compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.components) != self.n:
@@ -41,6 +42,11 @@ class VectorFieldOnM:
             for (_x, pexp, xi) in (key for key, _ in comp.items()):
                 if any(pexp) or xi:
                     raise ValueError("components must not contain p or xi")
+        # hashed once: the confmod operator caches look fields up on every action
+        object.__setattr__(self, "_hash", hash((self.n, self.components)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def component(self, i: int) -> SuperPolynomial:
         return self.components[i - 1]
@@ -59,20 +65,14 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
         raise ValueError("dimension mismatch")
     sign = -1 if F.parity() else 1
     n = sig.n
-    result = SuperPolynomial.zero(n)
-    for i in range(1, n + 1):
-        result = result + F.derive("p", i) * G.derive("x", i)
-        result = result - F.derive("x", i) * G.derive("p", i)
     inv_h = Scalar.h(-1, sign)
-    for a in range(1, n + 1):
-        dF = F.derive("xi", a)
-        if dF.is_zero():
-            continue
-        dG = G.derive("xi", a)
-        if dG.is_zero():
-            continue
-        result = result + (dF * dG).scale(inv_h * sig.eta(a))
-    return result
+    terms: dict = {}
+    for i in range(1, n + 1):
+        for left, right, factor in (("p", "x", 1), ("x", "p", -1), ("xi", "xi", inv_h * sig.eta(i))):
+            dF = F.derive(left, i)
+            if dF:
+                add_product(terms, dF, G.derive(right, i), factor)
+    return SuperPolynomial._wrap(n, terms)
 
 
 # -- pairings with the symplectic potentials --------------------------------

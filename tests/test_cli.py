@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -166,3 +167,48 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "p1*xi1"
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["p1^99999999999", "s^99999999999", "h^-99999999999", "x1^1001", "p1^" + "9" * 5000],
+)
+def test_parse_rejects_exponents_above_the_maximum(capsys, expr):
+    code, out, err = run_cli(capsys, "parse", expr, "--dim", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error: ") and "Traceback" not in err
+    code, _, err = run_cli(capsys, "check", expr, "--module", "S", "--delta", "1", "--dim", "2")
+    assert code == 2 and err.startswith("error: parse error: ")
+
+
+def test_parse_accepts_the_maximum_exponent(capsys):
+    from supercot.parse import MAX_EXPONENT
+
+    code, out, _ = run_cli(capsys, "parse", f"x1^{MAX_EXPONENT}*h^-{MAX_EXPONENT}", "--dim", "2")
+    assert code == 0 and out.strip() == f"h^-{MAX_EXPONENT}*x1^{MAX_EXPONENT}"
+
+
+# SHA-256 of stdout, recorded before the derivative and product kernels were
+# rewritten; any change to values, canonical keys or rendering shows here.
+PINNED_STDOUT = [
+    (
+        ("dirac-power", "--s", "3", "--dim", "4", "--format", "json"),
+        "3dd188e453d3276445852800eacf0577b7eae1082d6d5eca64c2c1ed427343f2",
+    ),
+    (
+        ("search", "--dim", "4", "--signature", "3,1", "--bidegree", "3,1", "--module", "D",
+         "--lambda", "1/8", "--mu", "7/8", "--format", "json"),
+        "b1f0205f548d61db944bac1b9872435f2e2fc0ca8f8f43336df5fa7a5e52b504",
+    ),
+    (
+        ("verify", "--suite", "all", "--dim", "2", "--format", "json"),
+        "7cf952643b52b3ea14d80b65ed827199b034ee69bcd79ad4dcfcc272ae542642",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[argv[0] for argv, _ in PINNED_STDOUT])
+def test_stdout_matches_pinned_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -109,3 +109,41 @@ def test_print_parse_round_trip():
         assert sp_parse(str(F), 3) == F
     assert str(SuperPolynomial.zero(2)) == "0"
     assert sp_parse("0", 2).is_zero()
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ((1,), (0, 0), (2, 1)),  # short exponent tuple and unsorted xi word
+        ((1, 0, 0), (0, 0), ()),  # long exponent tuple
+        ((1, 0), (0, -1), ()),  # negative exponent
+        ((1.0, 0), (0, 0), ()),  # float exponent
+        ((Fraction(1), 0), (0, 0), ()),  # Fraction exponent
+        ((True, 0), (0, 0), ()),  # bool exponent
+        ((1, 0), (0, 0), (2, 1)),  # unsorted xi word
+        ((1, 0), (0, 0), (1, 1)),  # repeated xi index
+        ((1, 0), (0, 0), (0,)),  # xi index below 1
+        ((1, 0), (0, 0), (3,)),  # xi index above n
+        ((1, 0), (0, 0)),  # not a triple
+    ],
+)
+def test_constructor_rejects_malformed_keys(key):
+    with pytest.raises(ValueError):
+        SuperPolynomial(2, {key: Scalar.one()})
+
+
+def test_constructor_accepts_canonical_keys_and_monomial_skips_the_check(monkeypatch):
+    F = SuperPolynomial(2, {((1, 0), (0, 2), (1, 2)): Scalar.one(), ((0, 0), (0, 0), ()): Scalar.zero()})
+    assert len(F) == 1 and F == sp_parse("x1*p2^2*xi1*xi2", 2)
+    import supercot.superpoly as superpoly
+
+    def refuse(key, n):
+        raise AssertionError("monomial must not re-validate its key")
+
+    monkeypatch.setattr(superpoly, "_check_key", refuse)
+    assert SuperPolynomial.monomial(2, (1, 0), (0, 2), (2, 1)) == -F
+    assert SuperPolynomial.monomial(2, coeff=0).is_zero()
+    # monomial's own check rejects what the constructor would
+    for xexp in ((1.5, 0), (-1, 0), (1,)):
+        with pytest.raises(ValueError):
+            SuperPolynomial.monomial(2, xexp=xexp)

@@ -227,3 +227,20 @@ def test_conformal_generators_returns_a_fresh_list():
     again = conformal_generators(sig)
     assert [g.name for g in again] == names and again is not first
     assert generator_by_name(sig, "K1") is again[-4]
+
+
+def test_vector_field_hash_is_computed_once(monkeypatch):
+    X = generator_by_name(E2, "K1")
+    twin = VectorFieldOnM(2, tuple(SuperPolynomial(2, dict(c.items())) for c in X.components))
+    renamed = VectorFieldOnM(2, X.components, name="other")
+    # equal fields hash equal; the name stays out of equality and hashing
+    assert twin == X == renamed
+    assert hash(twin) == hash(X) == hash(renamed)
+    assert X != generator_by_name(E2, "K2")
+    calls = []
+    original = SuperPolynomial.__hash__
+    monkeypatch.setattr(SuperPolynomial, "__hash__", lambda self: calls.append(1) or original(self))
+    for _ in range(3):
+        hash(X)
+        {X: 1}[twin]
+    assert calls == []
