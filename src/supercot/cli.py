@@ -203,8 +203,6 @@ def cmd_dirac_power(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     op = power.operator
-    if args.specialize_h is not None:
-        raise CliError("--specialize-h is not supported for operators; h is structural")
     if args.format == "json":
         payload = {
             "s": power.power,
@@ -280,6 +278,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomised suites")
+
+
+def _add_specialize_h(parser: argparse.ArgumentParser) -> None:
+    """Only for subcommands that emit polynomials or matrices with h in them."""
     parser.add_argument(
         "--specialize-h", default=None, metavar="RAT",
         help="substitute a rational value for h in emitted polynomials/matrices",
@@ -317,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-degree", type=int, default=0, help="allow h-powers up to this degree")
     _add_weight_flags(p)
     _add_common(p)
+    _add_specialize_h(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("dirac-power", help="emit the conformal odd power N(Delta R^s)")
@@ -330,11 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix normalisation: c (stars of xi) or gamma = sqrt2 c",
     )
     _add_common(p)
+    _add_specialize_h(p)
     p.set_defaults(func=cmd_spin_rep)
 
     p = sub.add_parser("parse", help="parse an expression to canonical form")
     p.add_argument("expr", help="expression, or @path to read from a file")
     _add_common(p)
+    _add_specialize_h(p)
     p.set_defaults(func=cmd_parse)
 
     return parser

@@ -6,12 +6,15 @@ module adds the Lie-algebra bracket check for quadratic elements, the
 polarised spinor matrix representation for even dimension and any
 signature with p >= q, the prequantisation operator on the full exterior
 algebra, and the spinor Lie derivative along conformal vector fields.
+The spinor Lie derivative is built once per (field, signature, weight)
+and cached for the life of the process, like the lift and comoments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeff import Scalar
 from .matutil import (
@@ -221,6 +224,7 @@ def prequant_op(v: SuperPolynomial, sig: Signature, variant: str = "standard") -
 # -- spinor Lie derivative ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def kosmann_lie(
     X: VectorFieldOnM, sig: Signature, weight: Fraction | int = 0
 ) -> SpinorDiffOp:

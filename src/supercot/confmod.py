@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .clifford import kosmann_lie
 from .coeff import Scalar
 from .spinop import SpinorDiffOp
 from .superpoly import Signature, SuperPolynomial
@@ -32,11 +33,6 @@ from .symplectic import (
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if k == i - 1 else 0 for k in range(n))
-
-
-@lru_cache(maxsize=None)
-def _cached_lift(X: VectorFieldOnM, sig: Signature):
-    return hamiltonian_lift(X, sig)
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +78,7 @@ def hamiltonian_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
     """lift(X) + delta (div X); requires a conformal field."""
     from .diffop import SuperDiffOp
 
-    op = _cached_lift(X, sig)
+    op = hamiltonian_lift(X, sig)
     div = divergence(X)
     if delta and not div.is_zero():
         op = op + SuperDiffOp.term(div.scale(delta))
@@ -213,13 +209,6 @@ def spinor_compose(A: SpinorDiffOp, B: SpinorDiffOp) -> SpinorDiffOp:
     return A.compose(B)
 
 
-@lru_cache(maxsize=None)
-def _cached_kosmann(X: VectorFieldOnM, sig: Signature, weight: Fraction):
-    from .clifford import kosmann_lie
-
-    return kosmann_lie(X, sig, weight)
-
-
 def act_D_direct(
     X: VectorFieldOnM,
     lam: Fraction | int,
@@ -230,8 +219,8 @@ def act_D_direct(
     """Adjoint action sL^mu_X A - A sL^lam_X of the spinor Lie derivative."""
     if conformal_killing_factor(X, sig) is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
-    left = _cached_kosmann(X, sig, Fraction(mu))
-    right = _cached_kosmann(X, sig, Fraction(lam))
+    left = kosmann_lie(X, sig, Fraction(mu))
+    right = kosmann_lie(X, sig, Fraction(lam))
     return left.compose(A) - A.compose(right)
 
 

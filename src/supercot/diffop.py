@@ -89,6 +89,14 @@ class SuperDiffOp:
                     cleaned[key] = coeff
         self._terms = cleaned
 
+    @staticmethod
+    def _wrap(n: int, terms: dict) -> "SuperDiffOp":
+        """An operator over a checked table that holds no zero coefficient."""
+        out = SuperDiffOp.__new__(SuperDiffOp)
+        out.n = n
+        out._terms = terms
+        return out
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -136,12 +144,16 @@ class SuperDiffOp:
             raise ValueError("dimension mismatch")
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = terms.get(key, SuperPolynomial.zero(self.n)) + (-coeff if negate else coeff)
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = -coeff if negate else coeff
+                continue
+            acc = acc - coeff if negate else acc + coeff
+            if acc:
                 terms[key] = acc
-        return SuperDiffOp(self.n, terms)
+            else:
+                del terms[key]
+        return SuperDiffOp._wrap(self.n, terms)
 
     def __add__(self, other: "SuperDiffOp") -> "SuperDiffOp":
         return self._binop(other, negate=False)
@@ -204,9 +216,6 @@ class SuperDiffOp:
                             factor = fac_p * fac_x * sign * sorted_word[0]
                             add_product(result.setdefault(key, {}), cA, poly, factor)
         return SuperDiffOp(n, {k: SuperPolynomial._wrap(n, t) for k, t in result.items()})
-
-    def commutator(self, other: "SuperDiffOp") -> "SuperDiffOp":
-        return self.compose(other) - other.compose(self)
 
     # -- inspection ---------------------------------------------------------
 

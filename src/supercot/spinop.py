@@ -47,6 +47,14 @@ class SpinorDiffOp:
                     cleaned[key] = coeff
         self._terms = cleaned
 
+    @staticmethod
+    def _wrap(sig: Signature, terms: dict) -> "SpinorDiffOp":
+        """An operator over a checked table that holds no zero coefficient."""
+        out = SpinorDiffOp.__new__(SpinorDiffOp)
+        out.sig = sig
+        out._terms = terms
+        return out
+
     @property
     def n(self) -> int:
         return self.sig.n
@@ -85,12 +93,16 @@ class SpinorDiffOp:
             raise ValueError("signature mismatch")
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
-            acc = terms.get(key, SuperPolynomial.zero(self.n)) + (-coeff if negate else coeff)
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = -coeff if negate else coeff
+                continue
+            acc = acc - coeff if negate else acc + coeff
+            if acc:
                 terms[key] = acc
-        return SpinorDiffOp(self.sig, terms)
+            else:
+                del terms[key]
+        return SpinorDiffOp._wrap(self.sig, terms)
 
     def __add__(self, other: "SpinorDiffOp") -> "SpinorDiffOp":
         return self._binop(other, negate=False)

@@ -7,6 +7,12 @@ their Hamiltonian lifts and the even/odd comoment maps are provided with
 the skew-symmetrisation convention d_[j X_i] = (d_j X_i - d_i X_j)/2,
 which is the unique choice making pair_alpha(lift(X)) equal to the even
 comoment identically.
+
+Objects derived from a conformal field (its bracket with another field,
+its Killing factor, lift and comoments) are built once per (field,
+signature) and cached for the life of the process; every caller shares
+the result, and no code changes an operator or polynomial after it is
+built.
 """
 
 from __future__ import annotations
@@ -190,7 +196,13 @@ def generator_by_name(sig: Signature, name: str) -> VectorFieldOnM:
 
 
 def vf_bracket(X: VectorFieldOnM, Y: VectorFieldOnM) -> VectorFieldOnM:
-    """Lie bracket [X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
+    """Lie bracket [X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, named [X.name,Y.name]."""
+    return _vf_bracket(X, Y, f"[{X.name},{Y.name}]" if X.name and Y.name else "")
+
+
+@lru_cache(maxsize=None)
+def _vf_bracket(X: VectorFieldOnM, Y: VectorFieldOnM, name: str) -> VectorFieldOnM:
+    # the name is part of the key: it is outside the fields' equality
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     n = X.n
@@ -201,9 +213,6 @@ def vf_bracket(X: VectorFieldOnM, Y: VectorFieldOnM) -> VectorFieldOnM:
             acc = acc + X.component(j) * Y.component(i).derive("x", j)
             acc = acc - Y.component(j) * X.component(i).derive("x", j)
         comps.append(acc)
-    name = ""
-    if X.name and Y.name:
-        name = f"[{X.name},{Y.name}]"
     return VectorFieldOnM(n, tuple(comps), name=name)
 
 
@@ -215,6 +224,7 @@ def divergence(X: VectorFieldOnM) -> SuperPolynomial:
     return acc
 
 
+@lru_cache(maxsize=None)
 def conformal_killing_factor(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial | None:
     """The function lambda with L_X eta = lambda eta, or None if there is none."""
     if X.n != sig.n:
@@ -245,6 +255,7 @@ def _skew_gradient(X: VectorFieldOnM, sig: Signature) -> dict[tuple[int, int], S
     return table
 
 
+@lru_cache(maxsize=None)
 def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     """Hamiltonian lift of a conformal vector field, in flat Darboux form."""
     if conformal_killing_factor(X, sig) is None:
@@ -289,6 +300,7 @@ def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     return op
 
 
+@lru_cache(maxsize=None)
 def comoment_even(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     """J^alpha_X = p_i X^i + (h/2) xi^j xi^k d_[k X_j]."""
     if conformal_killing_factor(X, sig) is None:
@@ -310,6 +322,7 @@ def comoment_even(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     return result + spin.scale(half_h)
 
 
+@lru_cache(maxsize=None)
 def comoment_odd(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     """J^beta_X = xi_i X^i (flat chart: the density factor is 1)."""
     if conformal_killing_factor(X, sig) is None:

@@ -106,6 +106,50 @@ def test_search_rejects_negative_ansatz_degrees(capsys):
         assert code == 2 and out == "" and "non-negative" in err
 
 
+@pytest.mark.parametrize("bidegree,x_degree", [("2,1", "100000"), ("100000,0", "0")])
+def test_search_refuses_an_ansatz_above_the_limit(capsys, monkeypatch, bidegree, x_degree):
+    from supercot import invariants
+
+    def never(*args):
+        raise AssertionError("the ansatz must be sized before any monomial is built")
+
+    monkeypatch.setattr(invariants, "_ansatz_monomials", never)
+    code, out, err = run_cli(
+        capsys, "search", "--dim", "4", "--bidegree", bidegree, "--module", "S",
+        "--delta", "1/2", "--x-degree", x_degree,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(invariants.MAX_ANSATZ) in err
+
+
+def test_ansatz_size_matches_the_enumeration():
+    from supercot.invariants import _ansatz_monomials, _ansatz_size
+    from supercot.superpoly import Signature
+
+    for p, q in ((2, 0), (3, 1), (3, 0)):
+        sig = Signature(p, q)
+        for k, kappa, x_degree, h_degree in ((0, 0, 0, 0), (3, 1, 2, 1), (2, sig.n, 1, 2)):
+            monomials = _ansatz_monomials(sig, k, kappa, x_degree, h_degree)
+            assert _ansatz_size(sig.n, k, kappa, x_degree, h_degree) == len(monomials)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "h^-1*p1", "--dim", "4", "--module", "T", "--delta", "1/4"),
+        ("verify", "--suite", "comoment", "--dim", "2"),
+        ("dirac-power", "--s", "1", "--dim", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_specialize_h_is_rejected_where_it_is_not_honoured(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--specialize-h", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--specialize-h" in captured.err
+
+
 def test_dirac_power_output(capsys):
     code, out, _ = run_cli(capsys, "dirac-power", "--s", "1", "--dim", "4")
     assert code == 0
@@ -204,10 +248,22 @@ PINNED_STDOUT = [
         ("verify", "--suite", "all", "--dim", "2", "--format", "json"),
         "7cf952643b52b3ea14d80b65ed827199b034ee69bcd79ad4dcfcc272ae542642",
     ),
+    # recorded before the conformal-field builders were memoised
+    (
+        ("verify", "--suite", "all", "--dim", "4", "--signature", "3,1", "--format", "json"),
+        "f918afbd1db8ae1fe0e436e813eb3a63cd1525683430432a12a00d2b31b884aa",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[argv[0] for argv, _ in PINNED_STDOUT])
+def _pinned_id(argv):
+    """The subcommand, plus the signature for the verify run that names one."""
+    if argv[0] == "verify" and "--signature" in argv:
+        return f"verify-{argv[argv.index('--signature') + 1]}"
+    return argv[0]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[_pinned_id(argv) for argv, _ in PINNED_STDOUT])
 def test_stdout_matches_pinned_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

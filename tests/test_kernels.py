@@ -5,10 +5,12 @@
 ``poisson`` and ``normal_order``.  The ``ref_*`` functions below are the
 earlier implementations, built from single ``derive`` calls, ``+`` and
 ``star_mul`` on monomials; every property compares the two routes exactly.
+The operator sums and differences (``_binop``) are checked the same way.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -352,3 +354,36 @@ def test_poisson_and_normal_order_match_reference(data):
     assert poisson(F, G, sig) == ref_poisson(F, G, sig)
     assert normal_order(G, sig) == ref_normal_order(G, sig)
 
+
+
+# -- operator sums and differences ------------------------------------------------------
+
+
+def ref_binop(make, A, B, negate):
+    """The earlier operator sum: a zero polynomial per key, rebuilt through the constructor."""
+    terms = dict(A._terms)
+    for key, coeff in B._terms.items():
+        terms[key] = terms.get(key, SuperPolynomial.zero(A.n)) + (-coeff if negate else coeff)
+    return make(terms)
+
+
+@_settings
+@given(st.data())
+def test_operator_sum_and_difference(data):
+    if data.draw(st.booleans()):
+        sig = data.draw(st.sampled_from(SIGS))
+        make = partial(SpinorDiffOp, sig)
+        A, B = data.draw(spinops(sig)), data.draw(spinops(sig))
+    else:
+        n = data.draw(st.integers(1, 3))
+        make = partial(SuperDiffOp, n)
+        A, B = data.draw(diffops(n)), data.draw(diffops(n))
+    # share some of A's terms with B, so that sums and differences cancel
+    shared = data.draw(st.lists(st.sampled_from(sorted(A._terms)), unique=True)) if A._terms else []
+    B = B + make({key: A._terms[key] for key in shared})
+    for C in (A + B, A - B, B - A, A - A):
+        assert all(C._terms.values())  # no stored coefficient is zero
+    assert A + B == ref_binop(make, A, B, negate=False)
+    assert A - B == ref_binop(make, A, B, negate=True)
+    assert (A - B) + B == A
+    assert (A - A)._terms == {}

@@ -1,0 +1,137 @@
+"""The builders derived from a conformal field are memoised per (field, signature).
+
+Each cached result must equal a fresh build (``__wrapped__`` bypasses the
+cache), a repeated call must hand out the same object, and the verify
+suites that compose each ordered operator product once must still report
+the first failure in row-major order.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from supercot import symplectic, verify
+from supercot.clifford import kosmann_lie
+from supercot.diffop import SuperDiffOp
+from supercot.superpoly import Signature, SuperPolynomial
+from supercot.symplectic import (
+    NotConformalError,
+    VectorFieldOnM,
+    comoment_even,
+    comoment_odd,
+    conformal_generators,
+    conformal_killing_factor,
+    hamiltonian_lift,
+    vf_bracket,
+)
+
+SIGS = [Signature(2, 0), Signature(1, 1), Signature(3, 1), Signature(2, 2)]
+
+
+def _fields(sig):
+    """Every generator and every bracket of two generators, once per distinct field."""
+    gens = conformal_generators(sig)
+    brackets = [vf_bracket(X, Y) for X in gens for Y in gens]
+    return list(dict.fromkeys(gens + brackets))
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=str)
+def test_memoised_builders_equal_a_fresh_build(sig):
+    builders = [
+        (conformal_killing_factor, ()),
+        (hamiltonian_lift, ()),
+        (comoment_even, ()),
+        (comoment_odd, ()),
+        (kosmann_lie, ()),
+        (kosmann_lie, (Fraction(1, 3),)),
+    ]
+    for field in _fields(sig):
+        for build, extra in builders:
+            got = build(field, sig, *extra)
+            assert got == build.__wrapped__(field, sig, *extra)
+            assert build(field, sig, *extra) is got
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=str)
+def test_memoised_bracket_equals_a_fresh_build(sig):
+    gens = conformal_generators(sig)
+    for X in gens:
+        for Y in gens:
+            got = vf_bracket(X, Y)
+            fresh = symplectic._vf_bracket.__wrapped__(X, Y, f"[{X.name},{Y.name}]")
+            assert got == fresh and got.name == fresh.name == f"[{X.name},{Y.name}]"
+            assert vf_bracket(X, Y) is got
+
+
+def test_bracket_carries_the_names_of_its_call():
+    sig = Signature(3, 1)
+    gens = {g.name: g for g in conformal_generators(sig)}
+    T1, K1 = gens["T1"], gens["K1"]
+    alias = VectorFieldOnM(sig.n, T1.components, name="A")
+    unnamed = VectorFieldOnM(sig.n, T1.components)
+    assert alias == T1
+    first = vf_bracket(T1, K1)
+    assert first.name == "[T1,K1]"
+    assert vf_bracket(alias, K1).name == "[A,K1]"
+    assert vf_bracket(K1, alias).name == "[K1,A]"
+    assert vf_bracket(unnamed, K1).name == ""
+    assert vf_bracket(alias, K1) == first
+    assert vf_bracket(T1, K1) is first and first.name == "[T1,K1]"
+
+
+def test_non_conformal_field_raises_on_every_call():
+    sig = Signature(2, 0)
+    n = sig.n
+    x1_squared = SuperPolynomial.var_x(n, 1) * SuperPolynomial.var_x(n, 1)
+    bad = VectorFieldOnM(n, (x1_squared, SuperPolynomial.zero(n)), name="bad")
+    for _ in range(3):
+        assert conformal_killing_factor(bad, sig) is None
+        for build in (hamiltonian_lift, comoment_even, kosmann_lie):
+            with pytest.raises(NotConformalError):
+                build(bad, sig)
+
+
+def _zero_bracket_for(monkeypatch, pairs):
+    """Make verify.vf_bracket return the zero field on the given (X, Y) name pairs."""
+    real = verify.vf_bracket
+
+    def wrong(X, Y):
+        if (X.name, Y.name) in pairs:
+            return VectorFieldOnM(X.n, (SuperPolynomial.zero(X.n),) * X.n)
+        return real(X, Y)
+
+    monkeypatch.setattr(verify, "vf_bracket", wrong)
+
+
+@pytest.mark.parametrize(
+    "suite,row,detail",
+    [
+        (verify.suite_lift, "lift.lie-algebra-morphism",
+         "[lift T1, lift K2] differs from lift of bracket"),
+        (verify.suite_kosmann, "kosmann.lie-algebra-morphism", "[sL_T1, sL_K2] != sL_[X,Y]"),
+    ],
+)
+def test_morphism_suites_report_the_row_major_first_failure(monkeypatch, suite, row, detail):
+    sig = Signature(2, 0)
+    # gens are T1 T2 R12 D K1 K2: (R12, T1) is row 2, (T1, K2) row 0; the
+    # unordered-pair loop meets (R12, T1) first, while composing T1 with R12
+    _zero_bracket_for(monkeypatch, {("R12", "T1"), ("T1", "K2")})
+    rows = {r.name: r for r in suite(sig, 0)}
+    assert not rows[row].ok and rows[row].cases == 36
+    assert rows[row].detail == detail
+    assert all(r.ok for name, r in rows.items() if name != row)
+
+
+def test_lift_suite_composes_each_ordered_product_once(monkeypatch):
+    sig = Signature(2, 0)
+    calls = []
+    original = SuperDiffOp.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(SuperDiffOp, "compose", counted)
+    rows = verify.suite_lift(sig, 0)
+    assert all(r.ok for r in rows)
+    assert len(calls) == len(conformal_generators(sig)) ** 2
