@@ -7,7 +7,8 @@ polarised spinor matrix representation for even dimension and any
 signature with p >= q, the prequantisation operator on the full exterior
 algebra, and the spinor Lie derivative along conformal vector fields.
 The spinor Lie derivative is built once per (field, signature, weight)
-and cached for the life of the process, like the lift and comoments.
+and cached for the life of the process, like the lift and comoments;
+n and the weights asked for bound the cache.
 """
 
 from __future__ import annotations
@@ -241,21 +242,12 @@ def kosmann_lie(
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
     n = sig.n
     skew = _skew_gradient(X, sig)
-    op = SpinorDiffOp.zero(sig)
-    for i in range(1, n + 1):
-        comp = X.component(i)
-        if not comp.is_zero():
-            op = op + SpinorDiffOp.term(
-                sig, comp, dx=tuple(1 if k == i - 1 else 0 for k in range(n))
-            )
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            entry = skew[(k, j)]
-            if not entry.is_zero():
-                op = op + SpinorDiffOp.term(sig, entry, cliff=(j, k))
+    items = [
+        (((), tuple(1 if k == i - 1 else 0 for k in range(n))), X.component(i))
+        for i in range(1, n + 1)
+    ]
+    items += [(((j, k), ()), skew[(k, j)]) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     weight = Fraction(weight)
     if weight:
-        div = divergence(X)
-        if not div.is_zero():
-            op = op + SpinorDiffOp.term(sig, div.scale(weight))
-    return op
+        items.append((((), ()), divergence(X).scale(weight)))
+    return SpinorDiffOp.from_items(sig, items)

@@ -9,8 +9,14 @@ symbols.  The two realisations of the operator action must agree
 exactly; that equality is the sharpest consistency check of the sign
 conventions used throughout.
 
+A SpinorDiffOp is stored as its normal-order symbol, so normal ordering
+and its inverse do no arithmetic.  The direct route composes with the
+spinor Lie derivative by the standard-ordered product; the symbol route
+applies the closed form ``operator_symbol_action``.
+
 Each action is materialised once per (generator, weights) as a
-SuperDiffOp and cached, so sweeping a large monomial ansatz stays cheap.
+SuperDiffOp and cached for the life of the process, so sweeping a large
+monomial ansatz stays cheap; n and the weights asked for bound the caches.
 """
 
 from __future__ import annotations
@@ -180,33 +186,18 @@ def act_D_symbolside(
 
 
 def normal_order(F: SuperPolynomial, sig: Signature) -> SpinorDiffOp:
-    """xi-monomials to c-monomials, p-monomials of degree k to h^k dx^k."""
+    """xi-monomials to c-monomials, p-monomials of degree k to h^k dx^k.
+
+    A SpinorDiffOp is stored as this symbol, so nothing is computed.
+    """
     if F.n != sig.n:
         raise ValueError("dimension mismatch")
-    n = sig.n
-    zero = (0,) * n
-    # distinct monomials of F land on distinct (word, dx, x-monomial) slots
-    tables: dict = {}
-    for (xexp, pexp, word), coeff in F._terms.items():
-        tables.setdefault((word, pexp), {})[(xexp, zero, ())] = coeff.mul_hpow(sum(pexp))
-    return SpinorDiffOp(sig, {k: SuperPolynomial._wrap(n, t) for k, t in tables.items()})
+    return SpinorDiffOp(sig, F)
 
 
 def normal_order_inverse(A: SpinorDiffOp) -> SuperPolynomial:
-    """Inverse bijection; divides out the h-power carried by derivatives."""
-    n = A.n
-    result = SuperPolynomial.zero(n)
-    for (cliff, dx), xcoeff in A.items():
-        order = sum(dx)
-        for (xexp, _p, _xi), coeff in xcoeff.items():
-            result = result + SuperPolynomial.monomial(
-                n, xexp=xexp, pexp=dx, xi=cliff, coeff=coeff.mul_hpow(-order)
-            )
-    return result
-
-
-def spinor_compose(A: SpinorDiffOp, B: SpinorDiffOp) -> SpinorDiffOp:
-    return A.compose(B)
+    """Inverse bijection: the stored symbol of A."""
+    return A.symbol
 
 
 def act_D_direct(
@@ -226,8 +217,7 @@ def act_D_direct(
 
 def hamiltonian_principal_symbol(A: SpinorDiffOp, degree: int) -> SuperPolynomial:
     """Hamiltonian-degree-``degree`` component of the inverse normal ordering."""
-    F = normal_order_inverse(A)
-    components = F.hamiltonian_components()
+    components = A.symbol.hamiltonian_components()
     top = max(components, default=0)
     if top > degree:
         raise ValueError(f"operator has Hamiltonian degree {top} > {degree}")

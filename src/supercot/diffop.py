@@ -12,7 +12,8 @@ Both run on the superpoly kernels: a whole block reaches a polynomial in
 one ``partial`` pass, and each product is accumulated in place into the
 term table of its result key by ``add_product``.  The Leibniz expansions
 of a block (the sub-multi-indices with their binomial factors, and the
-Grassmann splits with their signs) are computed once per block and cached.
+Grassmann splits with their signs) are computed once per block and cached
+for the life of the process; n and the orders met bound the caches.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ Objects derived from a conformal field (its bracket with another field,
 its Killing factor, lift and comoments) are built once per (field,
 signature) and cached for the life of the process; every caller shares
 the result, and no code changes an operator or polynomial after it is
-built.
+built.  The callers ask for the (n+1)(n+2)/2 generators and their
+brackets, so n bounds the caches; bound them if a long-lived caller
+appears.
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ def test_criterion_05_kosmann_correspondence():
                 failures.append(f"({sig.p},{sig.q}): N(J_{X.name}) != h sL")
         for X in gens:
             for Y in gens:
-                got = ders[X.name].commutator(ders[Y.name])
+                got = ders[X.name].compose(ders[Y.name]) - ders[Y.name].compose(ders[X.name])
                 if got != kosmann_lie(vf_bracket(X, Y), sig):
                     failures.append(f"({sig.p},{sig.q}): sL morphism fails [{X.name},{Y.name}]")
     report(5, "quantised comoment equals h times the spinor Lie derivative", failures, started)

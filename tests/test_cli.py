@@ -122,6 +122,19 @@ def test_search_refuses_an_ansatz_above_the_limit(capsys, monkeypatch, bidegree,
     assert err.startswith("error: ") and str(invariants.MAX_ANSATZ) in err
 
 
+@pytest.mark.parametrize("s,dim", [("200", "4"), ("3", "40")])
+def test_dirac_power_refuses_a_symbol_above_the_limit(capsys, monkeypatch, s, dim):
+    from supercot import invariants
+
+    def never(*args):
+        raise AssertionError("Delta R^s must be sized before any symbol is built")
+
+    monkeypatch.setattr(invariants, "canonical_symbol", never)
+    code, out, err = run_cli(capsys, "dirac-power", "--s", s, "--dim", dim)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"MAX_DIRAC_TERMS = {invariants.MAX_DIRAC_TERMS}" in err
+
+
 def test_ansatz_size_matches_the_enumeration():
     from supercot.invariants import _ansatz_monomials, _ansatz_size
     from supercot.superpoly import Signature
@@ -253,14 +266,20 @@ PINNED_STDOUT = [
         ("verify", "--suite", "all", "--dim", "4", "--signature", "3,1", "--format", "json"),
         "f918afbd1db8ae1fe0e436e813eb3a63cd1525683430432a12a00d2b31b884aa",
     ),
+    # text mode, through render_gamma; recorded before SpinorDiffOp was stored as its symbol
+    (
+        ("dirac-power", "--s", "2", "--dim", "4", "--signature", "3,1"),
+        "38c61b1302623e2db4db4e3cf25bb8ce0cc5f66d3020bf78f6c7b6a1417184d3",
+    ),
 ]
 
 
 def _pinned_id(argv):
-    """The subcommand, plus the signature for the verify run that names one."""
-    if argv[0] == "verify" and "--signature" in argv:
-        return f"verify-{argv[argv.index('--signature') + 1]}"
-    return argv[0]
+    """The subcommand, with the signature of a verify run that names one, and -text in text mode."""
+    name = argv[0]
+    if name == "verify" and "--signature" in argv:
+        name = f"verify-{argv[argv.index('--signature') + 1]}"
+    return name if "--format" in argv else f"{name}-text"
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[_pinned_id(argv) for argv, _ in PINNED_STDOUT])

@@ -13,7 +13,6 @@ from supercot.confmod import (
     hamiltonian_principal_symbol,
     normal_order,
     normal_order_inverse,
-    spinor_compose,
 )
 from supercot.parse import sp_parse
 from supercot.randgen import random_bidegree, random_superpoly
@@ -186,10 +185,10 @@ def test_normal_order_examples():
 
 def test_spinor_compose():
     c1hd1 = SpinorDiffOp.term(E2, P2("h"), cliff=(1,), dx=(1, 0))
-    assert spinor_compose(c1hd1, c1hd1) == SpinorDiffOp.term(E2, P2("-1/2*h^2"), dx=(2, 0))
+    assert c1hd1.compose(c1hd1) == SpinorDiffOp.term(E2, P2("-1/2*h^2"), dx=(2, 0))
     hd1 = SpinorDiffOp.term(E2, P2("h"), dx=(1, 0))
     x1 = SpinorDiffOp.term(E2, P2("x1"))
-    assert spinor_compose(hd1, x1) == SpinorDiffOp.term(E2, P2("x1*h"), dx=(1, 0)) + SpinorDiffOp.term(
+    assert hd1.compose(x1) == SpinorDiffOp.term(E2, P2("x1*h"), dx=(1, 0)) + SpinorDiffOp.term(
         E2, P2("h")
     )
     rng = random.Random(21)
@@ -209,7 +208,7 @@ def test_spinor_compose():
                 )
             )
         A, B, C = ops
-        assert spinor_compose(spinor_compose(A, B), C) == spinor_compose(A, spinor_compose(B, C))
+        assert A.compose(B).compose(C) == A.compose(B.compose(C))
 
 
 def test_route_equality_random():
@@ -259,7 +258,7 @@ def test_apply_spinor_matches_composition():
         SuperPolynomial.monomial(2, xexp=(rng.randint(0, 2), rng.randint(0, 2)), coeff=rng.randint(-3, 3))
         for _ in range(rep.size)
     )
-    via_compose = spinor_compose(A, B).apply_spinor(psi, rep)
+    via_compose = A.compose(B).apply_spinor(psi, rep)
     via_apply = A.apply_spinor(B.apply_spinor(psi, rep), rep)
     assert via_compose == via_apply
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from supercot.coeff import Scalar
-from supercot.confmod import normal_order, spinor_compose
+from supercot.confmod import normal_order
 from supercot.invariants import (
     CanonicalSymbol,
     Weights,
@@ -135,12 +136,28 @@ def test_dirac_power_values():
     # N(Delta R) equals N(Delta) composed with N(R) up to no cross terms:
     # all coefficients constant, so composition is concatenation
     NR = normal_order(canonical_symbol("R", E2).poly, E2)
-    assert dp1.operator == spinor_compose(dp.operator, NR)
+    assert dp1.operator == dp.operator.compose(NR)
     sig4 = Signature(4, 0)
     assert dirac_power(1, sig4).weights.lam == Fraction(1, 8)
     assert dirac_power(1, sig4).weights.mu == Fraction(7, 8)
     with pytest.raises(ValueError):
         dirac_power(0, Signature(2, 1))
+
+
+@pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (4, 0), (3, 1), (2, 2)])
+def test_dirac_power_is_an_odd_power_of_the_dirac_operator(p, q):
+    # N(Delta) o N(Delta) = -N(R)/2, so N(Delta R^s) = (-2)^s N(Delta)^(2s+1)
+    sig = Signature(p, q)
+    n = sig.n
+    N_delta = normal_order(canonical_symbol("Delta", sig).poly, sig)
+    N_R = normal_order(canonical_symbol("R", sig).poly, sig)
+    assert N_delta.compose(N_delta) == N_R.scale(Fraction(-1, 2))
+    power = N_delta
+    for s in range(4):
+        dp = dirac_power(s, sig)
+        assert dp.operator == power.scale((-2) ** s)
+        assert len(dp.symbol) == n * comb(s + n - 1, n - 1)
+        power = power.compose(N_delta).compose(N_delta)
 
 
 def test_dirac_powers_invariant():

@@ -1,11 +1,12 @@
-"""The one-pass derivative and in-place product kernels against the loops they replaced.
+"""The operator kernels against the loops they replaced.
 
 ``SuperPolynomial.partial`` and ``superpoly.add_product`` carry
-``SuperDiffOp.apply``/``compose``, ``SpinorDiffOp.compose``/``apply_spinor``,
-``poisson`` and ``normal_order``.  The ``ref_*`` functions below are the
-earlier implementations, built from single ``derive`` calls, ``+`` and
-``star_mul`` on monomials; every property compares the two routes exactly.
-The operator sums and differences (``_binop``) are checked the same way.
+``SuperDiffOp.apply``/``compose``, ``SpinorDiffOp.apply_spinor`` and
+``poisson``; ``star.standard_mul`` carries ``SpinorDiffOp.compose``.  The
+``ref_*`` functions below are earlier implementations, built from single
+``derive`` calls, ``+``, and ``star_mul`` on monomials with the Leibniz
+rule; every property compares the two routes exactly.  The operator sums
+and differences are checked the same way.
 """
 
 import random
@@ -16,6 +17,7 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
+from supercot import star
 from supercot.clifford import build_spin_rep
 from supercot.coeff import Scalar
 from supercot.confmod import normal_order
@@ -122,7 +124,7 @@ def ref_spin_compose(A, B):
                 for (_x, _p, word), scalar in cliff_product.items():
                     key = (word, dx_out)
                     result[key] = result.get(key, SuperPolynomial.zero(n)) + base.scale(scalar)
-    return SpinorDiffOp(sig, result)
+    return SpinorDiffOp.from_items(sig, result.items())
 
 
 def ref_poisson(F, G, sig):
@@ -187,7 +189,7 @@ SIGS = [Signature(2, 0), Signature(1, 1), Signature(2, 1), Signature(2, 2)]
 def spinops(draw, sig):
     keys = st.tuples(_words(sig.n), _exps(sig.n, 2))
     terms = draw(st.dictionaries(keys, polys(sig.n, x_only=True, max_terms=3), max_size=3))
-    return SpinorDiffOp(sig, terms)
+    return SpinorDiffOp.from_items(sig, terms.items())
 
 
 _settings = settings(derandomize=True, max_examples=80, deadline=None)
@@ -332,12 +334,26 @@ def test_spinor_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     n = sig.n
     A = SpinorDiffOp.term(sig, SuperPolynomial.one(n), cliff=(1,), dx=(2, 1))
     B = SpinorDiffOp.term(sig, SuperPolynomial.monomial(n, xexp=(1, 1)), cliff=(1, 2))
-    ((_key, cB),) = B.items()
-    calls = _count_partial_calls(monkeypatch, cB)
+    tables = []
+    original = star._contractions
+
+    def recorded(pexp, xexp):
+        tables.append((pexp, xexp, original(pexp, xexp)))
+        return tables[-1][2]
+
+    monkeypatch.setattr(star, "_contractions", recorded)
     AB = A.compose(B)
-    # x-degree 2 against order 3: gamma = (0, 0) is skipped, 5 of 6 are kept
-    assert len(calls) == 5
     monkeypatch.undo()
+    # d^(2,1) against x^(1,1): only the gamma <= (1,1), 4 of the 6 gamma <= (2,1),
+    # are contracted, each with a nonzero factor C(p, gamma) x!/(x - gamma)!
+    ((pexp, xexp, table),) = tables
+    assert (pexp, xexp) == ((2, 1), (1, 1))
+    assert [(p_rest, x_rest, order) for p_rest, x_rest, order, _f in table] == [
+        ((2, 1), (1, 1), 0), ((2, 0), (1, 0), 1), ((1, 1), (0, 1), 1), ((1, 0), (0, 0), 2),
+    ]
+    assert [factor for *_rest, factor in table] == [
+        Scalar.one(), Scalar.h(1, 1), Scalar.h(1, 2), Scalar.h(2, 2),
+    ]
     assert AB == ref_spin_compose(A, B)
 
 
@@ -361,10 +377,15 @@ def test_poisson_and_normal_order_match_reference(data):
 
 def ref_binop(make, A, B, negate):
     """The earlier operator sum: a zero polynomial per key, rebuilt through the constructor."""
-    terms = dict(A._terms)
-    for key, coeff in B._terms.items():
+    terms = dict(A.items())
+    for key, coeff in B.items():
         terms[key] = terms.get(key, SuperPolynomial.zero(A.n)) + (-coeff if negate else coeff)
     return make(terms)
+
+
+def stored(op):
+    """The stored coefficient table: a SpinorDiffOp's symbol, a SuperDiffOp's own."""
+    return op.symbol._terms if isinstance(op, SpinorDiffOp) else op._terms
 
 
 @_settings
@@ -372,18 +393,19 @@ def ref_binop(make, A, B, negate):
 def test_operator_sum_and_difference(data):
     if data.draw(st.booleans()):
         sig = data.draw(st.sampled_from(SIGS))
-        make = partial(SpinorDiffOp, sig)
+        make = lambda terms: SpinorDiffOp.from_items(sig, terms.items())  # noqa: E731
         A, B = data.draw(spinops(sig)), data.draw(spinops(sig))
     else:
         n = data.draw(st.integers(1, 3))
         make = partial(SuperDiffOp, n)
         A, B = data.draw(diffops(n)), data.draw(diffops(n))
     # share some of A's terms with B, so that sums and differences cancel
-    shared = data.draw(st.lists(st.sampled_from(sorted(A._terms)), unique=True)) if A._terms else []
-    B = B + make({key: A._terms[key] for key in shared})
+    blocks = dict(A.items())
+    shared = data.draw(st.lists(st.sampled_from(sorted(blocks)), unique=True)) if blocks else []
+    B = B + make({key: blocks[key] for key in shared})
     for C in (A + B, A - B, B - A, A - A):
-        assert all(C._terms.values())  # no stored coefficient is zero
+        assert all(stored(C).values())  # no stored coefficient is zero
     assert A + B == ref_binop(make, A, B, negate=False)
     assert A - B == ref_binop(make, A, B, negate=True)
     assert (A - B) + B == A
-    assert (A - A)._terms == {}
+    assert stored(A - A) == {}
