@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .clifford import build_spin_rep
 from .invariants import (
@@ -24,7 +25,7 @@ from .invariants import (
 from .matutil import to_json as matrix_to_json
 from .parse import ParseError, sp_parse
 from .superpoly import Signature, SuperPolynomial
-from .verify import SUITES, run_suite
+from .verify import SUITES, check_suite, run_suite
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 
@@ -85,6 +86,19 @@ def _read_expression(raw: str) -> str:
     return raw
 
 
+def _print_json(payload) -> None:
+    """Write the bytes of print(json.dumps(payload, indent=2)) in batches of chunks.
+
+    Joining a batch at a time keeps memory bounded by the batch, not the
+    document, and makes one write per batch rather than per chunk, which
+    matters when stdout writes through (python -u).
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, 4096)):  # the encoder yields no empty chunk
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+
+
 def _specialize_poly(poly: SuperPolynomial, value: Fraction) -> SuperPolynomial:
     terms = {}
     for key, coeff in poly.items():
@@ -104,6 +118,8 @@ def cmd_verify(args) -> int:
             raise CliError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all")
         names = [args.suite]
     try:
+        for name in names:  # every limit is checked before any suite runs
+            check_suite(name, sig)
         results = [(name, run_suite(name, sig, args.seed)) for name in names]
     except ValueError as exc:
         raise CliError(str(exc))
@@ -119,7 +135,7 @@ def cmd_verify(args) -> int:
             ],
             "ok": all_ok,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for name, rows in results:
             for row in rows:
@@ -154,7 +170,7 @@ def cmd_check(args) -> int:
             ],
             "invariant": report.invariant,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for name, res in report.residuals:
             print(f"{name}: {res}")
@@ -184,7 +200,7 @@ def cmd_search(args) -> int:
     if args.format == "json":
         payload = result.to_json()
         payload["basis"] = [b.to_json() for b in basis]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(
             f"module {args.module}, signature ({sig.p},{sig.q}), bidegree ({k},{kappa}), "
@@ -210,7 +226,7 @@ def cmd_dirac_power(args) -> int:
             "symbol": power.symbol.to_json(),
             "operator": op.to_json(),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"weights: lambda = {power.weights.lam}, mu = {power.weights.mu}")
         print(f"symbol: {power.symbol}")
@@ -238,7 +254,7 @@ def cmd_spin_rep(args) -> int:
             "size": rep.size,
             "matrices": [matrix_to_json(mat) for mat in mats],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         label = "gamma" if args.normalization == "gamma" else "c"
         for i, mat in enumerate(mats, start=1):
@@ -262,7 +278,7 @@ def cmd_parse(args) -> int:
         except ZeroDivisionError as exc:
             raise CliError(str(exc))
     if args.format == "json":
-        print(json.dumps(poly.to_json(), indent=2))
+        _print_json(poly.to_json())
     else:
         print(poly)
     return OK

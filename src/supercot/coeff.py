@@ -14,6 +14,12 @@ lowest terms with a positive denominator.  The two types mix freely
 stay structural; keeping integers as ``int`` lets the common products by
 small integers skip Fraction arithmetic altogether.  A scalar equal to a
 rational number compares and hashes like that number.
+
+The (hpow, part) pairs are a basis of the ring over Q, and _PART_MUL is
+its multiplication table.  SuperPolynomial stores no Scalar per term:
+its flat term table keys each canonical rational by the monomial and
+the (hpow, part) of this basis, and its kernels multiply the parts with
+_PART_MUL directly.  Scalar is the coefficient type at its boundary.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ OpKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # (dxi, dx, dp
 def _parity_involution(poly: SuperPolynomial) -> SuperPolynomial:
     """Multiply each term by (-1)^parity; splits graded Leibniz signs."""
     return SuperPolynomial._wrap(
-        poly.n, {key: -c if len(key[2]) % 2 else c for key, c in poly._terms.items()}
+        poly.n, {key: -c if key[2].bit_count() & 1 else c for key, c in poly._terms.items()}
     )
 
 
@@ -176,7 +176,9 @@ class SuperDiffOp:
             raise ValueError("dimension mismatch")
         terms: dict = {}
         for (dxi, dx, dp), coeff in self._terms.items():
-            add_product(terms, coeff, poly.partial(dx, dp, dxi))
+            derived = poly.partial(dx, dp, dxi)
+            if derived:
+                add_product(terms, coeff, derived)
         return SuperPolynomial._wrap(self.n, terms)
 
     def compose(self, other: "SuperDiffOp") -> "SuperDiffOp":

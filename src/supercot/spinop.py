@@ -10,7 +10,9 @@ x^a c^I (h dx)^b.  Normal ordering is therefore the identity on the
 stored data, the linear structure is the symbol's, and composition is
 the standard-ordered product of star.py, which is associative on the
 nose.  ``items()`` groups the symbol back into (c^I, dx^a) blocks, each
-coefficient times h^|a|, for rendering and JSON.
+coefficient times h^|a|, for rendering and JSON; it and ``from_items``
+move entries between the flat term tables of the blocks and the symbol
+without building a Scalar.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from typing import Iterable, Mapping
 
 from .coeff import Scalar
 from .star import standard_mul
-from .superpoly import Signature, SuperPolynomial, add_product, sort_xi_word
+from .superpoly import (
+    Signature, SuperPolynomial, add_product, add_term, pack, slot_sum, sort_xi_word, unpack,
+    xi_mask, xi_word,
+)
 
 
 class SpinorDiffOp:
@@ -74,17 +79,18 @@ class SpinorDiffOp:
                 raise ValueError("dx multi-index must have length n")
             if xcoeff.n != n:
                 raise ValueError("coefficient dimension mismatch")
-            if any(any(pexp) or xi for (_x, pexp, xi) in xcoeff._terms):
+            if xcoeff.bidegrees() - {(0, 0)}:
                 raise ValueError("SpinorDiffOp coefficients must be polynomials in x only")
             sorted_word = sort_xi_word(cliff)
             if sorted_word is None:
                 continue
             sign, word = sorted_word
-            for (xexp, _p, _xi), coeff in xcoeff._terms.items():
-                key = (xexp, dx, word)
-                value = coeff.mul_hpow(-sum(dx)) * sign
-                terms[key] = terms[key] + value if key in terms else value
-        return SpinorDiffOp(sig, SuperPolynomial(n, terms))
+            if word and not (1 <= word[0] and word[-1] <= n):
+                raise ValueError(f"Clifford word {word!r} must lie within 1..{n}")
+            dpp, mask, order = pack(dx), xi_mask(word), sum(dx)
+            for (xp, _p, _m, h, q), c in xcoeff._terms.items():
+                add_term(terms, (xp, dpp, mask, h - order, q), c if sign > 0 else -c)
+        return SpinorDiffOp(sig, SuperPolynomial._wrap(n, terms))
 
     # -- linear structure and composition ----------------------------------
 
@@ -134,10 +140,14 @@ class SpinorDiffOp:
     def items(self):
         """((cliff, dx), xcoeff) blocks sorted by (cliff, dx); xcoeff carries h^|dx|."""
         n = self.n
-        zero = (0,) * n
         blocks: dict = {}
-        for (xexp, dx, word), coeff in self.symbol._terms.items():
-            blocks.setdefault((word, dx), {})[(xexp, zero, ())] = coeff.mul_hpow(sum(dx))
+        heads: dict = {}
+        for (xp, pp, m, h, q), c in self.symbol._terms.items():
+            head = heads.get((pp, m))
+            if head is None:
+                head = heads[(pp, m)] = ((xi_word(m), unpack(pp, n)), slot_sum(pp))
+            block, order = head
+            blocks.setdefault(block, {})[(xp, 0, 0, h + order, q)] = c
         return iter(sorted(
             ((key, SuperPolynomial._wrap(n, table)) for key, table in blocks.items()),
             key=itemgetter(0),

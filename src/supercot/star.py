@@ -12,8 +12,11 @@ The standard-ordered product F o G = sum_gamma h^|gamma|/gamma!
 (d_p^gamma F) * (d_x^gamma G) composes spinor differential operators
 written as normal-order symbols, where x^a p^b xi^I stands for
 x^a c^I (h d_x)^b.  Both products read the Clifford product of each pair
-of xi-words from one cached table, in one shared loop.  The caches live
-for the whole process; n and the degrees met bound their keys.
+of xi-words from one cached table keyed by their xi masks, in one shared
+loop over the flat term tables of superpoly; the standard product also
+reads, for each pair, the cached table of contractions of its packed
+p- and x-exponents.  The caches live for the whole process; n and the
+degrees met bound their keys.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, perm, prod
-from operator import add, sub
 
-from .coeff import Scalar
-from .superpoly import Signature, SuperPolynomial
+from .coeff import _PART_MUL
+from .superpoly import (
+    Signature, SuperPolynomial, _overflow, guard_mask, pack, unpack, xi_word,
+)
 
 
 def star_left_generator(index: int, G: SuperPolynomial, sig: Signature) -> SuperPolynomial:
@@ -36,26 +40,26 @@ def star_left_generator(index: int, G: SuperPolynomial, sig: Signature) -> Super
 
 
 @lru_cache(maxsize=None)
-def _word_product(
-    left: tuple[int, ...], right: tuple[int, ...], sig: Signature
-) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
-    """xi^left * xi^right as (word, coefficient) pairs, by star_left_generator."""
-    value = SuperPolynomial.monomial(sig.n, xi=right)
-    for index in reversed(left):
+def _word_product(left: int, right: int, sig: Signature) -> tuple[tuple[int, int, int, object], ...]:
+    """xi^left * xi^right for two xi masks, as flat (mask, hpow, part, rational) entries."""
+    value = SuperPolynomial.monomial(sig.n, xi=xi_word(right))
+    for index in reversed(xi_word(left)):
         value = star_left_generator(index, value, sig)
-    return tuple((word, coeff) for (_x, _p, word), coeff in value._terms.items())
+    return tuple((m, h, q, c) for (_x, _p, m, h, q), c in value._terms.items())
 
 
 @lru_cache(maxsize=None)
-def _contractions(pexp: tuple[int, ...], xexp: tuple[int, ...]):
-    """(pexp - g, xexp - g, |g|, h^|g| C(pexp, g) xexp!/(xexp - g)!) for g <= pexp, xexp.
+def _contractions(pexp: int, xexp: int, n: int):
+    """(pexp - g, xexp - g, |g|, C(pexp, g) xexp!/(xexp - g)!) for g <= pexp, xexp.
 
-    g = 0 comes first.  A larger g differentiates x^xexp past its degree.
+    The exponents are packed, and the factor of each g is h^|g| times the
+    integer in the last place.  g = 0 comes first.  A larger g
+    differentiates x^xexp past its degree.
     """
-    box = product(*(range(min(a, b) + 1) for a, b in zip(pexp, xexp)))
+    ps, xs = unpack(pexp, n), unpack(xexp, n)
+    box = product(*(range(min(a, b) + 1) for a, b in zip(ps, xs)))
     return tuple(
-        (tuple(map(sub, pexp, g)), tuple(map(sub, xexp, g)), sum(g),
-         Scalar.h(sum(g), prod(map(comb, pexp, g)) * prod(map(perm, xexp, g))))
+        (pexp - pack(g), xexp - pack(g), sum(g), prod(map(comb, ps, g)) * prod(map(perm, xs, g)))
         for g in box
     )
 
@@ -72,30 +76,42 @@ def standard_mul(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> Supe
 
 def _product(F: SuperPolynomial, G: SuperPolynomial, sig: Signature, contract: bool):
     """Sum over the term pairs of F and G, and over their contractions if contract."""
-    if F.n != G.n or F.n != sig.n:
+    n = F.n
+    if n != G.n or n != sig.n:
         raise ValueError("dimension mismatch")
+    guard = guard_mask(n)
     terms: dict = {}
+    get = terms.get
     right_items = G._terms.items()
-    for (x1, p1, xi1), c1 in F._terms.items():
-        for (x2, p2, xi2), c2 in right_items:
-            words = _word_product(xi1, xi2, sig)
+    for (x1, p1, m1, h1, q1), c1 in F._terms.items():
+        row = _PART_MUL[q1]
+        for (x2, p2, m2, h2, q2), c2 in right_items:
+            words = _word_product(m1, m2, sig)
             if not words:
                 continue
-            base = c1 * c2
-            table = _contractions(p1, x2) if contract else ((p1, x2, 0, None),)
+            f, part = row[q2]
+            base = c1 * c2 if f == 1 else c1 * c2 * f
+            hbase = h1 + h2
+            wrow = _PART_MUL[part]
+            table = _contractions(p1, x2, n) if contract else ((p1, x2, 0, 1),)
             for p_rest, x_rest, order, factor in table:
-                xexp, pexp = tuple(map(add, x1, x_rest)), tuple(map(add, p_rest, p2))
-                coeff = base * factor if order else base
-                for word, scalar in words:
-                    key = (xexp, pexp, word)
-                    contribution = coeff * scalar
-                    acc = terms.get(key)
-                    if acc is None:
-                        terms[key] = contribution
-                        continue
-                    acc = acc + contribution
-                    if acc:
-                        terms[key] = acc
-                    else:
-                        del terms[key]
-    return SuperPolynomial._wrap(F.n, terms)
+                xp = x1 + x_rest
+                pp = p_rest + p2
+                if (xp | pp) & guard:
+                    raise _overflow()
+                coeff = base * factor if factor != 1 else base
+                hpow = hbase + order
+                for word, wh, wq, wc in words:
+                    f2, q = wrow[wq]
+                    key = (xp, pp, word, hpow + wh, q)
+                    c = coeff * wc if f2 == 1 else coeff * wc * f2
+                    acc = get(key)
+                    if acc is not None:
+                        c = acc + c
+                        if not c:
+                            del terms[key]
+                            continue
+                    if type(c) is not int and c.denominator == 1:
+                        c = c.numerator
+                    terms[key] = c
+    return SuperPolynomial._wrap(n, terms)

@@ -2,11 +2,29 @@
 
 Functions are polynomials in the even coordinates x^1..x^n, p_1..p_n and
 the Grassmann coordinates xi^1..xi^n, with coefficients in the exact
-scalar ring of coeff.Scalar.  Storage is sparse: a monomial key is
-``(xexp, pexp, xi)`` where xexp and pexp are exponent tuples of length n
-and xi is a strictly increasing tuple of 1-based indices.  Any sign
-produced by reordering Grassmann factors is absorbed into the
-coefficient, so keys are canonical and equality is structural.
+scalar ring of coeff.Scalar.  At the public boundary (the constructor,
+``monomial``, ``coefficient``, ``items``, JSON and printing) a monomial
+key is ``(xexp, pexp, xi)``: xexp and pexp are exponent tuples of length
+n, xi is a strictly increasing tuple of 1-based indices, and the
+coefficient is a Scalar.  Any sign produced by reordering Grassmann
+factors is absorbed into the coefficient, so keys are canonical and
+equality is structural.
+
+Inside, the term table is flat: one entry per monomial and basis element
+of the scalar ring, ``(xp, pp, mask, hpow, part) -> rational``.
+
+* xp and pp pack the exponent tuples into one int each, slot k at bits
+  [SLOT_BITS*k, SLOT_BITS*(k+1)); adding two packed keys adds the
+  exponents slot by slot.
+* mask has bit i-1 set when xi^i is present.
+* (hpow, part) is the basis element h^hpow * {1, i, s, is} of the
+  Scalar ring, and the value is canonical as in coeff: an int when
+  integral, otherwise a Fraction, never zero.
+
+Every stored exponent is below SLOT_LIMIT = 2^(SLOT_BITS-1), so the sum
+of two packed keys never carries from one slot into the next; each
+product tests the top bit of every slot of its result (``guard_mask``)
+and raises ValueError before it would store an exponent at the limit.
 
 Two kernels carry the operator layers.  ``partial`` applies a whole
 derivative multi-index to every term in one pass: an even block lowers
@@ -21,13 +39,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import perm
-from operator import add
 from typing import Iterable, Iterator, Mapping
 
-from .coeff import Scalar
+from .coeff import _PART_MUL, Scalar, _rational, _scaled
 
 Key = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+SLOT_BITS = 32
+SLOT_LIMIT = 1 << (SLOT_BITS - 1)  # every stored exponent is below this
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 def term_sort_key(key: Key):
@@ -60,29 +82,67 @@ class Signature:
         return 1 if i <= self.p else -1
 
 
-def merge_xi(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Merge two ascending xi-index tuples; returns (koszul_sign, merged).
+# -- packed keys ------------------------------------------------------------------
 
-    None signals a repeated Grassmann factor, i.e. a vanishing product.
+
+def pack(exps: Iterable[int]) -> int:
+    """Exponent tuple -> packed int; raises ValueError on a bad or too large exponent."""
+    packed = 0
+    for k, e in enumerate(exps):
+        if type(e) is not int or not 0 <= e < SLOT_LIMIT:
+            raise ValueError(f"exponent {e!r} is not an int in 0..{SLOT_LIMIT - 1}")
+        packed |= e << (SLOT_BITS * k)
+    return packed
+
+
+def unpack(packed: int, n: int) -> tuple[int, ...]:
+    return tuple(packed >> (SLOT_BITS * k) & _SLOT_MASK for k in range(n))
+
+
+def slot_sum(packed: int) -> int:
+    """Total degree of a packed exponent vector."""
+    total = 0
+    while packed:
+        total += packed & _SLOT_MASK
+        packed >>= SLOT_BITS
+    return total
+
+
+@lru_cache(maxsize=None)
+def guard_mask(n: int) -> int:
+    """The top bit of each of the n slots: set in a sum only at or above SLOT_LIMIT."""
+    return sum(1 << (SLOT_BITS * k + SLOT_BITS - 1) for k in range(n))
+
+
+def _overflow() -> ValueError:
+    return ValueError(f"exponent reaches the slot limit {SLOT_LIMIT} of the packed term table")
+
+
+def xi_mask(word: Iterable[int]) -> int:
+    mask = 0
+    for i in word:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def xi_word(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@lru_cache(maxsize=None)
+def _odd_above(mask: int) -> int:
+    """Bit b is set when mask has an odd number of bits above b.
+
+    For disjoint words, xi^left xi^right = (-1)^k xi^(left | right) with
+    k = popcount(right & _odd_above(left)): each right factor moves past
+    the left factors above it.
     """
-    if set(left) & set(right):
-        return None
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            # right[j] jumps over the len(left)-i remaining left factors
-            if (len(left) - i) % 2:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return sign, tuple(merged)
+    out, odd = 0, 0
+    for b in range(mask.bit_length() - 1, -1, -1):
+        if odd:
+            out |= 1 << b
+        odd ^= mask >> b & 1
+    return out
 
 
 def sort_xi_word(word: Iterable[int]) -> tuple[int, tuple[int, ...]] | None:
@@ -102,6 +162,28 @@ def sort_xi_word(word: Iterable[int]) -> tuple[int, tuple[int, ...]] | None:
     return sign, tuple(word)
 
 
+def _factor_terms(factor: Scalar | int | Fraction) -> tuple:
+    """((hpow, part), rational) pairs of a nonzero factor, canonical rationals."""
+    if type(factor) is Scalar:
+        return tuple(factor._terms.items())
+    return (((0, 0), _rational(factor)),)
+
+
+def add_term(terms: dict, key: tuple, value) -> None:
+    """Add a canonical nonzero rational at key of a flat table; a cancelled key is removed."""
+    acc = terms.get(key)
+    if acc is None:
+        terms[key] = value
+        return
+    acc += value
+    if not acc:
+        del terms[key]
+    elif type(acc) is not int and acc.denominator == 1:
+        terms[key] = acc.numerator
+    else:
+        terms[key] = acc
+
+
 class SuperPolynomial:
     """Sparse polynomial in (x, p, xi) over the exact scalar ring."""
 
@@ -111,17 +193,19 @@ class SuperPolynomial:
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.n = n
-        cleaned: dict[Key, Scalar] = {}
+        table: dict = {}
         if terms:
             for key, coeff in terms.items():
                 _check_key(key, n)
-                if coeff:
-                    cleaned[key] = coeff
-        self._terms = cleaned
+                xexp, pexp, xi = key
+                head = (pack(xexp), pack(pexp), xi_mask(xi))
+                for basis, c in Scalar.coerce(coeff)._terms.items():
+                    table[head + basis] = c
+        self._terms = table
 
     @staticmethod
-    def _wrap(n: int, terms: dict[Key, Scalar]) -> "SuperPolynomial":
-        """A polynomial over a table that holds no zero coefficient."""
+    def _wrap(n: int, terms: dict) -> "SuperPolynomial":
+        """A polynomial over a flat table that holds no zero and only canonical values."""
         out = SuperPolynomial.__new__(SuperPolynomial)
         out.n = n
         out._terms = terms
@@ -155,33 +239,36 @@ class SuperPolynomial:
         pexp = tuple(pexp) or (0,) * n
         if len(xexp) != n or len(pexp) != n:
             raise ValueError("exponent tuples must have length n")
-        if any(type(e) is not int or e < 0 for e in xexp + pexp):
-            raise ValueError("exponents must be non-negative ints")
+        head = (pack(xexp), pack(pexp))
         sorted_word = sort_xi_word(xi)
         if sorted_word is None:
             return SuperPolynomial.zero(n)
         sign, word = sorted_word
         if word and not (1 <= word[0] and word[-1] <= n):
             raise IndexError(f"xi index out of range 1..{n}")
-        coeff = Scalar.coerce(coeff) * sign
-        return SuperPolynomial._wrap(n, {(xexp, pexp, word): coeff} if coeff else {})
+        head += (xi_mask(word),)
+        if type(coeff) is int:  # the common case: no Scalar to build
+            terms = {(0, 0): coeff} if coeff else {}
+        else:
+            terms = Scalar.coerce(coeff)._terms
+        return SuperPolynomial._wrap(
+            n, {head + basis: (c if sign > 0 else -c) for basis, c in terms.items()}
+        )
 
     @staticmethod
     def var_x(n: int, i: int) -> "SuperPolynomial":
         _check_index(i, n)
-        exp = tuple(1 if k == i - 1 else 0 for k in range(n))
-        return SuperPolynomial.monomial(n, xexp=exp)
+        return SuperPolynomial._wrap(n, {(1 << SLOT_BITS * (i - 1), 0, 0, 0, 0): 1})
 
     @staticmethod
     def var_p(n: int, i: int) -> "SuperPolynomial":
         _check_index(i, n)
-        exp = tuple(1 if k == i - 1 else 0 for k in range(n))
-        return SuperPolynomial.monomial(n, pexp=exp)
+        return SuperPolynomial._wrap(n, {(0, 1 << SLOT_BITS * (i - 1), 0, 0, 0): 1})
 
     @staticmethod
     def var_xi(n: int, i: int) -> "SuperPolynomial":
         _check_index(i, n)
-        return SuperPolynomial.monomial(n, xi=(i,))
+        return SuperPolynomial._wrap(n, {(0, 0, 1 << (i - 1), 0, 0): 1})
 
     # -- linear structure ----------------------------------------------
 
@@ -191,16 +278,19 @@ class SuperPolynomial:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key)
+        get = terms.get
+        for key, c in other._terms.items():
+            acc = get(key)
             if acc is None:
-                terms[key] = -coeff if negate else coeff
+                terms[key] = -c if negate else c
                 continue
-            acc = acc - coeff if negate else acc + coeff
-            if acc:
-                terms[key] = acc
-            else:
+            acc = acc - c if negate else acc + c
+            if not acc:
                 del terms[key]
+            elif type(acc) is not int and acc.denominator == 1:
+                terms[key] = acc.numerator
+            else:
+                terms[key] = acc
         return SuperPolynomial._wrap(self.n, terms)
 
     def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
@@ -216,7 +306,14 @@ class SuperPolynomial:
         # the scalar ring has no zero divisors: a nonzero factor keeps every term
         if not factor:
             return SuperPolynomial(self.n)
-        return SuperPolynomial._wrap(self.n, {k: c * factor for k, c in self._terms.items()})
+        if type(factor) is not Scalar:
+            factor = _rational(factor)
+            if factor == 1:
+                return self
+            return SuperPolynomial._wrap(self.n, _scaled(self._terms, factor))
+        terms: dict = {}
+        add_product(terms, self, SuperPolynomial.one(self.n), factor)
+        return SuperPolynomial._wrap(self.n, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -225,8 +322,9 @@ class SuperPolynomial:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        terms: dict[Key, Scalar] = {}
-        add_product(terms, self, other)
+        terms: dict = {}
+        if self._terms and other._terms:
+            add_product(terms, self, other)
         return SuperPolynomial._wrap(self.n, terms)
 
     def __rmul__(self, other):
@@ -243,23 +341,25 @@ class SuperPolynomial:
         multiplies by a nonzero integer, so no two terms merge or cancel.
         """
         _check_index(index, self.n)
-        terms: dict[Key, Scalar] = {}
-        pos = index - 1
-        if kind == "x":
-            for (xexp, pexp, xi), coeff in self._terms.items():
-                e = xexp[pos]
+        terms: dict = {}
+        if kind == "x" or kind == "p":
+            shift = SLOT_BITS * (index - 1)
+            on_x = kind == "x"
+            dx = 1 << shift if on_x else 0
+            dp = 0 if on_x else 1 << shift
+            for (xp, pp, m, h, q), c in self._terms.items():
+                e = (xp if on_x else pp) >> shift & _SLOT_MASK
                 if e:
-                    terms[(_dec(xexp, pos), pexp, xi)] = coeff * e
-        elif kind == "p":
-            for (xexp, pexp, xi), coeff in self._terms.items():
-                e = pexp[pos]
-                if e:
-                    terms[(xexp, _dec(pexp, pos), xi)] = coeff * e
+                    c = c * e
+                    if type(c) is not int and c.denominator == 1:
+                        c = c.numerator
+                    terms[(xp - dx, pp - dp, m, h, q)] = c
         elif kind == "xi":
-            for (xexp, pexp, xi), coeff in self._terms.items():
-                if index in xi:
-                    slot = xi.index(index)
-                    terms[(xexp, pexp, xi[:slot] + xi[slot + 1 :])] = -coeff if slot % 2 else coeff
+            bit = 1 << (index - 1)
+            below = bit - 1
+            for (xp, pp, m, h, q), c in self._terms.items():
+                if m & bit:
+                    terms[(xp, pp, m ^ bit, h, q)] = -c if (m & below).bit_count() & 1 else c
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
         return SuperPolynomial._wrap(self.n, terms)
@@ -278,44 +378,48 @@ class SuperPolynomial:
         word).  An empty multi-index is no derivative; as in ``derive``
         no two terms merge, so the table is built without accumulation.
         """
-        xs = [(pos, a) for pos, a in enumerate(dx) if a]
-        ps = [(pos, a) for pos, a in enumerate(dp) if a]
-        if not (xs or ps or dxi):
+        plan = _derivative_plan(tuple(dx), tuple(dp), tuple(dxi))
+        if plan is None:
             return self
-        terms: dict[Key, Scalar] = {}
-        for (xexp, pexp, xi), coeff in self._terms.items():
+        xs, dxp, ps, dpp, dmask, below = plan
+        terms: dict = {}
+        for (xp, pp, m, h, q), c in self._terms.items():
+            if m & dmask != dmask:
+                continue
             factor = 1
             if xs:
-                lowered = _lower(xexp, xs)
-                if lowered is None:
+                factor = _falling(xp, xs)
+                if not factor:
                     continue
-                xexp, factor = lowered
+                xp -= dxp
             if ps:
-                lowered = _lower(pexp, ps)
-                if lowered is None:
+                pfactor = _falling(pp, ps)
+                if not pfactor:
                     continue
-                pexp, pfactor = lowered
                 factor *= pfactor
-            if dxi:
-                if not all(index in xi for index in dxi):
-                    continue
-                if sum(map(xi.index, dxi)) % 2:
+                pp -= dpp
+            if dmask:
+                if (m & below).bit_count() & 1:
                     factor = -factor
-                xi = tuple(i for i in xi if i not in dxi)
-            terms[(xexp, pexp, xi)] = coeff * factor
+                m ^= dmask
+            c = c * factor
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            terms[(xp, pp, m, h, q)] = c
         return SuperPolynomial._wrap(self.n, terms)
 
     def euler_odd(self) -> "SuperPolynomial":
-        """Odd Euler operator: multiplies each term by its xi-degree."""
-        return SuperPolynomial(
-            self.n, {k: c * len(k[2]) for k, c in self._terms.items() if k[2]}
-        )
+        """Odd Euler operator sum_i xi^i d_{xi^i}: multiplies each term by its xi-degree."""
+        out = SuperPolynomial.zero(self.n)
+        for i in range(1, self.n + 1):
+            out = out + SuperPolynomial.var_xi(self.n, i) * self.derive("xi", i)
+        return out
 
     # -- grading ---------------------------------------------------------
 
     def parity(self) -> int:
         """Z2-parity; raises on a non-homogeneous polynomial."""
-        parities = {len(xi) % 2 for (_x, _p, xi) in self._terms}
+        parities = {key[2].bit_count() & 1 for key in self._terms}
         if not parities:
             return 0
         if len(parities) > 1:
@@ -323,38 +427,34 @@ class SuperPolynomial:
         return parities.pop()
 
     def is_parity_homogeneous(self) -> bool:
-        return len({len(xi) % 2 for (_x, _p, xi) in self._terms}) <= 1
+        return len({key[2].bit_count() & 1 for key in self._terms}) <= 1
 
     def bidegrees(self) -> set[tuple[int, int]]:
         """Set of (degree in p, degree in xi) with nonzero components."""
-        return {(sum(pexp), len(xi)) for (_x, pexp, xi) in self._terms}
+        return {(slot_sum(key[1]), key[2].bit_count()) for key in self._terms}
 
     def bidegree_component(self, k: int, kappa: int) -> "SuperPolynomial":
-        return SuperPolynomial(
-            self.n,
-            {
-                key: c
-                for key, c in self._terms.items()
-                if sum(key[1]) == k and len(key[2]) == kappa
-            },
-        )
+        return SuperPolynomial._wrap(self.n, {
+            key: c for key, c in self._terms.items()
+            if slot_sum(key[1]) == k and key[2].bit_count() == kappa
+        })
 
     def hamiltonian_components(self) -> dict[int, "SuperPolynomial"]:
         """Split by Hamiltonian degree 2k + kappa (k in p, kappa in xi)."""
-        buckets: dict[int, dict[Key, Scalar]] = {}
-        for key, coeff in self._terms.items():
-            degree = 2 * sum(key[1]) + len(key[2])
-            buckets.setdefault(degree, {})[key] = coeff
-        return {d: SuperPolynomial(self.n, t) for d, t in sorted(buckets.items())}
+        buckets: dict[int, dict] = {}
+        for key, c in self._terms.items():
+            degree = 2 * slot_sum(key[1]) + key[2].bit_count()
+            buckets.setdefault(degree, {})[key] = c
+        return {d: SuperPolynomial._wrap(self.n, t) for d, t in sorted(buckets.items())}
 
     def x_degree(self) -> int:
-        return max((sum(x) for (x, _p, _xi) in self._terms), default=0)
+        return max((slot_sum(key[0]) for key in self._terms), default=0)
 
     def is_x_free(self) -> bool:
-        return all(not any(x) for (x, _p, _xi) in self._terms)
+        return all(not key[0] for key in self._terms)
 
     def is_even_free(self) -> bool:
-        return all(not any(x) and not any(p) for (x, p, _xi) in self._terms)
+        return all(not key[0] and not key[1] for key in self._terms)
 
     # -- metric index gymnastics -----------------------------------------
 
@@ -368,30 +468,41 @@ class SuperPolynomial:
         if sig.n != self.n:
             raise ValueError("signature dimension mismatch")
         _check_index(index, self.n)
-        factor = sig.eta(index)
-        if factor == 1:
+        if sig.eta(index) == 1:
             return self
-        terms = {}
-        for key, coeff in self._terms.items():
-            xexp, pexp, xi = key
-            count = {
-                "x": xexp[index - 1],
-                "p": pexp[index - 1],
-                "xi": 1 if index in xi else 0,
-            }[kind]
-            terms[key] = coeff * (-1 if count % 2 else 1)
-        return SuperPolynomial(self.n, terms)
+        slot = {"x": 0, "p": 1, "xi": 2}[kind]
+        shift = index - 1 if kind == "xi" else SLOT_BITS * (index - 1)
+        # the lowest bit of an exponent is its parity
+        return SuperPolynomial._wrap(
+            self.n, {k: -c if k[slot] >> shift & 1 else c for k, c in self._terms.items()}
+        )
 
     # -- access ------------------------------------------------------------
 
+    def _grouped(self) -> list[tuple[Key, Scalar]]:
+        """The terms as (tuple key, Scalar) pairs in term order."""
+        n = self.n
+        groups: dict = {}
+        for (xp, pp, m, h, q), c in self._terms.items():
+            groups.setdefault((xp, pp, m), {})[(h, q)] = c
+        out = [
+            ((unpack(xp, n), unpack(pp, n), xi_word(m)), Scalar._wrap(parts))
+            for (xp, pp, m), parts in groups.items()
+        ]
+        out.sort(key=lambda kv: term_sort_key(kv[0]))
+        return out
+
     def coefficient(self, key: Key) -> Scalar:
-        return self._terms.get(key, Scalar.zero())
+        xexp, pexp, xi = key
+        head = (pack(xexp), pack(pexp), xi_mask(xi))
+        return Scalar._wrap({k[3:]: c for k, c in self._terms.items() if k[:3] == head})
 
     def items(self) -> Iterator[tuple[Key, Scalar]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0])))
+        return iter(self._grouped())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        """The number of monomials with a nonzero coefficient."""
+        return len({key[:3] for key in self._terms})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -405,7 +516,7 @@ class SuperPolynomial:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset((k, c) for k, c in self._terms.items())))
+        return hash((self.n, frozenset(self._terms.items())))
 
     # -- serialization ------------------------------------------------------
 
@@ -419,32 +530,35 @@ class SuperPolynomial:
                     "xi": list(key[2]),
                     "coeff": coeff.to_json(),
                 }
-                for key, coeff in sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0]))
+                for key, coeff in self._grouped()
             ],
         }
 
     @staticmethod
     def from_json(data: Mapping) -> "SuperPolynomial":
+        """Inverse of to_json in one pass; records with equal monomials accumulate."""
         n = int(data["n"])
-        poly = SuperPolynomial.zero(n)
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
+        terms: dict = {}
         for record in data["terms"]:
-            poly = poly + SuperPolynomial.monomial(
+            term = SuperPolynomial.monomial(
                 n,
                 xexp=tuple(int(e) for e in record["x"]),
                 pexp=tuple(int(e) for e in record["p"]),
                 xi=tuple(int(i) for i in record["xi"]),
                 coeff=Scalar.from_json(record["coeff"]),
             )
-        return poly
+            for key, c in term._terms.items():
+                add_term(terms, key, c)
+        return SuperPolynomial._wrap(n, terms)
 
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        rendered = []
-        for key, coeff in sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0])):
-            rendered.append(_render_term(key, coeff))
+        rendered = [_render_term(key, coeff) for key, coeff in self._grouped()]
         first_neg, first_body = rendered[0]
         out = [f"-{first_body}" if first_neg else first_body]
         for negative, body in rendered[1:]:
@@ -456,40 +570,79 @@ class SuperPolynomial:
 
 
 def add_product(
-    terms: dict[Key, Scalar],
+    terms: dict,
     left: SuperPolynomial,
     right: SuperPolynomial,
     factor: Scalar | int | Fraction = 1,
 ) -> None:
-    """Add factor * left * right into ``terms`` in place; cancelled keys are removed."""
+    """Add factor * left * right into the flat table ``terms`` in place.
+
+    Cancelled keys are removed and every stored value stays canonical.
+    A Scalar factor is expanded once, into its basis elements.
+    """
     if not factor:
         return
-    scaled = type(factor) is not int or factor != 1
+    guard = guard_mask(left.n)
+    factors = _factor_terms(factor)
     right_items = right._terms.items()
-    for (x1, p1, xi1), c1 in left._terms.items():
-        if scaled:
-            c1 = c1 * factor
-        for (x2, p2, xi2), c2 in right_items:
-            if xi1 and xi2:
-                merged = merge_xi(xi1, xi2)
-                if merged is None:
+    get = terms.get
+    for (x1, p1, m1, h1, q1), c1 in left._terms.items():
+        odd1 = _odd_above(m1) if m1 else 0
+        for (fh, fq), fc in factors:
+            f1, q = _PART_MUL[q1][fq]
+            a = c1 * fc * f1 if fc != 1 or f1 != 1 else c1
+            h = h1 + fh
+            row = _PART_MUL[q]
+            for (x2, p2, m2, h2, q2), c2 in right_items:
+                if m1 & m2:
                     continue
-                sign, word = merged
-            else:
-                sign, word = 1, xi1 or xi2
-            key = (tuple(map(add, x1, x2)), tuple(map(add, p1, p2)), word)
-            coeff = c1 * c2
-            if sign < 0:
-                coeff = -coeff
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = coeff
-                continue
-            acc = acc + coeff
-            if acc:
-                terms[key] = acc
-            else:
-                del terms[key]
+                xp = x1 + x2
+                pp = p1 + p2
+                if (xp | pp) & guard:
+                    raise _overflow()
+                f, part = row[q2]
+                c = a * c2 if f == 1 else a * c2 * f
+                if odd1 and (m2 & odd1).bit_count() & 1:
+                    c = -c
+                key = (xp, pp, m1 | m2, h + h2, part)
+                acc = get(key)
+                if acc is not None:
+                    c = acc + c
+                    if not c:
+                        del terms[key]
+                        continue
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[key] = c
+
+
+@lru_cache(maxsize=None)
+def _derivative_plan(dx: tuple[int, ...], dp: tuple[int, ...], dxi: tuple[int, ...]):
+    """Packed form of dxi^I dx^a dp^b for ``partial``; None for no derivative.
+
+    (x slots, packed a, p slots, packed b, mask of I, sign mask): a slot is
+    (bit shift, order) for each nonzero order, and the parity of
+    popcount(word & sign mask) is that of the slots of I in the word.
+    """
+    xs = tuple((SLOT_BITS * pos, a) for pos, a in enumerate(dx) if a)
+    ps = tuple((SLOT_BITS * pos, a) for pos, a in enumerate(dp) if a)
+    if not (xs or ps or dxi):
+        return None
+    below = 0
+    for i in dxi:
+        below ^= (1 << (i - 1)) - 1
+    return xs, pack(dx), ps, pack(dp), xi_mask(dxi), below
+
+
+def _falling(packed: int, slots: tuple) -> int:
+    """prod e!/(e - a)! over the (shift, a) slots of a packed vector; 0 if some e < a."""
+    factor = 1
+    for shift, a in slots:
+        e = packed >> shift & _SLOT_MASK
+        if e < a:
+            return 0
+        factor *= perm(e, a)
+    return factor
 
 
 def _check_key(key, n: int) -> None:
@@ -498,33 +651,17 @@ def _check_key(key, n: int) -> None:
         raise ValueError(f"monomial key {key!r} is not (xexp, pexp, xi)")
     xexp, pexp, xi = key
     for exp in (xexp, pexp):
-        if not (isinstance(exp, tuple) and len(exp) == n and all(type(e) is int and e >= 0 for e in exp)):
-            raise ValueError(f"exponents {exp!r} must be a tuple of {n} non-negative ints")
+        if not (isinstance(exp, tuple) and len(exp) == n
+                and all(type(e) is int and 0 <= e < SLOT_LIMIT for e in exp)):
+            raise ValueError(f"exponents {exp!r} must be a tuple of {n} ints in 0..{SLOT_LIMIT - 1}")
     if not (isinstance(xi, tuple) and all(type(i) is int for i in xi)
             and list(xi) == sorted(set(xi)) and set(xi) <= set(range(1, n + 1))):
         raise ValueError(f"xi word {xi!r} must be strictly increasing within 1..{n}")
 
 
-def _lower(exp: tuple[int, ...], slots: list[tuple[int, int]]):
-    """(exp - a, prod e!/(e - a)!) for the nonzero slots of a, or None if it vanishes."""
-    out = list(exp)
-    factor = 1
-    for pos, a in slots:
-        e = out[pos]
-        if e < a:
-            return None
-        out[pos] = e - a
-        factor *= perm(e, a)
-    return tuple(out), factor
-
-
 def _check_index(index: int, n: int) -> None:
     if not 1 <= index <= n:
         raise IndexError(f"index {index} out of range 1..{n}")
-
-
-def _dec(exp: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    return exp[:pos] + (exp[pos] - 1,) + exp[pos + 1 :]
 
 
 def _render_term(key: Key, coeff: Scalar) -> tuple[bool, str]:

@@ -47,9 +47,8 @@ class VectorFieldOnM:
         for comp in self.components:
             if comp.n != self.n:
                 raise ValueError("component dimension mismatch")
-            for (_x, pexp, xi) in (key for key, _ in comp.items()):
-                if any(pexp) or xi:
-                    raise ValueError("components must not contain p or xi")
+            if comp.bidegrees() - {(0, 0)}:
+                raise ValueError("components must not contain p or xi")
         # hashed once: the confmod operator caches look fields up on every action
         object.__setattr__(self, "_hash", hash((self.n, self.components)))
 
@@ -73,13 +72,15 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
         raise ValueError("dimension mismatch")
     sign = -1 if F.parity() else 1
     n = sig.n
-    inv_h = Scalar.h(-1, sign)
     terms: dict = {}
     for i in range(1, n + 1):
-        for left, right, factor in (("p", "x", 1), ("x", "p", -1), ("xi", "xi", inv_h * sig.eta(i))):
+        inv_h = Scalar.h(-1, sign * sig.eta(i))
+        for left, right, factor in (("p", "x", 1), ("x", "p", -1), ("xi", "xi", inv_h)):
             dF = F.derive(left, i)
             if dF:
-                add_product(terms, dF, G.derive(right, i), factor)
+                dG = G.derive(right, i)
+                if dG:
+                    add_product(terms, dF, dG, factor)
     return SuperPolynomial._wrap(n, terms)
 
 

@@ -135,6 +135,45 @@ def test_dirac_power_refuses_a_symbol_above_the_limit(capsys, monkeypatch, s, di
     assert err.startswith("error: ") and f"MAX_DIRAC_TERMS = {invariants.MAX_DIRAC_TERMS}" in err
 
 
+def test_spin_rep_refuses_a_module_above_the_limit(capsys, monkeypatch):
+    from supercot import clifford
+
+    def never(*args):
+        raise AssertionError("the spin module must be sized before any matrix is built")
+
+    monkeypatch.setattr(clifford, "_subset_bases", never)
+    code, out, err = run_cli(capsys, "spin-rep", "--dim", "24")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"MAX_SPIN_SIDE = {clifford.MAX_SPIN_SIDE}" in err
+
+
+@pytest.mark.parametrize("suite,dim,refused", [
+    ("spinrep", "16", "spinrep"), ("all", "14", "poisson"), ("all", "10", "spinrep"),
+])
+def test_verify_refuses_a_suite_above_its_limit(capsys, monkeypatch, suite, dim, refused):
+    from supercot import verify
+
+    def never(*args):
+        raise AssertionError("every suite limit must be checked before any suite runs")
+
+    monkeypatch.setattr(verify, "SUITES", {name: (never, even) for name, (_f, even) in verify.SUITES.items()})
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--dim", dim)
+    assert code == 2 and out == ""
+    limit = verify.MAX_SUITE_DIM[refused]
+    assert err.startswith("error: ") and f"MAX_SUITE_DIM[{refused!r}] = {limit}" in err
+
+
+def test_suite_limits_admit_the_largest_case_of_each_suite():
+    from supercot import verify
+    from supercot.superpoly import Signature
+
+    for name, limit in verify.MAX_SUITE_DIM.items():
+        verify.check_suite(name, Signature(limit, 0))
+        over = limit + 2 if verify.SUITES[name][1] else limit + 1  # spin suites need even n
+        with pytest.raises(ValueError, match="MAX_SUITE_DIM"):
+            verify.check_suite(name, Signature(over, 0))
+
+
 def test_ansatz_size_matches_the_enumeration():
     from supercot.invariants import _ansatz_monomials, _ansatz_size
     from supercot.superpoly import Signature

@@ -24,7 +24,7 @@ from supercot.confmod import normal_order
 from supercot.diffop import SuperDiffOp
 from supercot.spinop import SpinorDiffOp
 from supercot.star import star_mul
-from supercot.superpoly import Signature, SuperPolynomial, add_product, sort_xi_word
+from supercot.superpoly import Signature, SuperPolynomial, add_product, sort_xi_word, unpack
 from supercot.symplectic import poisson
 
 
@@ -242,7 +242,7 @@ def test_add_product_scales_by_the_factor():
     terms = {}
     add_product(terms, x1, xi, Scalar.h(1, 3))
     add_product(terms, xi, x1, 2)
-    assert terms == {((1, 0), (0, 0), (2,)): Scalar.h(1, 3) + 2}
+    assert dict(SuperPolynomial._wrap(2, terms).items()) == {((1, 0), (0, 0), (2,)): Scalar.h(1, 3) + 2}
 
 
 # -- SuperDiffOp ----------------------------------------------------------------------
@@ -337,8 +337,8 @@ def test_spinor_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     tables = []
     original = star._contractions
 
-    def recorded(pexp, xexp):
-        tables.append((pexp, xexp, original(pexp, xexp)))
+    def recorded(pexp, xexp, n):
+        tables.append((unpack(pexp, n), unpack(xexp, n), original(pexp, xexp, n)))
         return tables[-1][2]
 
     monkeypatch.setattr(star, "_contractions", recorded)
@@ -348,10 +348,11 @@ def test_spinor_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     # are contracted, each with a nonzero factor C(p, gamma) x!/(x - gamma)!
     ((pexp, xexp, table),) = tables
     assert (pexp, xexp) == ((2, 1), (1, 1))
-    assert [(p_rest, x_rest, order) for p_rest, x_rest, order, _f in table] == [
+    assert [(unpack(p_rest, n), unpack(x_rest, n), order) for p_rest, x_rest, order, _f in table] == [
         ((2, 1), (1, 1), 0), ((2, 0), (1, 0), 1), ((1, 1), (0, 1), 1), ((1, 0), (0, 0), 2),
     ]
-    assert [factor for *_rest, factor in table] == [
+    # the factor of each gamma is h^order times its integer
+    assert [Scalar.h(order, factor) for _p, _x, order, factor in table] == [
         Scalar.one(), Scalar.h(1, 1), Scalar.h(1, 2), Scalar.h(2, 2),
     ]
     assert AB == ref_spin_compose(A, B)
