@@ -310,13 +310,22 @@ PINNED_STDOUT = [
         ("dirac-power", "--s", "2", "--dim", "4", "--signature", "3,1"),
         "38c61b1302623e2db4db4e3cf25bb8ce0cc5f66d3020bf78f6c7b6a1417184d3",
     ),
+    # the spin module, in both normalisations; recorded before the ladder matrices were built in one pass
+    (
+        ("spin-rep", "--dim", "4", "--signature", "3,1", "--format", "json"),
+        "1d02834df94ac4c703e885b12f1cd4cd23754ca18a7408c5b6599a4f2be36262",
+    ),
+    (
+        ("spin-rep", "--dim", "6", "--signature", "4,2", "--normalization", "c"),
+        "602fc3fe13253fcea2ec975be8709ebb73cda7fa76b09c689b170f4c198204cf",
+    ),
 ]
 
 
 def _pinned_id(argv):
     """The subcommand, with the signature of a verify run that names one, and -text in text mode."""
     name = argv[0]
-    if name == "verify" and "--signature" in argv:
+    if name in ("verify", "spin-rep") and "--signature" in argv:
         name = f"verify-{argv[argv.index('--signature') + 1]}"
     return name if "--format" in argv else f"{name}-text"
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from supercot.matutil import (
     mat_eq,
     mat_mul,
     mat_scale,
+    to_json,
 )
 from supercot.parse import sp_parse
 from supercot.randgen import random_xi_homogeneous, random_xi_poly
@@ -147,6 +150,22 @@ def test_prequantisation():
     assert mat_eq(mat_mul(w, w), identity(4, Scalar.rational(1)))
     with pytest.raises(ValueError):
         prequant_op(P2("xi1*xi2"), E2)
+
+
+# SHA-256 of the JSON of prequant_op on each xi^i and on one mixed 1-vector,
+# recorded before the ladder matrices were built in one pass.
+PREQUANT_DIGEST = "cfcd8368f71fbb15b699cc558125021a1a3396aca2ede7b5ea6c8b82e8fed21d"
+
+
+def test_prequantisation_matches_pinned_digest():
+    mixed = ("1/3*i*xi1", "- 2*xi2", "+ s*xi3", "+ h*xi4")
+    payload = []
+    for sig in (E2, Signature(1, 1), Signature(3, 1)):
+        vs = [SuperPolynomial.var_xi(sig.n, i) for i in range(1, sig.n + 1)]
+        vs.append(sp_parse(" ".join(mixed[: sig.n]), sig.n))
+        for variant in ("standard", "canonical"):
+            payload.extend(to_json(prequant_op(v, sig, variant)) for v in vs)
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == PREQUANT_DIGEST
 
 
 def test_kosmann_translation_and_errors():
