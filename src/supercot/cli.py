@@ -240,13 +240,8 @@ def cmd_spin_rep(args) -> int:
         rep = build_spin_rep(sig)
     except ValueError as exc:
         raise CliError(str(exc))
-    mats = []
-    for i in range(1, sig.n + 1):
-        mat = rep.gamma_matrix(i) if args.normalization == "gamma" else rep.c_matrix(i)
-        if args.specialize_h is not None:
-            value = _fraction(args.specialize_h, "--specialize-h")
-            mat = [[entry.specialize_h(value) for entry in row] for row in mat]
-        mats.append(mat)
+    matrix = rep.gamma_matrix if args.normalization == "gamma" else rep.c_matrix
+    mats = [matrix(i) for i in range(1, sig.n + 1)]
     if args.format == "json":
         payload = {
             "signature": [sig.p, sig.q],
@@ -297,10 +292,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_specialize_h(parser: argparse.ArgumentParser) -> None:
-    """Only for subcommands that emit polynomials or matrices with h in them."""
+    """Only for subcommands that emit polynomials with h in them."""
     parser.add_argument(
         "--specialize-h", default=None, metavar="RAT",
-        help="substitute a rational value for h in emitted polynomials/matrices",
+        help="substitute a rational value for h in emitted polynomials",
     )
 
 
@@ -349,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix normalisation: c (stars of xi) or gamma = sqrt2 c",
     )
     _add_common(p)
-    _add_specialize_h(p)
     p.set_defaults(func=cmd_spin_rep)
 
     p = sub.add_parser("parse", help="parse an expression to canonical form")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .coeff import Scalar
 from .matutil import (
@@ -25,7 +25,6 @@ from .matutil import (
     mat_eq,
     mat_mul,
     mat_scale,
-    mat_sub,
     rank,
     zeros,
 )
@@ -75,39 +74,33 @@ def _subset_bases(count: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _wedge_matrix(basis: list[tuple[int, ...]], index: int) -> Matrix:
-    """Exterior multiplication by generator `index` on a subset basis."""
-    position = {subset: k for k, subset in enumerate(basis)}
-    mat = zeros(len(basis), len(basis))
-    for col, subset in enumerate(basis):
-        if index in subset:
-            continue
-        below = sum(1 for s in subset if s < index)
-        target = tuple(sorted(subset + (index,)))
-        mat[position[target]][col] = Scalar.rational(-1 if below % 2 else 1)
-    return mat
+def _ladder_matrix(count: int, index: int, up: Scalar, down: Scalar) -> Matrix:
+    """up * (wedge by generator `index`) + down * (contraction by it) on the subset basis.
 
-
-def _contraction_matrix(basis: list[tuple[int, ...]], index: int) -> Matrix:
-    """Left derivative with respect to generator `index` on a subset basis."""
-    position = {subset: k for k, subset in enumerate(basis)}
-    mat = zeros(len(basis), len(basis))
-    for col, subset in enumerate(basis):
-        if index not in subset:
-            continue
-        slot = subset.index(index)
-        target = subset[:slot] + subset[slot + 1 :]
-        mat[position[target]][col] = Scalar.rational(-1 if slot % 2 else 1)
+    Subset S of {1..count} is basis vector sum(2^(s-1) for s in S), the
+    order of _subset_bases.  Column S has one entry: in row S - {index}
+    with factor down if index is in S, else in row S + {index} with factor
+    up, of sign (-1)^#{s in S : s < index}.
+    """
+    shift = index - 1
+    below = (1 << shift) - 1
+    signed = ((up, -up), (down, -down))
+    mat = zeros(1 << count, 1 << count)
+    for col in range(1 << count):
+        plus, minus = signed[col >> shift & 1]
+        mat[col ^ 1 << shift][col] = minus if (col & below).bit_count() & 1 else plus
     return mat
 
 
 MAX_SPIN_SIDE = 128
 """Largest spin module build_spin_rep builds: side 2^(n/2), so n <= 14.
 
-Each of the n matrices holds side^2 exact scalars.  On a 2-core x86-64
-machine with Python 3.11, spin-rep --dim 14 takes 0.7 s and 70 MB in
-text and 0.8 s and 86 MB in JSON; --dim 16 (side 256) takes 2.8 s and
-260 MB, and --dim 18 outgrows 1 GB.
+Each of the n matrices has side^2 entries, all but one per column the
+shared zero, so the output bounds the work: spin-rep --dim 14 prints
+0.7 MB of text and --dim 16 would print 3.2 MB.  On a 2-core x86-64
+machine with Python 3.11, spin-rep --dim 14 takes 0.3 s and 21 MB in
+text and 0.8 s and 37 MB in JSON; past the limit, --dim 16 (side 256)
+takes 0.5 s and 35 MB and --dim 18 1.5 s and 93 MB.
 """
 
 
@@ -185,21 +178,17 @@ def build_spin_rep(sig: Signature) -> SpinorRep:
         raise ValueError(
             f"spin module of side 2^{m} in dimension {n} exceeds the limit MAX_SPIN_SIDE = {MAX_SPIN_SIDE}"
         )
-    basis = _subset_bases(m)
     half_sqrt2 = Scalar.sqrt2() * Fraction(1, 2)  # 1/sqrt2
     matrices = []
     for i in range(1, n + 1):
-        a = i if i <= m else i - m
-        Z = _wedge_matrix(basis, a)
-        W = mat_scale(_contraction_matrix(basis, a), -1)
         if i <= m:
-            mat = mat_scale(mat_add(Z, W), half_sqrt2)
+            up, down = half_sqrt2, -half_sqrt2
         elif i <= sig.p:
-            mat = mat_scale(mat_sub(Z, W), half_sqrt2 * Scalar.i())
+            up = down = half_sqrt2 * Scalar.i()
         else:
-            mat = mat_scale(mat_sub(Z, W), half_sqrt2)
-        matrices.append(mat)
-    return SpinorRep(sig, tuple(basis), tuple(matrices))
+            up = down = half_sqrt2
+        matrices.append(_ladder_matrix(m, i if i <= m else i - m, up, down))
+    return SpinorRep(sig, tuple(_subset_bases(m)), tuple(matrices))
 
 
 # -- prequantisation ------------------------------------------------------------
@@ -216,24 +205,17 @@ def prequant_op(v: SuperPolynomial, sig: Signature, variant: str = "standard") -
         raise ValueError("argument must be a polynomial in xi only")
     if v.bidegrees() not in ({(0, 1)}, set()):
         raise ValueError("argument must be homogeneous of Grassmann degree 1")
-    n = sig.n
-    basis = _subset_bases(n)
-    size = len(basis)
-    eps = zeros(size, size)
-    iota = zeros(size, size)
-    for (_x, _p, word), coeff in v.items():
-        (index,) = word
-        eps = mat_add(eps, mat_scale(_wedge_matrix(basis, index), coeff))
-        iota = mat_add(
-            iota,
-            mat_scale(_contraction_matrix(basis, index), coeff * sig.eta(index)),
-        )
     if variant == "standard":
-        half_sqrt2 = Scalar.sqrt2() * Fraction(1, 2)
-        return mat_sub(mat_scale(eps, half_sqrt2), mat_scale(iota, Scalar.sqrt2()))
-    if variant == "canonical":
-        return mat_sub(eps, iota)
-    raise ValueError(f"unknown prequantisation variant {variant!r}")
+        up_factor, down_factor = Scalar.sqrt2() * Fraction(1, 2), -Scalar.sqrt2()
+    elif variant == "canonical":
+        up_factor, down_factor = Scalar.one(), Scalar.rational(-1)
+    else:
+        raise ValueError(f"unknown prequantisation variant {variant!r}")
+    mats = [
+        _ladder_matrix(sig.n, index, coeff * up_factor, coeff * down_factor * sig.eta(index))
+        for (_x, _p, (index,)), coeff in v.items()
+    ]
+    return reduce(mat_add, mats) if mats else zeros(1 << sig.n, 1 << sig.n)
 
 
 # -- spinor Lie derivative ----------------------------------------------------------

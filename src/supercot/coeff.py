@@ -54,17 +54,6 @@ def _rational(value: RationalLike) -> RationalLike:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _scaled(terms: dict, factor: RationalLike) -> dict:
-    """terms times a nonzero canonical rational, coefficients kept canonical."""
-    out = {}
-    for key, c in terms.items():
-        c = c * factor
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        out[key] = c
-    return out
-
-
 class Scalar:
     """Element of Q(i, sqrt2)[h, h^-1] in canonical form."""
 
@@ -155,23 +144,8 @@ class Scalar:
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
         if type(other) is not Scalar:
-            factor = _rational(other)
-            if factor == 1:
-                return self
-            if not factor or not self._terms:
-                return Scalar()
-            return Scalar._wrap(_scaled(self._terms, factor))
+            other = Scalar.coerce(other)
         left, right = self._terms, other._terms
-        if not left or not right:
-            return Scalar()
-        if len(left) == 1 and len(right) == 1:
-            ((hp1, p1), c1), = left.items()
-            ((hp2, p2), c2), = right.items()
-            factor, part = _PART_MUL[p1][p2]
-            coeff = c1 * c2 * factor
-            if type(coeff) is not int and coeff.denominator == 1:
-                coeff = coeff.numerator
-            return Scalar._wrap({(hp1 + hp2, part): coeff})
         terms: dict[tuple[int, int], RationalLike] = {}
         for (hp1, p1), c1 in left.items():
             for (hp2, p2), c2 in right.items():
@@ -220,14 +194,6 @@ class Scalar:
         return not self._terms
 
     # -- involutions and evaluation ------------------------------------
-
-    def conj(self) -> "Scalar":
-        """Conjugation i -> -i, h -> -h, s -> s (h = hbar/i with hbar real)."""
-        terms = {}
-        for (hpow, part), coeff in self._terms.items():
-            sign = -1 if (hpow + (part in (PART_I, PART_IS))) % 2 else 1
-            terms[(hpow, part)] = coeff * sign
-        return Scalar._wrap(terms)
 
     def _galois(self, flip_i: bool, flip_s: bool) -> "Scalar":
         """Field automorphism of Q(i, s) fixing h."""
@@ -278,14 +244,6 @@ class Scalar:
 
     def mul_hpow(self, shift: int) -> "Scalar":
         return Scalar._wrap({(hpow + shift, part): c for (hpow, part), c in self._terms.items()})
-
-    def rational_value(self) -> Fraction:
-        """The value of a purely rational scalar; raises otherwise."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) == {(0, PART_ONE)}:
-            return Fraction(self._terms[(0, PART_ONE)])
-        raise ValueError(f"scalar {self} is not a plain rational")
 
     def components(self) -> dict[tuple[int, int], Fraction]:
         """The (hpow, part) -> rational table, every value a Fraction.

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .clifford import kosmann_lie
 from .coeff import Scalar
+from .diffop import SuperDiffOp
 from .spinop import SpinorDiffOp
 from .superpoly import Signature, SuperPolynomial
 from .symplectic import (
@@ -44,8 +45,6 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def tensorial_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
     """X^i d_i - p_j (d_i X^j) dp_i + xi^i (d_i X^j) dxi_j + (delta - Sigma/n) div X."""
-    from .diffop import SuperDiffOp
-
     n = sig.n
     op = SuperDiffOp.zero(n)
     for i in range(1, n + 1):
@@ -82,8 +81,6 @@ def tensorial_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
 @lru_cache(maxsize=None)
 def hamiltonian_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
     """lift(X) + delta (div X); requires a conformal field."""
-    from .diffop import SuperDiffOp
-
     op = hamiltonian_lift(X, sig)
     div = divergence(X)
     if delta and not div.is_zero():
@@ -101,8 +98,6 @@ def operator_symbol_action(
     (h/2)(d_j d_k X^i)(-p_i dp_j + chi^j_i / 2) dp_k - h lam d_j(div X) dp_j,
     with chi^j_i = xi^j dxi_i - xi_i dxi_j + (1/2) dxi_j dxi^i.
     """
-    from .diffop import SuperDiffOp
-
     n = sig.n
     op = hamiltonian_operator(X, mu - lam, sig)
     half_h = Scalar.h(1, Fraction(1, 2))
@@ -214,11 +209,3 @@ def act_D_direct(
     right = kosmann_lie(X, sig, Fraction(lam))
     return left.compose(A) - A.compose(right)
 
-
-def hamiltonian_principal_symbol(A: SpinorDiffOp, degree: int) -> SuperPolynomial:
-    """Hamiltonian-degree-``degree`` component of the inverse normal ordering."""
-    components = A.symbol.hamiltonian_components()
-    top = max(components, default=0)
-    if top > degree:
-        raise ValueError(f"operator has Hamiltonian degree {top} > {degree}")
-    return components.get(degree, SuperPolynomial.zero(A.n))

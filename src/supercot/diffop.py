@@ -105,10 +105,6 @@ class SuperDiffOp:
         return SuperDiffOp(n)
 
     @staticmethod
-    def identity(n: int) -> "SuperDiffOp":
-        return SuperDiffOp.term(SuperPolynomial.one(n))
-
-    @staticmethod
     def term(
         coeff: SuperPolynomial,
         dxi: Iterable[int] = (),
@@ -125,18 +121,6 @@ class SuperDiffOp:
             return SuperDiffOp.zero(n)
         sign, word = sorted_word
         return SuperDiffOp(n, {(word, dx, dp): coeff * sign})
-
-    @staticmethod
-    def partial(n: int, kind: str, index: int) -> "SuperDiffOp":
-        one = SuperPolynomial.one(n)
-        unit = tuple(1 if k == index - 1 else 0 for k in range(n))
-        if kind == "x":
-            return SuperDiffOp.term(one, dx=unit)
-        if kind == "p":
-            return SuperDiffOp.term(one, dp=unit)
-        if kind == "xi":
-            return SuperDiffOp.term(one, dxi=(index,))
-        raise ValueError(f"unknown variable kind {kind!r}")
 
     # -- linear structure --------------------------------------------------
 

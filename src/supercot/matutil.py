@@ -11,8 +11,11 @@ from .coeff import Scalar
 Matrix = list[list[Scalar]]
 
 
+_ZERO = Scalar.zero()  # immutable, so every zero entry may share it
+
+
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Scalar.zero() for _ in range(cols)] for _ in range(rows)]
+    return [[_ZERO] * cols for _ in range(rows)]
 
 
 def identity(size: int, factor: Scalar | int = 1) -> Matrix:
@@ -27,13 +30,9 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, factor: Scalar | int) -> Matrix:
     factor = Scalar.coerce(factor)
-    return [[x * factor for x in row] for row in a]
+    return [[x * factor if x else _ZERO for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import perm
 from typing import Iterable, Iterator, Mapping
 
-from .coeff import _PART_MUL, Scalar, _rational, _scaled
+from .coeff import _PART_MUL, Scalar, _rational
 
 Key = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -310,7 +310,11 @@ class SuperPolynomial:
             factor = _rational(factor)
             if factor == 1:
                 return self
-            return SuperPolynomial._wrap(self.n, _scaled(self._terms, factor))
+            terms = {}
+            for key, c in self._terms.items():
+                c = c * factor
+                terms[key] = c.numerator if type(c) is not int and c.denominator == 1 else c
+            return SuperPolynomial._wrap(self.n, terms)
         terms: dict = {}
         add_product(terms, self, SuperPolynomial.one(self.n), factor)
         return SuperPolynomial._wrap(self.n, terms)
@@ -408,13 +412,6 @@ class SuperPolynomial:
             terms[(xp, pp, m, h, q)] = c
         return SuperPolynomial._wrap(self.n, terms)
 
-    def euler_odd(self) -> "SuperPolynomial":
-        """Odd Euler operator sum_i xi^i d_{xi^i}: multiplies each term by its xi-degree."""
-        out = SuperPolynomial.zero(self.n)
-        for i in range(1, self.n + 1):
-            out = out + SuperPolynomial.var_xi(self.n, i) * self.derive("xi", i)
-        return out
-
     # -- grading ---------------------------------------------------------
 
     def parity(self) -> int:
@@ -425,9 +422,6 @@ class SuperPolynomial:
         if len(parities) > 1:
             raise ValueError("polynomial is not parity-homogeneous")
         return parities.pop()
-
-    def is_parity_homogeneous(self) -> bool:
-        return len({key[2].bit_count() & 1 for key in self._terms}) <= 1
 
     def bidegrees(self) -> set[tuple[int, int]]:
         """Set of (degree in p, degree in xi) with nonzero components."""
@@ -450,32 +444,8 @@ class SuperPolynomial:
     def x_degree(self) -> int:
         return max((slot_sum(key[0]) for key in self._terms), default=0)
 
-    def is_x_free(self) -> bool:
-        return all(not key[0] for key in self._terms)
-
     def is_even_free(self) -> bool:
         return all(not key[0] and not key[1] for key in self._terms)
-
-    # -- metric index gymnastics -----------------------------------------
-
-    def raise_lower(self, sig: Signature, kind: str, index: int) -> "SuperPolynomial":
-        """Contract one variable slot with the flat metric.
-
-        With eta diagonal, moving the index of x^i, p_i or xi^i multiplies
-        every occurrence of that variable by eta_ii; raising and lowering
-        are the same operation and are mutually inverse.
-        """
-        if sig.n != self.n:
-            raise ValueError("signature dimension mismatch")
-        _check_index(index, self.n)
-        if sig.eta(index) == 1:
-            return self
-        slot = {"x": 0, "p": 1, "xi": 2}[kind]
-        shift = index - 1 if kind == "xi" else SLOT_BITS * (index - 1)
-        # the lowest bit of an exponent is its parity
-        return SuperPolynomial._wrap(
-            self.n, {k: -c if k[slot] >> shift & 1 else c for k, c in self._terms.items()}
-        )
 
     # -- access ------------------------------------------------------------
 

@@ -468,10 +468,10 @@ MAX_SUITE_DIM = {
 """Largest dimension n at which each suite runs.
 
 On a 2-core x86-64 machine with Python 3.11, every suite but spinrep
-takes at most 8 s and 31 MB at n = 10 (modules 7.6 s, lift 5.3 s); lift
-grows to 25 s at n = 14.  spinrep builds prequantisation matrices of
-side 2^n: it takes 16 s and 180 MB at n = 8, and at n = 10 it outgrows
-1 GB.
+takes at most 18 s and 31 MB at n = 10 (modules 14-18 s, lift 13 s);
+lift grows to 52 s at n = 14.  spinrep multiplies prequantisation
+matrices of side 2^n densely: it takes 8.7 s and 27 MB at n = 8, and at
+n = 10 it runs for more than 3 minutes.
 """
 
 

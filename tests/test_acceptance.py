@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from supercot.cli import main as cli_main
-from supercot.clifford import build_spin_rep, kosmann_lie
+from supercot.clifford import build_spin_rep
 from supercot.coeff import Scalar
 from supercot.confmod import (
     act_D_direct,
@@ -28,8 +28,7 @@ from supercot.invariants import (
     predicted_dimension,
     search_invariants,
 )
-from supercot.matutil import mat_eq, mat_mul, identity
-from supercot.parse import sp_parse
+from supercot.matutil import mat_eq, identity
 from supercot.randgen import (
     random_bidegree,
     random_parity_homogeneous,
@@ -38,13 +37,8 @@ from supercot.randgen import (
 )
 from supercot.star import star_mul
 from supercot.superpoly import Signature, SuperPolynomial
-from supercot.symplectic import (
-    comoment_even,
-    conformal_generators,
-    hamiltonian_lift,
-    poisson,
-    vf_bracket,
-)
+from supercot.symplectic import conformal_generators, poisson
+from supercot.verify import run_suite
 
 
 def report(num: int, label: str, failures: list[str], started: float) -> None:
@@ -117,21 +111,25 @@ def test_criterion_02_graded_poisson_axioms():
     report(2, "graded Poisson antisymmetry, Jacobi, Leibniz (200 triples, n <= 4)", failures, started)
 
 
+def _suite_failures(suites, sig, morphism_cases: dict[str, int]) -> list[str]:
+    """Failed rows of the named verify suites at sig, after checking each morphism row's case count."""
+    rows = [row for suite in suites for row in run_suite(suite, sig, 0)]
+    for row in rows:
+        if row.name in morphism_cases:
+            assert row.cases == morphism_cases[row.name], row.name
+    return [f"({sig.p},{sig.q}): {row.name}: {row.detail}" for row in rows if not row.ok]
+
+
 def test_criterion_03_lift_and_comoment_morphisms():
     started = time.time()
     failures = []
     for sig in (Signature(2, 0), Signature(4, 0), Signature(3, 1)):
-        gens = conformal_generators(sig)
-        lifts = {g.name: hamiltonian_lift(g, sig) for g in gens}
-        comoments = {g.name: comoment_even(g, sig) for g in gens}
-        for X in gens:
-            for Y in gens:
-                B = vf_bracket(X, Y)
-                got = lifts[X.name].compose(lifts[Y.name]) - lifts[Y.name].compose(lifts[X.name])
-                if got != hamiltonian_lift(B, sig):
-                    failures.append(f"({sig.p},{sig.q}): lift morphism fails [{X.name},{Y.name}]")
-                if poisson(comoments[X.name], comoments[Y.name], sig) != comoment_even(B, sig):
-                    failures.append(f"({sig.p},{sig.q}): comoment morphism fails [{X.name},{Y.name}]")
+        pairs = len(conformal_generators(sig)) ** 2
+        failures += _suite_failures(
+            ("lift", "comoment"),
+            sig,
+            {"lift.lie-algebra-morphism": pairs, "comoment.lie-algebra-morphism": pairs},
+        )
     report(3, "lift and comoment are Lie algebra morphisms (all pairs, n in {2,4})", failures, started)
 
 
@@ -151,18 +149,13 @@ def test_criterion_04_spin_representation():
 def test_criterion_05_kosmann_correspondence():
     started = time.time()
     failures = []
-    h = Scalar.h()
     for sig in (Signature(2, 0), Signature(1, 1), Signature(4, 0), Signature(3, 1)):
-        gens = conformal_generators(sig)
-        ders = {g.name: kosmann_lie(g, sig) for g in gens}
-        for X in gens:
-            if normal_order(comoment_even(X, sig), sig) != ders[X.name].scale(h):
-                failures.append(f"({sig.p},{sig.q}): N(J_{X.name}) != h sL")
-        for X in gens:
-            for Y in gens:
-                got = ders[X.name].compose(ders[Y.name]) - ders[Y.name].compose(ders[X.name])
-                if got != kosmann_lie(vf_bracket(X, Y), sig):
-                    failures.append(f"({sig.p},{sig.q}): sL morphism fails [{X.name},{Y.name}]")
+        count = len(conformal_generators(sig))
+        failures += _suite_failures(
+            ("kosmann",),
+            sig,
+            {"kosmann.quantised-comoment": count, "kosmann.lie-algebra-morphism": count**2},
+        )
     report(5, "quantised comoment equals h times the spinor Lie derivative", failures, started)
 
 

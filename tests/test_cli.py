@@ -191,6 +191,7 @@ def test_ansatz_size_matches_the_enumeration():
         ("check", "h^-1*p1", "--dim", "4", "--module", "T", "--delta", "1/4"),
         ("verify", "--suite", "comoment", "--dim", "2"),
         ("dirac-power", "--s", "1", "--dim", "4"),
+        ("spin-rep", "--dim", "2"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -323,10 +324,10 @@ PINNED_STDOUT = [
 
 
 def _pinned_id(argv):
-    """The subcommand, with the signature of a verify run that names one, and -text in text mode."""
+    """The subcommand, with the signature of a verify or spin-rep run that names one, and -text in text mode."""
     name = argv[0]
     if name in ("verify", "spin-rep") and "--signature" in argv:
-        name = f"verify-{argv[argv.index('--signature') + 1]}"
+        name = f"{name}-{argv[argv.index('--signature') + 1]}"
     return name if "--format" in argv else f"{name}-text"
 
 

@@ -38,18 +38,6 @@ def test_ring_axioms_randomised():
         assert a * (b + c) == a * b + a * c
 
 
-def test_conjugation():
-    assert Scalar.i().conj() == -Scalar.i()
-    assert Scalar.h().conj() == -Scalar.h()
-    assert Scalar.sqrt2().conj() == Scalar.sqrt2()
-    rng = random.Random(1)
-    for _ in range(200):
-        a, b = rand_scalar(rng), rand_scalar(rng)
-        assert a.conj().conj() == a
-        assert (a * b).conj() == a.conj() * b.conj()
-        assert (a + b).conj() == a.conj() + b.conj()
-
-
 def test_specialize_h():
     h = Scalar.h()
     assert (h * h).specialize_h(1) == Scalar.one()

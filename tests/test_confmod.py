@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from supercot.clifford import build_spin_rep
 from supercot.coeff import Scalar
 from supercot.confmod import (
@@ -10,7 +8,6 @@ from supercot.confmod import (
     act_D_symbolside,
     act_S,
     act_T,
-    hamiltonian_principal_symbol,
     normal_order,
     normal_order_inverse,
 )
@@ -236,15 +233,13 @@ def test_dirac_invariance_direct():
 
 def test_principal_symbol():
     A = normal_order(P2("p1*xi1*p2^2"), E2)
-    assert hamiltonian_principal_symbol(A, 7) == P2("p1*xi1*p2^2")
-    assert hamiltonian_principal_symbol(A, 8).is_zero()
-    with pytest.raises(ValueError):
-        hamiltonian_principal_symbol(A, 6)
+    assert A.symbol.hamiltonian_components() == {7: P2("p1*xi1*p2^2")}
     # graded bracket of N(Delta) with itself: top symbol equals {Delta, Delta} = -R/h
     Delta = delta_poly(E2)
     ND = normal_order(Delta, E2)
     bracket = ND.graded_commutator(ND).scale(Scalar.h(-1))
-    assert hamiltonian_principal_symbol(bracket, 4) == poisson(Delta, Delta, E2)
+    components = bracket.symbol.hamiltonian_components()
+    assert max(components) == 4 and components[4] == poisson(Delta, Delta, E2)
 
 
 def test_apply_spinor_matches_composition():

@@ -105,7 +105,7 @@ def test_search_with_x_and_h_ansatz():
     # translation invariance really does force x-independence
     res = search_invariants(E2, 1, 1, "S", Weights.symbol(Fraction(1, 2)), x_degree=1)
     assert res.dimension == 2
-    assert all(b.is_x_free() for b in res.basis)
+    assert all(b.x_degree() == 0 for b in res.basis)
     # h-powers only rescale: each h-level contributes one copy
     res = search_invariants(E2, 0, 2, "T", Weights.symbol(0), h_degree=1)
     assert res.dimension == 2
