@@ -82,13 +82,12 @@ def _ladder_matrix(count: int, index: int, up: Scalar, down: Scalar) -> Matrix:
     with factor down if index is in S, else in row S + {index} with factor
     up, of sign (-1)^#{s in S : s < index}.
     """
-    shift = index - 1
-    below = (1 << shift) - 1
+    bit = 1 << (index - 1)
     signed = ((up, -up), (down, -down))
     mat = zeros(1 << count, 1 << count)
     for col in range(1 << count):
-        plus, minus = signed[col >> shift & 1]
-        mat[col ^ 1 << shift][col] = minus if (col & below).bit_count() & 1 else plus
+        plus, minus = signed[1 if col & bit else 0]
+        mat[col ^ bit][col] = minus if (col & (bit - 1)).bit_count() & 1 else plus
     return mat
 
 

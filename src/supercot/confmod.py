@@ -208,4 +208,3 @@ def act_D_direct(
     left = kosmann_lie(X, sig, Fraction(mu))
     right = kosmann_lie(X, sig, Fraction(lam))
     return left.compose(A) - A.compose(right)
-
