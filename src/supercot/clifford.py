@@ -6,28 +6,20 @@ module adds the Lie-algebra bracket check for quadratic elements, the
 polarised spinor matrix representation for even dimension and any
 signature with p >= q, the prequantisation operator on the full exterior
 algebra, and the spinor Lie derivative along conformal vector fields.
-The spinor Lie derivative is built once per (field, signature, weight)
-and cached for the life of the process, like the lift and comoments;
-n and the weights asked for bound the cache.
+Their matrices are matutil's sparse rows; each generator stores one
+entry per row.  The spinor Lie derivative is built once per (field,
+signature, weight) and cached for the life of the process, like the
+lift and comoments; n and the weights asked for bound the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .coeff import Scalar
-from .matutil import (
-    Matrix,
-    identity,
-    mat_add,
-    mat_eq,
-    mat_mul,
-    mat_scale,
-    rank,
-    zeros,
-)
+from .matutil import Matrix, anticommutator, identity, mat_add, mat_mul, mat_scale, rank
 from .spinop import SpinorDiffOp
 from .star import star_mul
 from .superpoly import Signature, SuperPolynomial
@@ -80,26 +72,29 @@ def _ladder_matrix(count: int, index: int, up: Scalar, down: Scalar) -> Matrix:
     Subset S of {1..count} is basis vector sum(2^(s-1) for s in S), the
     order of _subset_bases.  Column S has one entry: in row S - {index}
     with factor down if index is in S, else in row S + {index} with factor
-    up, of sign (-1)^#{s in S : s < index}.
+    up, of sign (-1)^#{s in S : s < index}.  So row R has one entry too,
+    in column R ^ bit; up and down are nonzero.
     """
     bit = 1 << (index - 1)
     signed = ((up, -up), (down, -down))
-    mat = zeros(1 << count, 1 << count)
-    for col in range(1 << count):
+    rows = []
+    for row in range(1 << count):
+        col = row ^ bit
         plus, minus = signed[1 if col & bit else 0]
-        mat[col ^ bit][col] = minus if (col & (bit - 1)).bit_count() & 1 else plus
-    return mat
+        rows.append({col: minus if (col & (bit - 1)).bit_count() & 1 else plus})
+    return rows
 
 
 MAX_SPIN_SIDE = 128
 """Largest spin module build_spin_rep builds: side 2^(n/2), so n <= 14.
 
-Each of the n matrices has side^2 entries, all but one per column the
-shared zero, so the output bounds the work: spin-rep --dim 14 prints
+Each of the n matrices stores one entry per row but prints all side^2
+entries, so the output bounds the work: spin-rep --dim 14 prints
 0.7 MB of text and --dim 16 would print 3.2 MB.  On a 2-core x86-64
-machine with Python 3.11, spin-rep --dim 14 takes 0.3 s and 21 MB in
-text and 0.8 s and 37 MB in JSON; past the limit, --dim 16 (side 256)
-takes 0.5 s and 35 MB and --dim 18 1.5 s and 93 MB.
+machine with Python 3.11, spin-rep --dim 14 takes 0.25 s and 19 MB in
+text and 0.7 s and 34 MB in JSON; past the limit, --dim 16 (side 256)
+takes 0.5 s and 20 MB in text and 2.1 s and 94 MB in JSON, and --dim 18
+1.0 s and 25 MB in text.
 """
 
 
@@ -108,12 +103,11 @@ class SpinorRep:
     """Matrices of the c-generators on the polarised spin module."""
 
     sig: Signature
-    basis: tuple[tuple[int, ...], ...]
     matrices: tuple[Matrix, ...]  # entry i-1 represents c^i
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.matrices[0])
 
     def c_matrix(self, i: int) -> Matrix:
         return self.matrices[i - 1]
@@ -131,7 +125,7 @@ class SpinorRep:
         """Algebra morphism on Grassmann polynomials with scalar coefficients."""
         if not poly.is_even_free():
             raise ValueError("rho is defined on polynomials in xi only")
-        mat = zeros(self.size, self.size)
+        mat: Matrix = [{} for _ in range(self.size)]
         for (_x, _p, word), coeff in poly.items():
             mat = mat_add(mat, mat_scale(self.monomial_matrix(word), coeff))
         return mat
@@ -139,22 +133,19 @@ class SpinorRep:
     def verify_clifford_relations(self) -> bool:
         for i in range(1, self.sig.n + 1):
             for j in range(i, self.sig.n + 1):
-                anti = mat_add(
-                    mat_mul(self.c_matrix(i), self.c_matrix(j)),
-                    mat_mul(self.c_matrix(j), self.c_matrix(i)),
-                )
-                expected = identity(self.size, Scalar.rational(-self.sig.eta(i, j)))
-                if not mat_eq(anti, expected):
+                anti = anticommutator(self.c_matrix(i), self.c_matrix(j))
+                if anti != identity(self.size, Scalar.rational(-self.sig.eta(i, j))):
                     return False
         return True
 
     def monomial_rank(self) -> int:
         """Rank of the 2^n ordered c-monomial images over Q(i, sqrt2)."""
+        side = self.size
         rows = []
         for subset in _subset_bases(self.sig.n):
-            entries = (entry for row in self.monomial_matrix(subset) for entry in row)
-            rows.append({col: entry for col, entry in enumerate(entries) if entry})
-        return rank(rows, self.size * self.size)
+            mat = self.monomial_matrix(subset)
+            rows.append({r * side + c: v for r, row in enumerate(mat) for c, v in row.items()})
+        return rank(rows, side * side)
 
 
 def build_spin_rep(sig: Signature) -> SpinorRep:
@@ -187,7 +178,7 @@ def build_spin_rep(sig: Signature) -> SpinorRep:
         else:
             up = down = half_sqrt2
         matrices.append(_ladder_matrix(m, i if i <= m else i - m, up, down))
-    return SpinorRep(sig, tuple(_subset_bases(m)), tuple(matrices))
+    return SpinorRep(sig, tuple(matrices))
 
 
 # -- prequantisation ------------------------------------------------------------
@@ -210,11 +201,11 @@ def prequant_op(v: SuperPolynomial, sig: Signature, variant: str = "standard") -
         up_factor, down_factor = Scalar.one(), Scalar.rational(-1)
     else:
         raise ValueError(f"unknown prequantisation variant {variant!r}")
-    mats = [
-        _ladder_matrix(sig.n, index, coeff * up_factor, coeff * down_factor * sig.eta(index))
-        for (_x, _p, (index,)), coeff in v.items()
-    ]
-    return reduce(mat_add, mats) if mats else zeros(1 << sig.n, 1 << sig.n)
+    mat: Matrix = [{} for _ in range(1 << sig.n)]
+    for (_x, _p, (index,)), coeff in v.items():
+        ladder = _ladder_matrix(sig.n, index, coeff * up_factor, coeff * down_factor * sig.eta(index))
+        mat = mat_add(mat, ladder)
+    return mat
 
 
 # -- spinor Lie derivative ----------------------------------------------------------

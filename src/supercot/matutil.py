@@ -1,4 +1,11 @@
-"""Small dense matrices over the exact scalar ring, and exact sparse elimination."""
+"""Square matrices over the exact scalar ring as sparse rows, and exact sparse elimination.
+
+A Matrix is a list of rows {column: nonzero entry}, one per row index;
+every operation cancels to no stored zero, so two matrices are equal
+exactly when their rows are, and a matrix is zero exactly when no row
+has an entry.  The eliminator consumes rows of the same shape.  Rows are
+expanded to dense grids only for output, by ``dense``.
+"""
 
 from __future__ import annotations
 
@@ -8,46 +15,51 @@ from heapq import heapify, heappop, heappush
 
 from .coeff import Scalar
 
-Matrix = list[list[Scalar]]
-
-
-_ZERO = Scalar.zero()  # immutable, so every zero entry may share it
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[_ZERO] * cols for _ in range(rows)]
+Matrix = list[dict[int, Scalar]]
 
 
 def identity(size: int, factor: Scalar | int = 1) -> Matrix:
-    mat = zeros(size, size)
     scale = Scalar.coerce(factor)
-    for k in range(size):
-        mat[k][k] = scale
-    return mat
+    return [{k: scale} for k in range(size)] if scale else [{} for _ in range(size)]
+
+
+def _add_into(row: dict, col: int, value: Scalar) -> None:
+    """row[col] += value, deleting the entry when the sum cancels."""
+    old = row.get(col)
+    if old is None:
+        row[col] = value
+    elif new := old + value:
+        row[col] = new
+    else:
+        del row[col]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    out = []
+    for ra, rb in zip(a, b):
+        row = dict(ra)
+        for col, value in rb.items():
+            _add_into(row, col, value)
+        out.append(row)
+    return out
 
 
 def mat_scale(a: Matrix, factor: Scalar | int) -> Matrix:
     factor = Scalar.coerce(factor)
-    return [[x * factor if x else _ZERO for x in row] for row in a]
+    if not factor:
+        return [{} for _ in a]
+    # the scalar ring has no zero divisors: a nonzero product stays nonzero
+    return [{col: value * factor for col, value in row.items()} for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            left = a[i][k]
-            if not left:
-                continue
-            row_b = b[k]
-            row_out = out[i]
-            for j in range(cols):
-                if row_b[j]:
-                    row_out[j] = row_out[j] + left * row_b[j]
+    out = []
+    for row_a in a:
+        row = {}
+        for k, left in row_a.items():
+            for col, right in b[k].items():
+                _add_into(row, col, left * right)
+        out.append(row)
     return out
 
 
@@ -55,19 +67,18 @@ def anticommutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_add(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
+def dense(a: Matrix) -> list[list[Scalar]]:
+    """The rows as a dense grid, for output only."""
+    zero = Scalar.zero()
+    return [[row.get(col, zero) for col in range(len(a))] for row in a]
 
 
 # -- exact elimination on sparse rows ----------------------------------------------
 #
 # A row is a dict {column: nonzero entry} over any exact field whose
-# elements support +, -, * and /: Fraction for Q, or Scalar restricted to
-# h-free elements of Q(i, sqrt2).
+# elements support +, -, * and /: int or Fraction for Q, or Scalar
+# restricted to h-free elements of Q(i, sqrt2).  An int pivot becomes a
+# Fraction before it divides, so `/` never yields a float.
 
 
 def _reduce(row: dict, pivots: dict[int, dict]) -> None:
@@ -110,6 +121,8 @@ def _row_echelon(rows: Iterable[Mapping[int, object]], ncols: int) -> dict[int, 
             continue
         lead = min(row)
         head = row[lead]
+        if type(head) is int:
+            head = Fraction(head)
         pivots[lead] = {c: v / head for c, v in row.items()}
         if len(pivots) == ncols:
             break
@@ -120,7 +133,7 @@ def rank(rows: Iterable[Mapping[int, object]], ncols: int) -> int:
     return len(_row_echelon(rows, ncols))
 
 
-def kernel(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+def kernel(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) -> list[dict[int, Fraction]]:
     """Reduced kernel basis of a rational matrix, one sparse vector per free column.
 
     Back-substitution brings the echelon form to the unique reduced one,
@@ -147,4 +160,4 @@ def kernel(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> list[dict[int,
 
 
 def to_json(a: Matrix) -> list[list[list[dict]]]:
-    return [[entry.to_json() for entry in row] for row in a]
+    return [[entry.to_json() for entry in row] for row in dense(a)]

@@ -123,16 +123,14 @@ class SpinorDiffOp:
         ``components`` has one x-polynomial per basis spinor of rep; the
         scalar coefficients of the polynomials may involve h.
         """
-        size = len(rep.basis)
-        if len(components) != size:
+        if len(components) != rep.size:
             raise ValueError("component count must match the spin module dimension")
-        out: list[dict] = [{} for _ in range(size)]
+        out: list[dict] = [{} for _ in components]
         for (cliff, dx), coeff in self.items():
-            mat = rep.monomial_matrix(cliff)
             derived = [comp.partial(dx) for comp in components]
-            for row in range(size):
-                for col in range(size):
-                    add_product(out[row], coeff, derived[col], mat[row][col])
+            for table, row in zip(out, rep.monomial_matrix(cliff)):
+                for col, entry in row.items():
+                    add_product(table, coeff, derived[col], entry)
         return tuple(SuperPolynomial._wrap(self.n, table) for table in out)
 
     # -- inspection ------------------------------------------------------------------

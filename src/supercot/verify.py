@@ -22,7 +22,7 @@ from .confmod import (
     normal_order,
     normal_order_inverse,
 )
-from .matutil import anticommutator, identity, is_zero, mat_eq, mat_mul
+from .matutil import anticommutator, identity, mat_mul
 from .randgen import (
     random_bidegree,
     random_parity_homogeneous,
@@ -283,7 +283,7 @@ def suite_spinrep(sig: Signature, seed: int) -> list[CheckRow]:
     count = 20
     for _ in range(count):
         F, G = random_xi_poly(rng, n), random_xi_poly(rng, n)
-        if not mat_eq(rep.rho(star_mul(F, G, sig)), mat_mul(rep.rho(F), rep.rho(G))):
+        if rep.rho(star_mul(F, G, sig)) != mat_mul(rep.rho(F), rep.rho(G)):
             failures.append(f"rho not multiplicative on F={F}, G={G}")
     rows.append(_row("spinrep.rho-algebra-morphism", count, failures))
 
@@ -295,11 +295,10 @@ def suite_spinrep(sig: Signature, seed: int) -> list[CheckRow]:
             for j in range(n):
                 cases += 1
                 anti = anticommutator(mats[i], mats[j])
-                want = identity(2**n, Scalar.rational(-2 * sig.eta(i + 1))) if i == j else None
                 if i == j:
-                    if not mat_eq(anti, want):
+                    if anti != identity(2**n, Scalar.rational(-2 * sig.eta(i + 1))):
                         failures.append(f"{variant}: c(xi{i+1})^2 wrong")
-                elif not is_zero(anti):
+                elif any(anti):
                     failures.append(f"{variant}: c(xi{i+1}) and c(xi{j+1}) do not anticommute")
     rows.append(_row("spinrep.prequantisation-relations", cases, failures))
     return rows
@@ -455,35 +454,25 @@ SUITES = {
 }
 
 
-MAX_SUITE_DIM = {
-    "poisson": 10,
-    "star": 10,
-    "lift": 10,
-    "comoment": 10,
-    "spinrep": 8,
-    "kosmann": 10,
-    "modules": 10,
-    "graded-poisson": 10,
-}
-"""Largest dimension n at which each suite runs.
+MAX_SUITE_DIM = 10
+"""Largest dimension n at which any suite runs.
 
-On a 2-core x86-64 machine with Python 3.11, every suite but spinrep
-takes at most 18 s and 31 MB at n = 10 (modules 14-18 s, lift 13 s);
-lift grows to 52 s at n = 14.  spinrep multiplies prequantisation
-matrices of side 2^n densely: it takes 8.7 s and 27 MB at n = 8, and at
-n = 10 it runs for more than 3 minutes.
+On a 2-core x86-64 machine with Python 3.11, every suite takes at most
+18 s and 33 MB at n = 10 (modules 17 s, lift 13 s, spinrep 4.4-7.4 s),
+and verify --suite all --dim 10 --signature 5,5 38 s and 52 MB; lift
+grows to 52 s at n = 14.  spinrep multiplies prequantisation matrices
+of side 2^n, but their sparse rows hold one entry each, so a product
+costs one step per row.
 """
 
 
 def check_suite(name: str, sig: Signature) -> None:
-    """Refuse a suite that cannot run at sig: a spin suite in odd n, or n above its limit."""
+    """Refuse a suite that cannot run at sig: a spin suite in odd n, or n above the limit."""
     if SUITES[name][1] and sig.n % 2:
         raise ValueError(f"suite {name!r} requires an even dimension")
-    limit = MAX_SUITE_DIM[name]
-    if sig.n > limit:
+    if sig.n > MAX_SUITE_DIM:
         raise ValueError(
-            f"suite {name!r} in dimension {sig.n} exceeds the limit"
-            f" MAX_SUITE_DIM[{name!r}] = {limit}"
+            f"suite {name!r} in dimension {sig.n} exceeds the limit MAX_SUITE_DIM = {MAX_SUITE_DIM}"
         )
 
 

@@ -28,7 +28,7 @@ from supercot.invariants import (
     predicted_dimension,
     search_invariants,
 )
-from supercot.matutil import mat_eq, identity
+from supercot.matutil import dense, identity
 from supercot.randgen import (
     random_bidegree,
     random_parity_homogeneous,
@@ -369,7 +369,7 @@ def test_criterion_10_cli_contract(capsys):
                 ]
                 for r in range(2)
             ]
-            want = identity(2, Scalar.rational(-2 * sig.eta(i + 1))) if i == j else identity(2, 0)
-            if not mat_eq(anti, want):
+            want = dense(identity(2, Scalar.rational(-2 * sig.eta(i + 1)) if i == j else 0))
+            if anti != want:
                 failures.append(f"gamma relations fail at ({i+1},{j+1})")
     report(10, "CLI contract: exit codes, schemas, reproducibility", failures, started)

@@ -141,14 +141,14 @@ def test_spin_rep_refuses_a_module_above_the_limit(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the spin module must be sized before any matrix is built")
 
-    monkeypatch.setattr(clifford, "_subset_bases", never)
+    monkeypatch.setattr(clifford, "_ladder_matrix", never)
     code, out, err = run_cli(capsys, "spin-rep", "--dim", "24")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and f"MAX_SPIN_SIDE = {clifford.MAX_SPIN_SIDE}" in err
 
 
 @pytest.mark.parametrize("suite,dim,refused", [
-    ("spinrep", "16", "spinrep"), ("all", "14", "poisson"), ("all", "10", "spinrep"),
+    ("spinrep", "16", "spinrep"), ("all", "14", "poisson"), ("spinrep", "12", "spinrep"),
 ])
 def test_verify_refuses_a_suite_above_its_limit(capsys, monkeypatch, suite, dim, refused):
     from supercot import verify
@@ -159,19 +159,71 @@ def test_verify_refuses_a_suite_above_its_limit(capsys, monkeypatch, suite, dim,
     monkeypatch.setattr(verify, "SUITES", {name: (never, even) for name, (_f, even) in verify.SUITES.items()})
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--dim", dim)
     assert code == 2 and out == ""
-    limit = verify.MAX_SUITE_DIM[refused]
-    assert err.startswith("error: ") and f"MAX_SUITE_DIM[{refused!r}] = {limit}" in err
+    assert err.startswith("error: ") and f"suite {refused!r} in dimension {dim}" in err
+    assert f"MAX_SUITE_DIM = {verify.MAX_SUITE_DIM}" in err
 
 
 def test_suite_limits_admit_the_largest_case_of_each_suite():
     from supercot import verify
     from supercot.superpoly import Signature
 
-    for name, limit in verify.MAX_SUITE_DIM.items():
+    limit = verify.MAX_SUITE_DIM
+    for name, (_suite, needs_even) in verify.SUITES.items():
         verify.check_suite(name, Signature(limit, 0))
-        over = limit + 2 if verify.SUITES[name][1] else limit + 1  # spin suites need even n
+        over = limit + 2 if needs_even else limit + 1  # spin suites need even n
         with pytest.raises(ValueError, match="MAX_SUITE_DIM"):
             verify.check_suite(name, Signature(over, 0))
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "p1", "--module", "D", "--lambda", "0", "--mu", "1", "--dim", "30"),
+    ("check", "p1", "--module", "T", "--delta", "1", "--dim", "200"),
+    ("search", "--bidegree", "0,0", "--module", "T", "--delta", "0", "--dim", "200"),
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_conformal_paths_refuse_a_dimension_above_the_limit(capsys, monkeypatch, argv):
+    from supercot import invariants
+
+    def never(*args):
+        raise AssertionError("the dimension must be checked before any generator or monomial is built")
+
+    for name in ("conformal_generators", "conformal_generating_set", "_ansatz_monomials"):
+        monkeypatch.setattr(invariants, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"MAX_CONFORMAL_DIM = {invariants.MAX_CONFORMAL_DIM}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "x1", "--dim", "100000000"),
+    ("check", "p1", "--module", "T", "--delta", "1", "--dim", "400"),
+    ("dirac-power", "--s", "0", "--dim", "283"),
+    ("spin-rep", "--dim", "300", "--signature", "150,150"),
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_cli_refuses_a_dimension_above_the_cap(capsys, monkeypatch, argv):
+    from supercot import cli
+
+    def never(*args):
+        raise AssertionError("--dim must be checked before anything is built")
+
+    for name in ("Signature", "sp_parse", "dirac_power", "build_spin_rep"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"MAX_DIM = {cli.MAX_DIM}" in err
+
+
+def test_dim_cap_admits_the_largest_case_of_each_limit(capsys):
+    from supercot import cli
+    from supercot.clifford import MAX_SPIN_SIDE
+    from supercot.invariants import MAX_CONFORMAL_DIM, MAX_DIRAC_TERMS
+    from supercot.verify import MAX_SUITE_DIM
+
+    # dirac-power --s 0 is the widest: n terms of n exponents
+    assert cli.MAX_DIM ** 2 <= MAX_DIRAC_TERMS < (cli.MAX_DIM + 1) ** 2
+    spin_dim = 2 * (MAX_SPIN_SIDE.bit_length() - 1)
+    assert max(MAX_CONFORMAL_DIM, MAX_SUITE_DIM, spin_dim) < cli.MAX_DIM
+    code, out, err = run_cli(capsys, "dirac-power", "--s", "0", "--dim", str(cli.MAX_DIM))
+    assert code == 0 and out.startswith("weights: ") and err == ""
 
 
 def test_ansatz_size_matches_the_enumeration():

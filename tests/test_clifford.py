@@ -16,9 +16,9 @@ from supercot.coeff import Scalar
 from supercot.invariants import dirac_power
 from supercot.matutil import (
     anticommutator,
+    dense,
     identity,
-    is_zero,
-    mat_eq,
+    mat_add,
     mat_mul,
     mat_scale,
     to_json,
@@ -112,16 +112,10 @@ def test_spin_rep_relations_and_rank():
 
 def test_spin_rep_small_values():
     rep = build_spin_rep(E2)
-    assert mat_eq(
-        mat_mul(rep.c_matrix(1), rep.c_matrix(1)),
-        identity(2, Scalar.rational(Fraction(-1, 2))),
-    )
+    assert mat_mul(rep.c_matrix(1), rep.c_matrix(1)) == identity(2, Scalar.rational(Fraction(-1, 2)))
     rep11 = build_spin_rep(Signature(1, 1))
-    assert mat_eq(
-        mat_mul(rep11.c_matrix(2), rep11.c_matrix(2)),
-        identity(2, Scalar.rational(Fraction(1, 2))),
-    )
-    assert mat_eq(rep.gamma_matrix(1), mat_scale(rep.c_matrix(1), Scalar.sqrt2()))
+    assert mat_mul(rep11.c_matrix(2), rep11.c_matrix(2)) == identity(2, Scalar.rational(Fraction(1, 2)))
+    assert rep.gamma_matrix(1) == mat_scale(rep.c_matrix(1), Scalar.sqrt2())
 
 
 def test_rho_is_algebra_morphism():
@@ -131,25 +125,75 @@ def test_rho_is_algebra_morphism():
         rep = build_spin_rep(sig)
         for _ in range(15):
             F, G = random_xi_poly(rng, sig.n), random_xi_poly(rng, sig.n)
-            assert mat_eq(rep.rho(star_mul(F, G, sig)), mat_mul(rep.rho(F), rep.rho(G)))
+            assert rep.rho(star_mul(F, G, sig)) == mat_mul(rep.rho(F), rep.rho(G))
 
 
 def test_prequantisation():
     c1 = prequant_op(P2("xi1"), E2)
-    assert mat_eq(mat_mul(c1, c1), identity(4, Scalar.rational(-1)))
+    assert mat_mul(c1, c1) == identity(4, Scalar.rational(-1))
     c2 = prequant_op(P2("xi2"), E2)
-    assert is_zero(anticommutator(c1, c2))
+    assert not any(anticommutator(c1, c2))
     # action on the constant function: first basis vector is the empty subset
-    column = [c1[r][0] for r in range(4)]
+    column = [row[0] for row in dense(c1)]
     assert column[1] == Scalar.sqrt2() * Fraction(1, 2)
     assert all(not column[r] for r in (0, 2, 3))
+    assert [0 in row for row in c1] == [False, True, False, False]
     canon = prequant_op(P2("xi1"), E2, variant="canonical")
-    assert mat_eq(mat_mul(canon, canon), identity(4, Scalar.rational(-1)))
+    assert mat_mul(canon, canon) == identity(4, Scalar.rational(-1))
     lor = Signature(1, 1)
     w = prequant_op(sp_parse("xi2", 2), lor)
-    assert mat_eq(mat_mul(w, w), identity(4, Scalar.rational(1)))
+    assert mat_mul(w, w) == identity(4, Scalar.rational(1))
     with pytest.raises(ValueError):
         prequant_op(P2("xi1*xi2"), E2)
+
+
+def _stores_no_zero(mat):
+    return all(entry for row in mat for entry in row.values())
+
+
+def test_matrices_store_no_zero_entry():
+    # every operation cancels to no stored zero, so == is equality of matrices
+    rng = random.Random(18)
+    for sig in (E2, Signature(1, 1), Signature(3, 1), Signature(2, 2)):
+        n = sig.n
+        rep = build_spin_rep(sig)
+        assert all(_stores_no_zero(rep.c_matrix(i)) for i in range(1, n + 1))
+        mixed = sp_parse(" ".join(("1/3*i*xi1", "- 2*xi2", "+ s*xi3", "+ h*xi4")[:n]), n)
+        vs = [SuperPolynomial.var_xi(n, i) for i in range(1, n + 1)] + [mixed]
+        for variant in ("standard", "canonical"):
+            mats = [prequant_op(v, sig, variant) for v in vs]
+            assert all(_stores_no_zero(mat) for mat in mats)
+            for a in mats[:-1]:
+                for b in mats[:-1]:
+                    product = anticommutator(a, b)
+                    assert _stores_no_zero(product) and _stores_no_zero(mat_mul(a, b))
+                    assert (a is b) == any(product)
+            last = mats[-1]
+            assert not any(mat_add(last, mat_scale(last, -1)))
+            assert not any(mat_scale(last, 0)) and len(mat_scale(last, 0)) == 1 << n
+        for _ in range(5):
+            F, G = random_xi_poly(rng, n), random_xi_poly(rng, n)
+            assert _stores_no_zero(rep.rho(F)) and not any(rep.rho(F - F))
+            assert _stores_no_zero(mat_add(rep.rho(F), rep.rho(G)))
+
+
+def test_anticommutator_is_linear_in_the_side(monkeypatch):
+    # c(xi^i) has one entry per row, so each product touches each row once
+    sig = Signature(6, 0)
+    side = 1 << sig.n
+    a = prequant_op(SuperPolynomial.var_xi(6, 2), sig)
+    b = prequant_op(SuperPolynomial.var_xi(6, 5), sig)
+    calls = []
+    original = Scalar.__bool__
+
+    def counted(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(Scalar, "__bool__", counted)
+    anti = anticommutator(a, b)
+    assert len(calls) <= 4 * side
+    assert not any(anti)
 
 
 # SHA-256 of the JSON of prequant_op on each xi^i and on one mixed 1-vector,
