@@ -137,32 +137,37 @@ def test_rank_over_q_i_sqrt2_matches_sympy():
 
 
 def test_int_rows_match_sympy_and_kernels_stay_fraction():
-    # the search feeds the table's canonical values, int when integral; the
-    # eliminator alone keeps `/` exact, so every kernel value is a Fraction
+    # int rows agree with sympy, and the eliminator alone keeps `/` exact, so
+    # every kernel value is a Fraction
     rng = random.Random(20)
-    cases = []
+    found = 0
     for _ in range(12):
         ncols = rng.randint(1, 9)
         rows = [
             {c: rng.randint(-9, 9) for c in range(ncols) if rng.random() < 0.5}
             for _ in range(rng.randint(1, 9))
         ]
-        cases.append((rows, ncols))
-    for sig, k, kappa, tag, w in [
-        (Signature(2, 0), 1, 1, "S", Weights.symbol(Fraction(1, 2))),
-        (Signature(2, 0), 1, 1, "D", Weights.operator(0, 1)),
-        (Signature(3, 1), 1, 1, "D", Weights.operator(Fraction(3, 8), Fraction(5, 8))),
+        _check(rows, ncols)
+        basis = kernel(rows, ncols)
+        assert all(type(v) is Fraction for vec in basis for v in vec.values())
+        found += len(basis)
+    assert found
+
+
+def test_search_rows_and_kernels_stay_fraction():
+    # the search feeds the table's canonical values, int when integral; the
+    # kernels it gets back must still be Fractions, or `/` would produce floats
+    for sig, k, kappa, tag, w, has_kernel in [
+        (Signature(2, 0), 1, 1, "S", Weights.symbol(Fraction(1, 2)), True),
+        (Signature(2, 0), 1, 1, "D", Weights.operator(0, 1), False),
+        (Signature(3, 1), 1, 1, "D", Weights.operator(Fraction(3, 8), Fraction(5, 8)), True),
     ]:
         monomials = _ansatz_monomials(sig, k, kappa, 0, 1)
         rows = _linear_system(sig, tag, w, monomials)
         values = [v for row in rows for v in row.values()]
         assert all(v and (type(v) is int or type(v) is Fraction and v.denominator > 1) for v in values)
         assert any(type(v) is int for v in values)
-        cases.append((rows, len(monomials)))
-    found = 0
-    for rows, ncols in cases:
-        _check(rows, ncols)
-        basis = kernel(rows, ncols)
+        _check(rows, len(monomials))
+        basis = kernel(rows, len(monomials))
+        assert bool(basis) == has_kernel
         assert all(type(v) is Fraction for vec in basis for v in vec.values())
-        found += len(basis)
-    assert found

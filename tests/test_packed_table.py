@@ -150,6 +150,23 @@ def test_every_cli_input_stays_far_below_the_slot_limit():
     assert 2 * largest_s + 1 < SLOT_LIMIT // 10_000
 
 
+# -- the eliminator's input ------------------------------------------------------------------
+
+
+def test_linear_system_values_are_fractions():
+    # exact nonzero rationals in the table's canonical form: int when
+    # integral, Fraction otherwise, never float
+    sig = Signature(2, 0)
+    monomials = invariants._ansatz_monomials(sig, 1, 1, 1, 1)
+    for tag, weights in (("S", Weights.symbol(Fraction(1, 2))), ("D", Weights.operator(0, 1))):
+        rows = invariants._linear_system(sig, tag, weights, monomials)
+        assert rows
+        assert all(
+            v and (type(v) is int or type(v) is Fraction and v.denominator > 1)
+            for row in rows for v in row.values()
+        )
+
+
 # -- empty operands ---------------------------------------------------------------------------
 
 
