@@ -1,7 +1,8 @@
 """Command-line surface: verification suites, invariance checks and exports.
 
 Exit codes: 0 on success (or verified invariance), 1 when a verification
-or invariance check fails, 2 on usage, parse or consistency errors.  All
+or invariance check fails, 2 on usage, parse or consistency errors, 141
+(128 + SIGPIPE) when the reader closes stdout before the output ends.  All
 numeric output is exact; rationals print as num/den.  Randomised suites
 take an explicit --seed (default 0) and identical invocations produce
 byte-identical output.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -30,6 +32,7 @@ from .superpoly import Signature, SuperPolynomial
 from .verify import SUITES, check_suite, run_suite
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 MAX_DIM = isqrt(MAX_DIRAC_TERMS)
 """Largest --dim any subcommand accepts: 282, the largest n of any limit below.
@@ -372,10 +375,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # Output is cut short by the reader, not by a failed check.  What is
+        # still buffered goes to devnull, so the exit-time flush cannot raise.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # an in-memory stdout
+            return BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -59,21 +59,14 @@ def weyl_bracket_check(
 # -- spinor representation ----------------------------------------------------
 
 
-def _subset_bases(count: int) -> list[tuple[int, ...]]:
-    return [
-        tuple(a + 1 for a in range(count) if code >> a & 1)
-        for code in range(1 << count)
-    ]
-
-
 def _ladder_matrix(count: int, index: int, up: Scalar, down: Scalar) -> Matrix:
     """up * (wedge by generator `index`) + down * (contraction by it) on the subset basis.
 
-    Subset S of {1..count} is basis vector sum(2^(s-1) for s in S), the
-    order of _subset_bases.  Column S has one entry: in row S - {index}
-    with factor down if index is in S, else in row S + {index} with factor
-    up, of sign (-1)^#{s in S : s < index}.  So row R has one entry too,
-    in column R ^ bit; up and down are nonzero.
+    Subset S of {1..count} is basis vector sum(2^(s-1) for s in S).
+    Column S has one entry: in row S - {index} with factor down if index
+    is in S, else in row S + {index} with factor up, of sign
+    (-1)^#{s in S : s < index}.  So row R has one entry too, in column
+    R ^ bit; up and down are nonzero.
     """
     bit = 1 << (index - 1)
     signed = ((up, -up), (down, -down))
@@ -139,13 +132,21 @@ class SpinorRep:
         return True
 
     def monomial_rank(self) -> int:
-        """Rank of the 2^n ordered c-monomial images over Q(i, sqrt2)."""
-        side = self.size
-        rows = []
-        for subset in _subset_bases(self.sig.n):
-            mat = self.monomial_matrix(subset)
-            rows.append({r * side + c: v for r, row in enumerate(mat) for c, v in row.items()})
-        return rank(rows, side * side)
+        """Rank of the 2^n ordered c-monomial images over Q(i, sqrt2).
+
+        Each monomial extends the one without its largest index by one
+        c-matrix, so the 2^n rows take 2^n - 1 products; they are made
+        depth first and consumed by ``rank`` one at a time.
+        """
+        side, n = self.size, self.sig.n
+
+        def rows(mat: Matrix, first: int):
+            # mat is the monomial of a word whose indices are all below first
+            yield {r * side + c: v for r, row in enumerate(mat) for c, v in row.items()}
+            for i in range(first, n + 1):
+                yield from rows(mat_mul(mat, self.c_matrix(i)), i + 1)
+
+        return rank(rows(identity(side), 1), side * side)
 
 
 def build_spin_rep(sig: Signature) -> SpinorRep:

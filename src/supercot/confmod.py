@@ -17,6 +17,10 @@ applies the closed form ``operator_symbol_action``.
 Each action is materialised once per (generator, weights) as a
 SuperDiffOp and cached for the life of the process, so sweeping a large
 monomial ansatz stays cheap; n and the weights asked for bound the caches.
+The weight-free cores (the tensorial operator without its delta (div X)
+term, and the lift plus Hessian terms of operator_symbol_action) are cached
+per (field, signature), so n alone bounds them; a new weight only adds the
+weight terms to a core.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def tensorial_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
-    """X^i d_i - p_j (d_i X^j) dp_i + xi^i (d_i X^j) dxi_j + (delta - Sigma/n) div X."""
+def _tensorial_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
+    """The weight-free part of tensorial_operator: all but its delta (div X) term."""
     n = sig.n
     op = SuperDiffOp.zero(n)
     for i in range(1, n + 1):
@@ -69,8 +73,6 @@ def tensorial_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
             op = op + SuperDiffOp.term(coeff, dxi=(j,))
     div = divergence(X)
     if not div.is_zero():
-        if delta:
-            op = op + SuperDiffOp.term(div.scale(delta))
         for i in range(1, n + 1):
             op = op + SuperDiffOp.term(
                 (div * SuperPolynomial.var_xi(n, i)).scale(Fraction(-1, n)), dxi=(i,)
@@ -78,10 +80,8 @@ def tensorial_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
     return op
 
 
-@lru_cache(maxsize=None)
-def hamiltonian_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
-    """lift(X) + delta (div X); requires a conformal field."""
-    op = hamiltonian_lift(X, sig)
+def _with_density(op: SuperDiffOp, X: VectorFieldOnM, delta: Fraction) -> SuperDiffOp:
+    """op + delta (div X), the weight term of the tensorial and Hamiltonian actions."""
     div = divergence(X)
     if delta and not div.is_zero():
         op = op + SuperDiffOp.term(div.scale(delta))
@@ -89,17 +89,23 @@ def hamiltonian_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
 
 
 @lru_cache(maxsize=None)
-def operator_symbol_action(
-    X: VectorFieldOnM, lam: Fraction, mu: Fraction, sig: Signature
-):
-    """The operator-module action conjugated to symbols by normal ordering.
+def tensorial_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
+    """X^i d_i - p_j (d_i X^j) dp_i + xi^i (d_i X^j) dxi_j + (delta - Sigma/n) div X."""
+    return _with_density(_tensorial_core(X, sig), X, delta)
 
-    Equals the Hamiltonian action at weight mu - lam plus
-    (h/2)(d_j d_k X^i)(-p_i dp_j + chi^j_i / 2) dp_k - h lam d_j(div X) dp_j,
-    with chi^j_i = xi^j dxi_i - xi_i dxi_j + (1/2) dxi_j dxi^i.
-    """
+
+@lru_cache(maxsize=None)
+def hamiltonian_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
+    """lift(X) + delta (div X); requires a conformal field."""
+    return _with_density(hamiltonian_lift(X, sig), X, delta)
+
+
+@lru_cache(maxsize=None)
+def _symbol_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
+    """The weight-free part of operator_symbol_action: lift(X) plus the Hessian terms
+    (h/2)(d_j d_k X^i)(-p_i dp_j + chi^j_i / 2) dp_k."""
     n = sig.n
-    op = hamiltonian_operator(X, mu - lam, sig)
+    op = hamiltonian_lift(X, sig)
     half_h = Scalar.h(1, Fraction(1, 2))
     quarter_h = Scalar.h(1, Fraction(1, 4))
     for i in range(1, n + 1):
@@ -133,6 +139,21 @@ def operator_symbol_action(
                         dxi=(j, i),
                         dp=_unit(n, k),
                     )
+    return op
+
+
+@lru_cache(maxsize=None)
+def operator_symbol_action(
+    X: VectorFieldOnM, lam: Fraction, mu: Fraction, sig: Signature
+):
+    """The operator-module action conjugated to symbols by normal ordering.
+
+    Equals the Hamiltonian action at weight mu - lam plus
+    (h/2)(d_j d_k X^i)(-p_i dp_j + chi^j_i / 2) dp_k - h lam d_j(div X) dp_j,
+    with chi^j_i = xi^j dxi_i - xi_i dxi_j + (1/2) dxi_j dxi^i.
+    """
+    n = sig.n
+    op = _with_density(_symbol_core(X, sig), X, mu - lam)
     if lam:
         div = divergence(X)
         minus_h_lam = Scalar.h(1, -lam)

@@ -8,12 +8,15 @@ d_{xi^i1} o ... o d_{xi^ik}, the rightmost factor acting first.
 Composition is exact and uses the graded Leibniz rule to move derivative
 blocks past coefficients, so associativity holds on the nose.
 
-Both run on the superpoly kernels: a whole block reaches a polynomial in
-one ``partial`` pass, and each product is accumulated in place into the
-term table of its result key by ``add_product``.  The Leibniz expansions
-of a block (the sub-multi-indices with their binomial factors, and the
-Grassmann splits with their signs) are computed once per block and cached
-for the life of the process; n and the orders met bound the caches.
+Both run on the superpoly loops: a whole block reaches a polynomial in one
+``derive_table`` pass, and each product is accumulated in place into the
+term table of its result key by ``accumulate``.  The first ``apply`` of an
+operator compiles and keeps its plan (per term, the packed derivative and
+the coefficient's product rows); the cached confmod operators each hold
+one, so n bounds the plans as it bounds those caches.  The Leibniz
+expansions of a block (the sub-multi-indices with their binomial factors,
+and the Grassmann splits with their signs) are computed once per block and
+cached for the life of the process; n and the orders met bound the caches.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from math import comb, prod
 from typing import Iterable, Mapping
 
 from .coeff import Scalar
-from .superpoly import SuperPolynomial, add_product, sort_xi_word, term_sort_key
+from .superpoly import (
+    SuperPolynomial, _derivative_plan, accumulate, add_product, derive_table, guard_mask,
+    product_rows, sort_xi_word, term_sort_key,
+)
 
 OpKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # (dxi, dx, dp)
 
@@ -77,10 +83,11 @@ def _grassmann_splits(word: tuple[int, ...]):
 class SuperDiffOp:
     """Finite-order differential operator on the supercotangent chart."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_plan")
 
     def __init__(self, n: int, terms: Mapping[OpKey, SuperPolynomial] | None = None):
         self.n = n
+        self._plan = None
         cleaned: dict[OpKey, SuperPolynomial] = {}
         if terms:
             for key, coeff in terms.items():
@@ -96,6 +103,7 @@ class SuperDiffOp:
         out = SuperDiffOp.__new__(SuperDiffOp)
         out.n = n
         out._terms = terms
+        out._plan = None
         return out
 
     # -- constructors ---------------------------------------------------
@@ -158,11 +166,19 @@ class SuperDiffOp:
     def apply(self, poly: SuperPolynomial) -> SuperPolynomial:
         if poly.n != self.n:
             raise ValueError("dimension mismatch")
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = [
+                (_derivative_plan(dx, dp, dxi), product_rows(coeff._terms))
+                for (dxi, dx, dp), coeff in self._terms.items()
+            ]
+        source = poly._terms
+        guard = guard_mask(self.n)
         terms: dict = {}
-        for (dxi, dx, dp), coeff in self._terms.items():
-            derived = poly.partial(dx, dp, dxi)
+        for derivative, rows in plan:
+            derived = source if derivative is None else derive_table(source, derivative)
             if derived:
-                add_product(terms, coeff, derived)
+                accumulate(terms, rows, derived.items(), guard)
         return SuperPolynomial._wrap(self.n, terms)
 
     def compose(self, other: "SuperDiffOp") -> "SuperDiffOp":

@@ -9,6 +9,9 @@ linear system whose kernel, in reduced form, is the invariant subspace.
 That is the kernel of all of conf: the module actions are Lie-algebra
 morphisms and these n + 1 fields generate conf under the bracket.
 check_invariance still applies, and reports, every generator.
+Both look up each generator's cached confmod operator once per call and
+apply it to every polynomial; those operators and their weight-free
+cores are cached per field and signature, so n bounds the caches.
 Optional flags enlarge the ansatz with bounded x-degree or h-degree as a
 sanity check; both default to off.  An ansatz larger than MAX_ANSATZ
 monomials is refused before any monomial is built, a dimension above
@@ -23,12 +26,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .coeff import Scalar
-from .confmod import act_D_symbolside, act_S, act_T, normal_order, normal_order_inverse
+from .confmod import (
+    hamiltonian_operator, normal_order, normal_order_inverse, operator_symbol_action,
+    tensorial_operator,
+)
+from .diffop import SuperDiffOp
 from .matutil import kernel
 from .spinop import SpinorDiffOp
 from .star import star_mul
-from .superpoly import Signature, SuperPolynomial
+from .superpoly import Signature, SuperPolynomial, pack, xi_mask
 from .symplectic import conformal_generating_set, conformal_generators
 
 MODULE_TAGS = ("T", "S", "D")
@@ -155,21 +161,16 @@ class InvariantReport:
         return [(name, res) for name, res in self.residuals if not res.is_zero()]
 
 
-def _apply_action(
-    tag: str,
-    gen,
-    weights: Weights,
-    F: SuperPolynomial,
-    sig: Signature,
-) -> SuperPolynomial:
+def _action_operator(tag: str, gen, weights: Weights, sig: Signature) -> SuperDiffOp:
+    """The cached confmod operator by which gen acts on module tag at the weights."""
     if tag == "T":
-        return act_T(gen, weights.delta, F, sig)
+        return tensorial_operator(gen, Fraction(weights.delta), sig)
     if tag == "S":
-        return act_S(gen, weights.delta, F, sig)
+        return hamiltonian_operator(gen, Fraction(weights.delta), sig)
     if tag == "D":
         if weights.lam is None:
             raise ValueError("module D needs operator weights (lambda, mu)")
-        return act_D_symbolside(gen, weights.lam, weights.mu, F, sig)
+        return operator_symbol_action(gen, Fraction(weights.lam), Fraction(weights.mu), sig)
     raise ValueError(f"unknown module tag {tag!r}")
 
 
@@ -200,7 +201,8 @@ def check_invariance(
         candidate = normal_order_inverse(candidate)
     residuals = []
     for gen in conformal_generators(sig):
-        residuals.append((gen.name, _apply_action(module_tag, gen, weights, candidate, sig)))
+        op = _action_operator(module_tag, gen, weights, sig)
+        residuals.append((gen.name, op.apply(candidate)))
     return InvariantReport(candidate, module_tag, weights, tuple(residuals))
 
 
@@ -258,14 +260,14 @@ def _ansatz_monomials(
         x_exps.extend(_compositions(deg, n))
     monomials = []
     for xexp in x_exps:
+        xp = pack(xexp)
         for pexp in p_exps:
+            pp = pack(pexp)
             for xi in xi_sets:
+                mask = xi_mask(xi)
                 for hpow in range(h_degree + 1):
-                    monomials.append(
-                        SuperPolynomial.monomial(
-                            n, xexp=xexp, pexp=pexp, xi=xi, coeff=Scalar.h(hpow)
-                        )
-                    )
+                    # the flat table of h^hpow x^xexp p^pexp xi^xi; xi is increasing
+                    monomials.append(SuperPolynomial._wrap(n, {(xp, pp, mask, hpow, 0): 1}))
     return monomials
 
 
@@ -278,14 +280,16 @@ def _linear_system(
     that some action reaches; the kernel of the system is the invariant
     subspace of the ansatz.
     """
-    generators = conformal_generating_set(sig)
+    ops = [
+        (gen.name, _action_operator(module_tag, gen, weights, sig))
+        for gen in conformal_generating_set(sig)
+    ]
     rows: dict[tuple, dict[int, int | Fraction]] = {}
     for col, mono in enumerate(monomials):
-        for gen in generators:
-            residual = _apply_action(module_tag, gen, weights, mono, sig)
+        for name, op in ops:
             # one flat entry (monomial, h-power, part) per row, its canonical value as is
-            for key, value in residual._terms.items():
-                rows.setdefault((gen.name, key), {})[col] = value
+            for key, value in op.apply(mono)._terms.items():
+                rows.setdefault((name, key), {})[col] = value
     return list(rows.values())
 
 

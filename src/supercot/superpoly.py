@@ -26,13 +26,14 @@ of two packed keys never carries from one slot into the next; each
 product tests the top bit of every slot of its result (``guard_mask``)
 and raises ValueError before it would store an exponent at the limit.
 
-Two kernels carry the operator layers.  ``partial`` applies a whole
-derivative multi-index to every term in one pass: an even block lowers
-each exponent and multiplies by the falling factorial, an odd block
-removes its xi indices with the sign of their positions.  ``add_product``
-accumulates ``factor * left * right`` into a caller-owned term table, so
-a sum of many products is built in one table instead of one copy per
-summand; ``__mul__`` is ``add_product`` into a fresh table.
+Two loops carry the operator layers.  ``derive_table`` (behind ``partial``)
+applies a whole derivative multi-index to every term in one pass: an even
+block lowers each exponent and multiplies by the falling factorial, an odd
+block removes its xi indices with the sign of their positions.
+``accumulate`` (behind ``add_product``) adds the product of expanded
+``product_rows`` and a table into a caller-owned term table, so a sum of
+many products is built in one table instead of one copy per summand;
+``__mul__`` is ``add_product`` into a fresh table.
 """
 
 from __future__ import annotations
@@ -385,32 +386,7 @@ class SuperPolynomial:
         plan = _derivative_plan(tuple(dx), tuple(dp), tuple(dxi))
         if plan is None:
             return self
-        xs, dxp, ps, dpp, dmask, below = plan
-        terms: dict = {}
-        for (xp, pp, m, h, q), c in self._terms.items():
-            if m & dmask != dmask:
-                continue
-            factor = 1
-            if xs:
-                factor = _falling(xp, xs)
-                if not factor:
-                    continue
-                xp -= dxp
-            if ps:
-                pfactor = _falling(pp, ps)
-                if not pfactor:
-                    continue
-                factor *= pfactor
-                pp -= dpp
-            if dmask:
-                if (m & below).bit_count() & 1:
-                    factor = -factor
-                m ^= dmask
-            c = c * factor
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            terms[(xp, pp, m, h, q)] = c
-        return SuperPolynomial._wrap(self.n, terms)
+        return SuperPolynomial._wrap(self.n, derive_table(self._terms, plan))
 
     # -- grading ---------------------------------------------------------
 
@@ -552,43 +528,53 @@ def add_product(
     """
     if not factor:
         return
-    guard = guard_mask(left.n)
+    accumulate(terms, product_rows(left._terms, factor), right._terms.items(), guard_mask(left.n))
+
+
+def product_rows(table: dict, factor: Scalar | int | Fraction = 1) -> list[tuple]:
+    """factor * table as the left operand of ``accumulate``, one row per term and
+    basis element: (xp, pp, mask, odd-above mask, hpow, row of _PART_MUL, value)."""
     factors = _factor_terms(factor)
-    right_items = right._terms.items()
-    get = terms.get
-    for (x1, p1, m1, h1, q1), c1 in left._terms.items():
+    rows = []
+    for (x1, p1, m1, h1, q1), c1 in table.items():
         odd1 = _odd_above(m1) if m1 else 0
         for (fh, fq), fc in factors:
             f1, q = _PART_MUL[q1][fq]
             a = c1 * fc * f1 if fc != 1 or f1 != 1 else c1
-            h = h1 + fh
-            row = _PART_MUL[q]
-            for (x2, p2, m2, h2, q2), c2 in right_items:
-                if m1 & m2:
+            rows.append((x1, p1, m1, odd1, h1 + fh, _PART_MUL[q], a))
+    return rows
+
+
+def accumulate(terms: dict, rows: list[tuple], right_items, guard: int) -> None:
+    """The product loop: add rows * right into ``terms``; guard is ``guard_mask(n)``."""
+    get = terms.get
+    for x1, p1, m1, odd1, h, row, a in rows:
+        for (x2, p2, m2, h2, q2), c2 in right_items:
+            if m1 & m2:
+                continue
+            xp = x1 + x2
+            pp = p1 + p2
+            if (xp | pp) & guard:
+                raise _overflow()
+            f, part = row[q2]
+            c = a * c2 if f == 1 else a * c2 * f
+            if odd1 and (m2 & odd1).bit_count() & 1:
+                c = -c
+            key = (xp, pp, m1 | m2, h + h2, part)
+            acc = get(key)
+            if acc is not None:
+                c = acc + c
+                if not c:
+                    del terms[key]
                     continue
-                xp = x1 + x2
-                pp = p1 + p2
-                if (xp | pp) & guard:
-                    raise _overflow()
-                f, part = row[q2]
-                c = a * c2 if f == 1 else a * c2 * f
-                if odd1 and (m2 & odd1).bit_count() & 1:
-                    c = -c
-                key = (xp, pp, m1 | m2, h + h2, part)
-                acc = get(key)
-                if acc is not None:
-                    c = acc + c
-                    if not c:
-                        del terms[key]
-                        continue
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                terms[key] = c
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            terms[key] = c
 
 
 @lru_cache(maxsize=None)
 def _derivative_plan(dx: tuple[int, ...], dp: tuple[int, ...], dxi: tuple[int, ...]):
-    """Packed form of dxi^I dx^a dp^b for ``partial``; None for no derivative.
+    """Packed form of dxi^I dx^a dp^b for ``derive_table``; None for no derivative.
 
     (x slots, packed a, p slots, packed b, mask of I, sign mask): a slot is
     (bit shift, order) for each nonzero order, and the parity of
@@ -602,6 +588,36 @@ def _derivative_plan(dx: tuple[int, ...], dp: tuple[int, ...], dxi: tuple[int, .
     for i in dxi:
         below ^= (1 << (i - 1)) - 1
     return xs, pack(dx), ps, pack(dp), xi_mask(dxi), below
+
+
+def derive_table(table: dict, plan: tuple) -> dict:
+    """The derivative loop: the flat table of a ``_derivative_plan`` applied to ``table``."""
+    xs, dxp, ps, dpp, dmask, below = plan
+    terms: dict = {}
+    for (xp, pp, m, h, q), c in table.items():
+        if m & dmask != dmask:
+            continue
+        factor = 1
+        if xs:
+            factor = _falling(xp, xs)
+            if not factor:
+                continue
+            xp -= dxp
+        if ps:
+            pfactor = _falling(pp, ps)
+            if not pfactor:
+                continue
+            factor *= pfactor
+            pp -= dpp
+        if dmask:
+            if (m & below).bit_count() & 1:
+                factor = -factor
+            m ^= dmask
+        c = c * factor
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        terms[(xp, pp, m, h, q)] = c
+    return terms
 
 
 def _falling(packed: int, slots: tuple) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -316,6 +317,26 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "p1*xi1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "p1*xi1", "--dim", "2"],  # buffered: the final flush meets the closed pipe
+        ["dirac-power", "--s", "8", "--dim", "4", "--format", "json"],  # a write meets it
+    ],
+)
+def test_a_closed_reader_ends_with_exit_141_and_no_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "supercot.cli", *argv], stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize(

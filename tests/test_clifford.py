@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracle_clifford import oracle_star
+from supercot import clifford
 from supercot.clifford import (
     build_spin_rep,
     kosmann_lie,
@@ -108,6 +109,21 @@ def test_spin_rep_relations_and_rank():
         build_spin_rep(Signature(2, 1))
     with pytest.raises(ValueError):
         build_spin_rep(Signature(1, 3))
+
+
+def test_monomial_rank_makes_one_product_per_monomial(monkeypatch):
+    # each c-monomial extends the one without its largest index, 2^n - 1
+    # products; built from the identity they take n 2^(n-1) = 192 at n = 6
+    rep = build_spin_rep(Signature(3, 3))
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(clifford, "mat_mul", counted)
+    assert rep.monomial_rank() == 2 ** 6
+    assert len(calls) <= 2 ** 6
 
 
 def test_spin_rep_small_values():

@@ -182,18 +182,32 @@ def _record_add_product(monkeypatch, module):
     return calls
 
 
+def _record_product_loop(monkeypatch, module):
+    """Record the calls of the product loop that add_product and SuperDiffOp.apply share."""
+    calls = []
+    original = superpoly.accumulate
+
+    def recorded(terms, rows, right_items, guard):
+        calls.append((rows, dict(right_items)))
+        return original(terms, rows, right_items, guard)
+
+    monkeypatch.setattr(module, "accumulate", recorded)
+    return calls
+
+
 def test_apply_skips_the_blocks_that_do_not_reach_the_polynomial(monkeypatch):
     n = 2
     D = (SuperDiffOp.term(SuperPolynomial.var_p(n, 1), dx=(2, 0))
          + SuperDiffOp.term(SuperPolynomial.one(n), dxi=(2,))
          + SuperDiffOp.term(SuperPolynomial.var_x(n, 2), dp=(0, 1)))
-    calls = _record_add_product(monkeypatch, diffop)
+    calls = _record_product_loop(monkeypatch, diffop)
     F = SuperPolynomial.monomial(n, xexp=(1, 3), pexp=(1, 0), xi=(1,))
     assert D.apply(F).is_zero()
     assert calls == []
     G = F + SuperPolynomial.var_xi(n, 2)
     assert D.apply(G) == SuperPolynomial.one(n)
-    assert len(calls) == 1
+    # only the dxi^2 block reaches G, and it multiplies its derivative 1
+    assert len(calls) == 1 and calls[0][1] == SuperPolynomial.one(n)._terms
 
 
 def test_poisson_and_mul_skip_empty_operands(monkeypatch):
