@@ -9,9 +9,11 @@ linear system whose kernel, in reduced form, is the invariant subspace.
 That is the kernel of all of conf: the module actions are Lie-algebra
 morphisms and these n + 1 fields generate conf under the bracket.
 check_invariance still applies, and reports, every generator.
-Both look up each generator's cached confmod operator once per call and
-apply it to every polynomial; those operators and their weight-free
-cores are cached per field and signature, so n bounds the caches.
+Both look up each generator's cached confmod operator once per call;
+check applies it to the candidate, and search applies it once to the
+whole ansatz, each monomial tagged with its column (_linear_system).
+Those operators and their weight-free cores are cached per field and
+signature, so n bounds the caches.
 Optional flags enlarge the ansatz with bounded x-degree or h-degree as a
 sanity check; both default to off.  An ansatz larger than MAX_ANSATZ
 monomials is refused before any monomial is built, a dimension above
@@ -34,7 +36,7 @@ from .diffop import SuperDiffOp
 from .matutil import kernel
 from .spinop import SpinorDiffOp
 from .star import star_mul
-from .superpoly import Signature, SuperPolynomial, pack, xi_mask
+from .superpoly import SLOT_BITS, SLOT_LIMIT, Signature, SuperPolynomial, pack, xi_mask
 from .symplectic import conformal_generating_set, conformal_generators
 
 MODULE_TAGS = ("T", "S", "D")
@@ -42,12 +44,16 @@ MODULE_TAGS = ("T", "S", "D")
 MAX_ANSATZ = 20_000
 """Largest ansatz search_invariants accepts, in monomials.
 
-The cost of a search grows about linearly in the ansatz size.  On a
-2-core x86-64 machine with Python 3.11 a search near the limit takes
-5-12 s and 70-120 MB: (3,1) D at bidegree (3,1) with x-degree 6 has
-16,800 monomials and takes 7.8 s, (3,3) D at (3,3) with x-degree 1 and
-h-degree 2 has 23,520 and takes 12 s.  The n = 6 D(3,1) search (336
-monomials) takes 0.2 s.
+The cost of a search grows about linearly in the ansatz size, at
+0.03-0.05 ms and 3.5-5 KB of peak memory per monomial.  On a 2-core x86-64
+machine with Python 3.11, a CLI search near the limit takes 0.6-1.1 s
+and stays within 120 MB: (3,1) D at bidegree (3,1) with x-degree 6 has
+16,800 monomials and takes 0.67 s and 76 MB, (5,1) D at (2,2) with
+x-degree 2 and h-degree 1 has 17,640 and takes 0.59 s and 83 MB, and
+(14,0) D at (2,2) with h-degree 1 has 19,110 and takes 0.85 s and
+112 MB.  Memory, not time, now sets the limit: one generator's image of
+the whole ansatz is held while the rows are built.  The n = 6 D(3,1)
+search (336 monomials) takes 0.1 s, mostly interpreter start-up.
 """
 
 MAX_CONFORMAL_DIM = 20
@@ -278,19 +284,40 @@ def _linear_system(
 
     There is one row per (generator, monomial key, h-power, scalar part)
     that some action reaches; the kernel of the system is the invariant
-    subspace of the ansatz.
+    subspace of the ansatz.  Each monomial's terms carry its column in
+    the spare packed slot n of xp: derivative plans and product rows
+    touch only slots 0..n-1, the ones guard_mask(n) guards, so one apply
+    of each generating-set operator to the tagged table acts on every
+    monomial at once, and the column of each result term is read back
+    from slot n.  Terms of different columns never share a key, so no
+    two monomials' images merge.
     """
-    ops = [
-        (gen.name, _action_operator(module_tag, gen, weights, sig))
-        for gen in conformal_generating_set(sig)
-    ]
-    rows: dict[tuple, dict[int, int | Fraction]] = {}
+    n = sig.n
+    # Slot n must hold every column below SLOT_LIMIT = 2^31.  MAX_ANSATZ is
+    # far below that, so no search reaches this; it guards direct callers.
+    if len(monomials) >= SLOT_LIMIT:
+        raise ValueError(f"{len(monomials)} columns do not fit the packed slot limit {SLOT_LIMIT}")
+    shift = SLOT_BITS * n
+    low = (1 << shift) - 1
+    tagged: dict = {}
     for col, mono in enumerate(monomials):
-        for name, op in ops:
-            # one flat entry (monomial, h-power, part) per row, its canonical value as is
-            for key, value in op.apply(mono)._terms.items():
-                rows.setdefault((name, key), {})[col] = value
-    return list(rows.values())
+        tag = col << shift
+        for (xp, pp, mask, hpow, part), value in mono._terms.items():
+            tagged[(xp | tag, pp, mask, hpow, part)] = value
+    table = SuperPolynomial._wrap(n, tagged)
+    cols = list(range(len(monomials)))  # one shared int per column, not one per entry
+    system: list[dict[int, int | Fraction]] = []
+    for gen in conformal_generating_set(sig):
+        terms = _action_operator(module_tag, gen, weights, sig).apply(table)._terms
+        rows: dict[tuple, dict[int, int | Fraction]] = {}
+        # popping frees each image term as its row entry is stored, so the
+        # image and the rows built from it do not peak together
+        while terms:
+            (xp, pp, mask, hpow, part), value = terms.popitem()
+            # one row per untagged flat key (monomial, h-power, part); the value as is
+            rows.setdefault((xp & low, pp, mask, hpow, part), {})[cols[xp >> shift]] = value
+        system.extend(rows.values())
+    return system
 
 
 def search_invariants(

@@ -159,7 +159,9 @@ class _Parser:
                 return SuperPolynomial.constant(self.n, base)
             if name in ("x", "p", "xi"):
                 index = tok.take_uint()
-                if not 1 <= index <= self.n:
+                if index < 1:
+                    raise ParseError(f"variable index {index} is below 1", start)
+                if index > self.n:
                     raise ParseError(
                         f"variable index {index} exceeds dimension {self.n}", start
                     )

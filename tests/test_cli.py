@@ -351,6 +351,12 @@ def test_parse_rejects_exponents_above_the_maximum(capsys, expr):
     assert code == 2 and err.startswith("error: parse error: ")
 
 
+def test_parse_index_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "parse", "x0", "--dim", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error: variable index 0 is below 1")
+
+
 def test_parse_accepts_the_maximum_exponent(capsys):
     from supercot.parse import MAX_EXPONENT
 

@@ -3,18 +3,23 @@
 sympy's ``Matrix.nullspace`` returns the same canonical basis as
 ``matutil.kernel``: one vector per free column, 1 there, 0 in the other
 free columns and minus the reduced-echelon entries in the pivot columns.
+``kernel`` decides with a pass modulo PRIME how much exact elimination it
+needs; every oracle case also runs through the full exact elimination it
+falls back to, and a spy shows which of the three paths a case took.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from supercot.coeff import PART_I, PART_IS, PART_ONE, PART_S, Scalar
-from supercot.invariants import Weights, _ansatz_monomials, _linear_system
-from supercot.matutil import kernel, rank
+from supercot import matutil
+from supercot.invariants import Weights, _ansatz_monomials, _linear_system, search_invariants
+from supercot.matutil import PRIME, kernel, rank
 from supercot.superpoly import Signature
 
 
@@ -39,8 +44,24 @@ def _oracle_kernel(rows, ncols):
 
 
 def _check(rows, ncols):
-    assert kernel(rows, ncols) == _oracle_kernel(rows, ncols)
+    want = _oracle_kernel(rows, ncols)
+    assert kernel(rows, ncols) == want
+    assert matutil._reduced_kernel(rows, ncols) == want
     assert rank(rows, ncols) == _sympy_matrix(rows, ncols).rank()
+
+
+@pytest.fixture
+def exact_runs(monkeypatch):
+    """The row count of each full exact elimination that kernel runs, in order."""
+    runs = []
+    reduced_kernel = matutil._reduced_kernel
+
+    def spy(rows, ncols):
+        runs.append(len(rows))
+        return reduced_kernel(rows, ncols)
+
+    monkeypatch.setattr(matutil, "_reduced_kernel", spy)
+    return runs
 
 
 def _random_rows(rng, nrows, cols, density=0.5):
@@ -171,3 +192,66 @@ def test_search_rows_and_kernels_stay_fraction():
         basis = kernel(rows, len(monomials))
         assert bool(basis) == has_kernel
         assert all(type(v) is Fraction for vec in basis for v in vec.values())
+
+
+def test_full_rank_modulo_the_prime_needs_no_exact_elimination(exact_runs):
+    rows = [{0: 2, 1: Fraction(1, 3)}, {0: 1, 1: 1}, {1: 5}]
+    assert kernel(rows, 2) == [] == _oracle_kernel(rows, 2)
+    sig = Signature(3, 1)
+    result = search_invariants(sig, 2, 1, "D", Weights.operator(Fraction(1, 4), Fraction(3, 4)))
+    assert result.dimension == 0
+    assert exact_runs == []
+
+
+def test_the_certified_subset_is_the_kernel(exact_runs):
+    # the third row is the sum of the first two: one exact run on two rows
+    rows = [{0: 1, 2: Fraction(-1, 2)}, {1: 3, 2: 1}, {0: 1, 1: 3, 2: Fraction(1, 2)}]
+    assert kernel(rows, 3) == _oracle_kernel(rows, 3) == [{0: Fraction(1, 2), 1: Fraction(-1, 3), 2: 1}]
+    assert exact_runs == [2]
+    # a search system with an invariant: the exact run sees the pivot rows only
+    sig, w = Signature(2, 0), Weights.symbol(Fraction(1, 2))
+    monomials = _ansatz_monomials(sig, 1, 1, 0, 0)
+    system = _linear_system(sig, "S", w, monomials)
+    exact_runs.clear()
+    assert kernel(system, len(monomials)) == _oracle_kernel(system, len(monomials)) != []
+    assert len(exact_runs) == 1 and exact_runs[0] < len(system)
+
+
+@pytest.mark.parametrize(
+    "rows,ncols",
+    [
+        ([{0: PRIME, 1: 0}, {0: 0, 1: 1}], 2),  # determinant PRIME: rank 2 over Q, 1 mod PRIME
+        ([{0: PRIME}, {1: 1}], 3),  # rank drops mod PRIME and the kernel stays nonempty
+        ([{0: 1, 1: 1}, {0: 1, 1: 1 + PRIME}], 2),
+        ([{0: PRIME + 2, 1: 3}, {0: 4, 1: 6}, {2: 1}], 3),  # determinant 6 PRIME
+    ],
+)
+def test_a_rank_drop_modulo_the_prime_fails_the_check_and_falls_back(exact_runs, rows, ncols):
+    assert kernel(rows, ncols) == _oracle_kernel(rows, ncols)
+    # the certified subset misses a row, its check fails, then all rows run exactly
+    assert len(exact_runs) == 2 and exact_runs[0] < exact_runs[1] == len(rows)
+
+
+@pytest.mark.parametrize(
+    "rows,ncols",
+    [
+        ([{0: Fraction(1, PRIME), 1: 1}, {1: 2}], 2),
+        ([{0: 1, 1: Fraction(3, 2 * PRIME)}, {0: 2, 1: Fraction(3, PRIME)}], 2),
+        ([{0: 1}, {1: Fraction(PRIME + 1, PRIME)}, {0: 1, 2: Fraction(1, 7 * PRIME)}], 4),
+    ],
+)
+def test_a_denominator_divisible_by_the_prime_takes_the_exact_path(exact_runs, rows, ncols):
+    assert kernel(rows, ncols) == _oracle_kernel(rows, ncols)
+    assert exact_runs == [len(rows)]
+
+
+def test_a_search_at_weight_one_over_the_prime_takes_the_exact_path(exact_runs):
+    sig, w = Signature(2, 0), Weights.symbol(Fraction(1, PRIME))
+    monomials = _ansatz_monomials(sig, 1, 1, 0, 0)
+    system = _linear_system(sig, "T", w, monomials)
+    assert any(type(v) is Fraction and v.denominator % PRIME == 0 for row in system for v in row.values())
+    assert kernel(system, len(monomials)) == _oracle_kernel(system, len(monomials))
+    assert exact_runs == [len(system)]
+    exact_runs.clear()
+    assert search_invariants(sig, 1, 1, "T", w).dimension == 0
+    assert len(exact_runs) == 1

@@ -59,6 +59,14 @@ def test_index_range_checked():
     sp_parse("xi3", 3)
 
 
+@pytest.mark.parametrize("expr", ["x0", "p0", "xi0"])
+def test_index_zero_is_below_one(expr):
+    with pytest.raises(ParseError) as err:
+        sp_parse(expr, 2)
+    assert "variable index 0 is below 1" in str(err.value)
+    assert "exceeds dimension" not in str(err.value)
+
+
 def test_division_restricted_to_constants():
     assert sp_parse("xi1/2", 2) == SuperPolynomial.monomial(2, xi=(1,), coeff=Fraction(1, 2))
     assert sp_parse("x1/(2*s)", 2) == sp_parse("1/4*s*x1", 2)
