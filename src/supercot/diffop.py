@@ -1,83 +1,87 @@
 """Differential operators with SuperPolynomial coefficients.
 
 A SuperDiffOp is a finite sum of terms ``coeff * dxi^I dx^a dp^b`` acting
-on SuperPolynomial from the left.  The Grassmann derivative block I is
-stored as a strictly increasing tuple whose reordering sign is absorbed
-into the coefficient; ``dxi^(i1,..,ik)`` denotes the composition
-d_{xi^i1} o ... o d_{xi^ik}, the rightmost factor acting first.
-Composition is exact and uses the graded Leibniz rule to move derivative
-blocks past coefficients, so associativity holds on the nose.
+on SuperPolynomial from the left; ``dxi^(i1,..,ik)`` is the composition
+d_{xi^i1} o ... o d_{xi^ik}, the rightmost factor acting first.  At the
+boundary (the constructor, ``term``, ``items``, ``order``, printing) a key
+is ``(dxi, dx, dp)``; the constructor sorts dxi into its coefficient's
+sign, drops a word with a repeated index and refuses a bad key.  Inside,
+a key is packed as in superpoly: ``(mask of I, packed a, packed b)``.
 
-Both run on the superpoly loops: a whole block reaches a polynomial in one
-``derive_table`` pass, and each product is accumulated in place into the
-term table of its result key by ``accumulate``.  The first ``apply`` of an
-operator compiles and keeps its plan (per term, the packed derivative and
-the coefficient's product rows); the cached confmod operators each hold
-one, so n bounds the plans as it bounds those caches.  The Leibniz
-expansions of a block (the sub-multi-indices with their binomial factors,
-and the Grassmann splits with their signs) are computed once per block and
-cached for the life of the process; n and the orders met bound the caches.
+``apply`` compiles and keeps a plan (per term, the packed derivative and
+the coefficient's product rows).  ``compose`` moves each block of A past
+each flat entry of B's coefficients by the graded Leibniz rule, reading
+two cached tables that list only the surviving splits: an even one, with
+their binomial times falling-factorial factors, and a Grassmann one, with
+their signs.  The entries moved to one result key are multiplied by A's
+coefficient rows, built once per A term, in one ``accumulate`` call.  The
+plans and tables live as long as the operators and the process; n and
+the orders met bound them.  Composition is exact, so it is associative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, prod
+from math import comb, perm
 from typing import Iterable, Mapping
 
 from .coeff import Scalar
 from .superpoly import (
-    SuperPolynomial, _derivative_plan, accumulate, add_product, derive_table, guard_mask,
-    product_rows, sort_xi_word, term_sort_key,
+    _SLOT_MASK, SLOT_BITS, SuperPolynomial, _derivative_plan, _odd_above, _overflow, accumulate,
+    add_term, derive_table, guard_mask, pack, product_rows, slot_sum, sort_xi_word, term_sort_key,
+    unpack, xi_mask, xi_word,
 )
 
 OpKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # (dxi, dx, dp)
 
 
-def _parity_involution(poly: SuperPolynomial) -> SuperPolynomial:
-    """Multiply each term by (-1)^parity; splits graded Leibniz signs."""
-    return SuperPolynomial._wrap(
-        poly.n, {key: -c if key[2].bit_count() & 1 else c for key, c in poly._terms.items()}
-    )
-
-
 @lru_cache(maxsize=None)
-def _sub_multi_indices(alpha: tuple[int, ...]):
-    """(gamma, |gamma|, alpha - gamma, prod C(alpha_i, gamma_i)) for every gamma <= alpha.
+def _even_leibniz(dxp: int, dpp: int, xp: int, pp: int) -> tuple:
+    """dx^a dp^b past an entry x^xp p^pp: (x rest, p rest, x gain, p gain, factor), packed.
 
-    gamma -> alpha - gamma reverses the enumeration order of the box, so
-    each entry shares its alpha - gamma tuple with the mirrored entry.
+    dx^a o x^e = sum C(a, g) e!/(e - a + g)! x^(e - a + g) dx^g over the
+    surviving g <= a, those with a - g <= e, slot by slot; likewise in p.
     """
-    gammas = list(product(*(range(a + 1) for a in alpha)))
     return tuple(
-        (gamma, sum(gamma), rest, prod(map(comb, alpha, gamma)))
-        for gamma, rest in zip(gammas, reversed(gammas))
+        (xr, pr, xg, pg, xf * pf)
+        for xr, xg, xf in _slot_leibniz(dxp, xp) for pr, pg, pf in _slot_leibniz(dpp, pp)
     )
 
 
-@lru_cache(maxsize=None)
-def _grassmann_splits(word: tuple[int, ...]):
-    """Graded Leibniz rule for dxi^word o c, as (derived, passed, sign, flip) tuples.
+def _slot_leibniz(d: int, e: int) -> list:
+    """(e - d + g, g, prod C(d, g) e!/(e - d + g)!), packed, for the g <= d with d - g <= e."""
+    out, shift = [(e, 0, 1)], 0
+    while d:
+        a, top = d & _SLOT_MASK, e >> shift & _SLOT_MASK
+        if a:
+            out = [
+                (rest - ((a - g) << shift), gain + (g << shift), f * comb(a, g) * perm(top, a - g))
+                for rest, gain, f in out for g in range(max(0, a - top), a + 1)
+            ]
+        d >>= SLOT_BITS
+        shift += SLOT_BITS
+    return out
 
-    dxi^word o c = sum sign * P^flip(dxi^derived c) o dxi^passed over the
-    splits of word, with P the parity involution: each index either
-    differentiates c or passes it (turning it into P(c)), and moving the
-    P's to the left past the derivatives applied before them gives sign.
+
+@lru_cache(maxsize=None)
+def _odd_leibniz(dmask: int, mask: int) -> tuple:
+    """dxi^I past an entry xi^M, as masks: (M - S, passed P, sign) for every S within I and M.
+
+    dxi^I o xi^M = sum sign xi^(M - S) dxi^P over the splits I = S + P: S
+    differentiates the entry (derive_table's sign), and each index of P
+    passes the rest of the entry and the indices of S below it.
     """
-    splits = []
-    for mask in range(1 << len(word)):
-        derived, passed, crossings = [], [], 0
-        for bit, index in enumerate(word):
-            if mask >> bit & 1:
-                passed.append(index)
-                crossings += len(derived)
-            else:
-                derived.append(index)
-        sign = -1 if crossings % 2 else 1
-        splits.append((tuple(derived), tuple(passed), sign, len(passed) % 2))
-    return tuple(splits)
+    out, common, derived = [], dmask & mask, dmask & mask
+    while True:
+        passed = dmask ^ derived
+        below = _derivative_plan(derived, 0, 0)[5] if derived else 0
+        odd = (mask & below).bit_count() + (derived & _odd_above(passed)).bit_count()
+        odd += (passed.bit_count() & 1) * (mask ^ derived).bit_count()
+        out.append((mask ^ derived, passed, -1 if odd & 1 else 1))
+        if not derived:
+            return tuple(out)
+        derived = (derived - 1) & common
 
 
 class SuperDiffOp:
@@ -88,14 +92,22 @@ class SuperDiffOp:
     def __init__(self, n: int, terms: Mapping[OpKey, SuperPolynomial] | None = None):
         self.n = n
         self._plan = None
-        cleaned: dict[OpKey, SuperPolynomial] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero():
-                    if coeff.n != n:
-                        raise ValueError("coefficient dimension mismatch")
-                    cleaned[key] = coeff
-        self._terms = cleaned
+        table: dict = {}
+        for (dxi, dx, dp), coeff in (terms or {}).items():
+            if coeff.n != n:
+                raise ValueError("coefficient dimension mismatch")
+            dx, dp = tuple(dx) or (0,) * n, tuple(dp) or (0,) * n
+            if len(dx) != n or len(dp) != n:
+                raise ValueError("derivative multi-indices must have length n")
+            if not all(type(i) is int and 1 <= i <= n for i in dxi):
+                raise ValueError(f"xi derivative word {tuple(dxi)!r} must lie within 1..{n}")
+            sorted_word = sort_xi_word(dxi)
+            if sorted_word is None:
+                continue
+            key = (xi_mask(dxi), pack(dx), pack(dp))
+            coeff = coeff * sorted_word[0]
+            table[key] = coeff + table[key] if key in table else coeff
+        self._terms = {key: c for key, c in table.items() if c}
 
     @staticmethod
     def _wrap(n: int, terms: dict) -> "SuperDiffOp":
@@ -119,16 +131,7 @@ class SuperDiffOp:
         dx: Iterable[int] = (),
         dp: Iterable[int] = (),
     ) -> "SuperDiffOp":
-        n = coeff.n
-        dx = tuple(dx) or (0,) * n
-        dp = tuple(dp) or (0,) * n
-        if len(dx) != n or len(dp) != n:
-            raise ValueError("derivative multi-indices must have length n")
-        sorted_word = sort_xi_word(dxi)
-        if sorted_word is None:
-            return SuperDiffOp.zero(n)
-        sign, word = sorted_word
-        return SuperDiffOp(n, {(word, dx, dp): coeff * sign})
+        return SuperDiffOp(coeff.n, {(tuple(dxi), tuple(dx), tuple(dp)): coeff})
 
     # -- linear structure --------------------------------------------------
 
@@ -155,11 +158,13 @@ class SuperDiffOp:
         return self._binop(other, negate=True)
 
     def __neg__(self) -> "SuperDiffOp":
-        return SuperDiffOp(self.n, {k: -c for k, c in self._terms.items()})
+        return SuperDiffOp._wrap(self.n, {k: -c for k, c in self._terms.items()})
 
     def scale(self, factor: Scalar | int | Fraction) -> "SuperDiffOp":
-        factor = Scalar.coerce(factor)
-        return SuperDiffOp(self.n, {k: c.scale(factor) for k, c in self._terms.items()})
+        # the scalar ring has no zero divisors: a nonzero factor keeps every term
+        if not factor:
+            return SuperDiffOp.zero(self.n)
+        return SuperDiffOp._wrap(self.n, {k: c.scale(factor) for k, c in self._terms.items()})
 
     # -- action and composition ----------------------------------------------
 
@@ -169,8 +174,8 @@ class SuperDiffOp:
         plan = self._plan
         if plan is None:
             plan = self._plan = [
-                (_derivative_plan(dx, dp, dxi), product_rows(coeff._terms))
-                for (dxi, dx, dp), coeff in self._terms.items()
+                (_derivative_plan(*key), product_rows(coeff._terms))
+                for key, coeff in self._terms.items()
             ]
         source = poly._terms
         guard = guard_mask(self.n)
@@ -182,59 +187,54 @@ class SuperDiffOp:
         return SuperPolynomial._wrap(self.n, terms)
 
     def compose(self, other: "SuperDiffOp") -> "SuperDiffOp":
-        """Operator product self o other in canonical form.
-
-        Each block dxi^I dx^a dp^b of self moves past a coefficient cB of
-        other by the Leibniz rule; derivatives of cB of x-order above its
-        x-degree vanish and are skipped.
-        """
+        """Operator product self o other in canonical form (graded Leibniz rule)."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         n = self.n
-        result: dict[OpKey, dict] = {}
-        b_terms = [(key, cB, cB.x_degree()) for key, cB in other._terms.items()]
-        for (dxiA, dxA, dpA), cA in self._terms.items():
-            orderA = sum(dxA)
-            p_table = _sub_multi_indices(dpA)
-            x_table = _sub_multi_indices(dxA)
-            splits = _grassmann_splits(dxiA)
-            for (dxiB, dxB, dpB), cB, degreeB in b_terms:
-                min_kept = orderA - degreeB
-                for delta, _d, rest_p, fac_p in p_table:
-                    dp_out = tuple(a + b for a, b in zip(delta, dpB))
-                    for gamma, order, rest_x, fac_x in x_table:
-                        if order < min_kept:
+        guard = guard_mask(n)
+        b_terms = [(key, cB._terms.items()) for key, cB in other._terms.items()]
+        result: dict = {}
+        for (dmaskA, dxpA, dppA), cA in self._terms.items():
+            moved: dict = {}
+            for (dmaskB, dxpB, dppB), entries in b_terms:
+                if (dxpA + dxpB | dppA + dppB) & guard:
+                    raise _overflow()
+                for (xp, pp, m, h, q), c in entries:
+                    even = _even_leibniz(dxpA, dppA, xp, pp)
+                    if not even:
+                        continue
+                    for rest, passed, sign in _odd_leibniz(dmaskA, m):
+                        if passed & dmaskB:
                             continue
-                        dx_out = tuple(a + b for a, b in zip(gamma, dxB))
-                        for derived, passed, sign, flip in splits:
-                            poly = cB.partial(rest_x, rest_p, derived)
-                            if not poly:
-                                continue
-                            sorted_word = sort_xi_word(passed + dxiB)
-                            if sorted_word is None:
-                                continue
-                            if flip:
-                                poly = _parity_involution(poly)
-                            key = (sorted_word[1], dx_out, dp_out)
-                            factor = fac_p * fac_x * sign * sorted_word[0]
-                            add_product(result.setdefault(key, {}), cA, poly, factor)
-        return SuperDiffOp(n, {k: SuperPolynomial._wrap(n, t) for k, t in result.items()})
+                        if passed and (dmaskB & _odd_above(passed)).bit_count() & 1:
+                            sign = -sign
+                        mask = passed | dmaskB
+                        for xr, pr, xg, pg, factor in even:
+                            key = (mask, dxpB + xg, dppB + pg)
+                            v = c * (factor * sign)
+                            if type(v) is not int and v.denominator == 1:
+                                v = v.numerator
+                            add_term(moved.setdefault(key, {}), (xr, pr, rest, h, q), v)
+            rows = product_rows(cA._terms) if moved else None
+            for key, table in moved.items():  # a cancelled table adds nothing
+                accumulate(result.setdefault(key, {}), rows, table.items(), guard)
+        return SuperDiffOp._wrap(n, {k: SuperPolynomial._wrap(n, t) for k, t in result.items() if t})
 
     # -- inspection ---------------------------------------------------------
 
     def order(self) -> int:
-        return max(
-            (sum(dx) + sum(dp) + len(dxi) for (dxi, dx, dp) in self._terms),
-            default=0,
-        )
+        orders = (m.bit_count() + slot_sum(dxp) + slot_sum(dpp) for m, dxp, dpp in self._terms)
+        return max(orders, default=0)
 
     def items(self):
-        return iter(
-            sorted(
-                self._terms.items(),
-                key=lambda kv: (kv[0][0], term_sort_key((kv[0][1], kv[0][2], ()))),
-            )
-        )
+        """((dxi, dx, dp), coeff) pairs in a deterministic order."""
+        n = self.n
+        out = [
+            ((xi_word(m), unpack(dxp, n), unpack(dpp, n)), coeff)
+            for (m, dxp, dpp), coeff in self._terms.items()
+        ]
+        out.sort(key=lambda kv: (kv[0][0], term_sort_key((kv[0][1], kv[0][2], ()))))
+        return iter(out)
 
     def is_zero(self) -> bool:
         return not self._terms

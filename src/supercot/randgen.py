@@ -1,11 +1,29 @@
-"""Seeded random elements for the property suites."""
+"""Seeded random elements for the property suites, each built as one flat term table."""
 
 from __future__ import annotations
 
 import random
 
-from .coeff import Scalar
-from .superpoly import SuperPolynomial
+from .superpoly import SLOT_BITS, SuperPolynomial, add_term, xi_mask
+
+
+def _table(n: int, draws) -> SuperPolynomial:
+    """The sum of the drawn (packed x, packed p, xi word, h power, integer) terms."""
+    table: dict = {}
+    for xp, pp, xi, hpow, coeff in draws:
+        if coeff:
+            add_term(table, (xp, pp, xi_mask(xi), hpow, 0), coeff)
+    return SuperPolynomial._wrap(n, table)
+
+
+def _exponents(rng: random.Random, n: int, top: int) -> int:
+    """n exponents drawn in 0..top, packed."""
+    return sum(rng.randint(0, top) << (SLOT_BITS * k) for k in range(n))
+
+
+def _scattered(rng: random.Random, n: int, count: int) -> int:
+    """count units dropped into random slots, packed."""
+    return sum(1 << (SLOT_BITS * rng.randrange(n)) for _ in range(count))
 
 
 def random_superpoly(
@@ -20,62 +38,44 @@ def random_superpoly(
     """Random sparse polynomial with small integer coefficients."""
     if max_xi is None:
         max_xi = min(2, n)
-    F = SuperPolynomial.zero(n)
-    for _ in range(terms):
-        xexp = tuple(rng.randint(0, max_x) for _ in range(n))
-        pexp = [0] * n
-        for _ in range(rng.randint(0, max_p)):
-            pexp[rng.randrange(n)] += 1
-        xi = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, max_xi))))
-        coeff = Scalar.h(rng.randint(0, h_max), rng.randint(-3, 3)) if h_max else Scalar.rational(rng.randint(-3, 3))
-        F = F + SuperPolynomial.monomial(n, xexp, tuple(pexp), xi, coeff=coeff)
-    return F
+    return _table(n, (
+        (_exponents(rng, n, max_x), _scattered(rng, n, rng.randint(0, max_p)),
+         rng.sample(range(1, n + 1), rng.randint(0, max_xi)), rng.randint(0, h_max) if h_max else 0,
+         rng.randint(-3, 3))
+        for _ in range(terms)
+    ))
 
 
 def random_parity_homogeneous(
     rng: random.Random, n: int, parity: int, terms: int = 4, max_p: int = 2
 ) -> SuperPolynomial:
     """Random polynomial whose every term has Grassmann parity `parity`."""
-    F = SuperPolynomial.zero(n)
-    for _ in range(terms):
-        xexp = tuple(rng.randint(0, 1) for _ in range(n))
-        pexp = [0] * n
-        for _ in range(rng.randint(0, max_p)):
-            pexp[rng.randrange(n)] += 1
-        choices = [k for k in range(parity, n + 1, 2)]
-        size = rng.choice(choices)
-        xi = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        F = F + SuperPolynomial.monomial(n, xexp, tuple(pexp), xi, coeff=rng.randint(-3, 3))
-    return F
+    sizes = range(parity, n + 1, 2)
+    return _table(n, (
+        (_exponents(rng, n, 1), _scattered(rng, n, rng.randint(0, max_p)),
+         rng.sample(range(1, n + 1), rng.choice(sizes)), 0, rng.randint(-3, 3))
+        for _ in range(terms)
+    ))
 
 
 def random_xi_poly(rng: random.Random, n: int, terms: int = 5) -> SuperPolynomial:
     """Random polynomial in the Grassmann variables only."""
-    F = SuperPolynomial.zero(n)
-    for _ in range(terms):
-        xi = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
-        F = F + SuperPolynomial.monomial(n, xi=xi, coeff=rng.randint(-3, 3))
-    return F
+    return _table(n, (
+        (0, 0, rng.sample(range(1, n + 1), rng.randint(0, n)), 0, rng.randint(-3, 3))
+        for _ in range(terms)
+    ))
 
 
 def random_xi_homogeneous(rng: random.Random, n: int, degree: int, terms: int = 4) -> SuperPolynomial:
-    F = SuperPolynomial.zero(n)
-    for _ in range(terms):
-        xi = tuple(sorted(rng.sample(range(1, n + 1), degree)))
-        F = F + SuperPolynomial.monomial(n, xi=xi, coeff=rng.randint(-3, 3))
-    return F
+    return _table(n, ((0, 0, rng.sample(range(1, n + 1), degree), 0, rng.randint(-3, 3)) for _ in range(terms)))
 
 
 def random_bidegree(
     rng: random.Random, n: int, k: int, kappa: int, terms: int = 4, max_x: int = 1
 ) -> SuperPolynomial:
     """Random polynomial homogeneous of bidegree (k in p, kappa in xi)."""
-    F = SuperPolynomial.zero(n)
-    for _ in range(terms):
-        xexp = tuple(rng.randint(0, max_x) for _ in range(n))
-        pexp = [0] * n
-        for _ in range(k):
-            pexp[rng.randrange(n)] += 1
-        xi = tuple(sorted(rng.sample(range(1, n + 1), kappa)))
-        F = F + SuperPolynomial.monomial(n, xexp, tuple(pexp), xi, coeff=rng.randint(-3, 3))
-    return F
+    return _table(n, (
+        (_exponents(rng, n, max_x), _scattered(rng, n, k), rng.sample(range(1, n + 1), kappa), 0,
+         rng.randint(-3, 3))
+        for _ in range(terms)
+    ))

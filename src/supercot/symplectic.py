@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .coeff import Scalar
 from .diffop import SuperDiffOp
-from .superpoly import Signature, SuperPolynomial, add_product
+from .superpoly import Signature, SuperPolynomial, accumulate, gradient, guard_mask, product_rows
 
 
 class NotConformalError(ValueError):
@@ -65,6 +65,8 @@ class VectorFieldOnM:
 
 # -- bracket ---------------------------------------------------------------
 
+_INV_H = {1: Scalar.h(-1, 1), -1: Scalar.h(-1, -1)}
+
 
 def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPolynomial:
     """Graded Poisson bracket {F, G}; F must be parity-homogeneous."""
@@ -73,14 +75,15 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
     sign = -1 if F.parity() else 1
     n = sig.n
     terms: dict = {}
-    for i in range(1, n + 1):
-        inv_h = Scalar.h(-1, sign * sig.eta(i))
-        for left, right, factor in (("p", "x", 1), ("x", "p", -1), ("xi", "xi", inv_h)):
-            dF = F.derive(left, i)
-            if dF:
-                dG = G.derive(right, i)
-                if dG:
-                    add_product(terms, dF, dG, factor)
+    if F._terms and G._terms:
+        dF, dG = gradient(F._terms), gradient(G._terms)
+        guard = guard_mask(n)
+        inv_h = (_INV_H[sign], _INV_H[-sign])  # times eta^ii = +1, -1
+        for i in range(n):  # the gradient codes of x^i+1, p_i+1 and xi^i+1
+            x, p, xi = 3 * i, 3 * i + 1, 3 * i + 2
+            for left, right, factor in ((p, x, 1), (x, p, -1), (xi, xi, inv_h[i >= sig.p])):
+                if left in dF and right in dG:
+                    accumulate(terms, product_rows(dF[left], factor), dG[right].items(), guard)
     return SuperPolynomial._wrap(n, terms)
 
 

@@ -457,12 +457,15 @@ SUITES = {
 MAX_SUITE_DIM = 10
 """Largest dimension n at which any suite runs.
 
-On a 2-core x86-64 machine with Python 3.11, every suite takes at most
-18 s and 33 MB at n = 10 (modules 17 s, lift 13 s, spinrep 4.4-7.4 s),
-and verify --suite all --dim 10 --signature 5,5 38 s and 52 MB; lift
-grows to 52 s at n = 14.  spinrep multiplies prequantisation matrices
-of side 2^n, but their sparse rows hold one entry each, so a product
-costs one step per row.
+On a 2-core x86-64 machine with Python 3.11, shared with other tenants,
+every suite takes at most 17 s and 32 MB at (5,5) (modules 16 s, lift
+10.6 s, spinrep 6.0 s, the others 5.5 s or less), and verify --suite all
+--dim 10 --signature 5,5 35 s and 44 MB, against 40.6 s before
+SuperDiffOp.compose read cached Leibniz tables; the whole command took
+19 s on the same machine when it was quiet.  An earlier measurement had
+lift at 52 s at n = 14.  spinrep multiplies prequantisation matrices of
+side 2^n, but their sparse rows hold one entry each, so a product costs
+one step per row.
 """
 
 

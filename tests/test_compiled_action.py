@@ -29,7 +29,7 @@ CACHES = ("tensorial_operator", "hamiltonian_operator", "operator_symbol_action"
 def term_by_term(op, poly):
     """The action before compiled plans: one partial and one product per term."""
     out = SuperPolynomial.zero(op.n)
-    for (dxi, dx, dp), coeff in op._terms.items():
+    for (dxi, dx, dp), coeff in op.items():
         out = out + coeff * poly.partial(dx, dp, dxi)
     return out
 

@@ -1,31 +1,38 @@
 """The operator kernels against the loops they replaced.
 
-``SuperPolynomial.partial`` and ``superpoly.add_product`` carry
-``SuperDiffOp.apply``/``compose``, ``SpinorDiffOp.apply_spinor`` and
-``poisson``; ``star.standard_mul`` carries ``SpinorDiffOp.compose``.  The
-``ref_*`` functions below are earlier implementations, built from single
-``derive`` calls, ``+``, and ``star_mul`` on monomials with the Leibniz
-rule; every property compares the two routes exactly.  The operator sums
-and differences are checked the same way.
+``SuperPolynomial.partial`` and the product loop carry
+``SuperDiffOp.apply``, ``SpinorDiffOp.apply_spinor`` and ``poisson``
+(through ``superpoly.gradient``); ``SuperDiffOp.compose`` reads the cached
+Leibniz tables of ``diffop``, and ``star.standard_mul`` carries
+``SpinorDiffOp.compose``.  The ``ref_*`` functions below are earlier
+implementations, built from single ``derive`` calls, ``+``, and
+``star_mul`` on monomials with the Leibniz rule; every property compares
+the two routes exactly, and the Leibniz tables are checked against
+brute-force enumeration.  The operator sums and differences are checked
+the same way.
 """
 
 import random
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import comb
+from math import comb, perm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from supercot import star
+from supercot import diffop, star
 from supercot.clifford import build_spin_rep
 from supercot.coeff import Scalar
 from supercot.confmod import normal_order
 from supercot.diffop import SuperDiffOp
+from supercot.randgen import random_parity_homogeneous, random_superpoly
 from supercot.spinop import SpinorDiffOp
 from supercot.star import star_mul
-from supercot.superpoly import Signature, SuperPolynomial, add_product, sort_xi_word, unpack
-from supercot.symplectic import poisson
+from supercot.superpoly import (
+    SLOT_LIMIT, Signature, SuperPolynomial, add_product, pack, sort_xi_word, unpack, xi_word,
+)
+from supercot.symplectic import conformal_generators, hamiltonian_lift, poisson
 
 
 # -- the pre-kernel loops -------------------------------------------------------------
@@ -267,37 +274,127 @@ def test_compose_matches_reference_and_action(data):
     assert AB.apply(F) == A.apply(B.apply(F))
 
 
-def _count_partial_calls(monkeypatch, target):
-    calls = []
-    original = SuperPolynomial.partial
-
-    def counted(self, *args, **kwargs):
-        if self is target:
-            calls.append(args)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(SuperPolynomial, "partial", counted)
-    return calls
-
-
 def test_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     n = 3
-    # A = dx1^2 dx2 has order 3; cB = x1 xi1 + x2 has x-degree 1, so only the
-    # Leibniz terms with |gamma| >= 2 (3 of the 6 gamma <= (2,1,0)) survive
+    # A = dx1^2 dx2 has order 3; cB = x1 xi1 + x2 has x-degree 1, so of the 6
+    # gamma <= (2,1,0) only those with (2,1,0) - gamma <= the entry's exponents survive
     A = SuperDiffOp.term(SuperPolynomial.one(n), dx=(2, 1, 0))
     B = SuperDiffOp.term(
         SuperPolynomial.monomial(n, xexp=(1, 0, 0), xi=(1,)) + SuperPolynomial.var_x(n, 2),
         dx=(0, 0, 1),
     )
-    ((_key, cB),) = B.items()
-    assert cB.x_degree() < 3
-    calls = _count_partial_calls(monkeypatch, cB)
+    tables = []
+    original = diffop._even_leibniz
+
+    def recorded(dxp, dpp, xp, pp):
+        tables.append((unpack(xp, n), original(dxp, dpp, xp, pp)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(diffop, "_even_leibniz", recorded)
     AB = A.compose(B)
-    assert len(calls) == 3
     monkeypatch.undo()
+    # (x rest, gamma, factor): x1 needs gamma1 >= 1 and gamma2 = 1, x2 needs gamma1 = 2
+    assert sorted(
+        (entry, unpack(xr, n), unpack(xg, n), factor)
+        for entry, table in tables for xr, _pr, xg, _pg, factor in table
+    ) == [
+        ((0, 1, 0), (0, 0, 0), (2, 0, 0), 1), ((0, 1, 0), (0, 1, 0), (2, 1, 0), 1),
+        ((1, 0, 0), (0, 0, 0), (1, 1, 0), 2), ((1, 0, 0), (1, 0, 0), (2, 1, 0), 1),
+    ]
     assert AB == ref_compose(A, B)
     F = SuperPolynomial.monomial(n, xexp=(3, 2, 2), xi=(2,))
     assert AB.apply(F) == A.apply(B.apply(F))
+
+
+# -- the packed operator table ----------------------------------------------------------
+
+
+def test_constructor_sorts_the_word_and_absorbs_its_sign():
+    n = 2
+    one = SuperPolynomial.one(n)
+    op = SuperDiffOp(n, {((2, 1), (0, 0), (0, 0)): one})
+    # dxi^(2,1) = d_xi2 o d_xi1 = -d_xi1 o d_xi2
+    assert op == SuperDiffOp.term(one, dxi=(2, 1)) == -SuperDiffOp.term(one, dxi=(1, 2))
+    assert list(op.items()) == [(((1, 2), (0, 0), (0, 0)), -one)]
+    F = SuperPolynomial.monomial(n, xi=(1, 2))
+    assert op.apply(F) == F.derive("xi", 1).derive("xi", 2) == one
+    # both orders of one word merge into one key, here cancelling
+    assert SuperDiffOp(n, {((1, 2), (), ()): one, ((2, 1), (), ()): one}).is_zero()
+    assert SuperDiffOp(n, {((1, 1), (), ()): one}).is_zero()  # d_xi1 o d_xi1 = 0
+
+
+@pytest.mark.parametrize(
+    "key,message",
+    [(((), (1,), (0, 0)), "length n"), (((), (0, -1), (0, 0)), "exponent"),
+     (((), (0, 0), (0, SLOT_LIMIT)), "exponent"), (((3,), (), ()), "within 1..2"),
+     (((0, 1), (), ()), "within 1..2")],
+    ids=["length", "negative-exponent", "exponent-at-slot-limit", "index-above-n", "index-0"],
+)
+def test_constructor_refuses_a_bad_key(key, message):
+    with pytest.raises(ValueError, match=message):
+        SuperDiffOp(2, {key: SuperPolynomial.one(2)})
+
+
+def test_compose_refuses_a_derivative_order_at_the_slot_limit():
+    one = SuperPolynomial.one(2)
+    top = SuperDiffOp.term(one, dp=(0, SLOT_LIMIT - 1))
+    assert top.compose(SuperDiffOp.term(one, dp=(0, 0))) == top
+    with pytest.raises(ValueError, match="slot limit"):
+        top.compose(SuperDiffOp.term(one, dp=(0, 1)))
+
+
+def _box(alpha):
+    return product(*(range(a + 1) for a in alpha))
+
+
+def test_even_leibniz_table_lists_the_surviving_splits():
+    """Against the whole box of gamma <= a, delta <= b, with the factors computed term by term."""
+    n = 2
+    for a, b, e, f in product(_box((2, 1)), _box((1, 2)), _box((2, 1)), _box((1, 1))):
+        want = []
+        for gamma, delta in product(_box(a), _box(b)):
+            factor = 1
+            for top, order, g in zip(e + f, a + b, gamma + delta):
+                factor *= comb(order, g) * perm(top, order - g)  # perm is 0 past the degree
+            if factor:
+                rest_x = tuple(t - o + g for t, o, g in zip(e, a, gamma))
+                rest_p = tuple(t - o + g for t, o, g in zip(f, b, delta))
+                want.append((rest_x, rest_p, gamma, delta, factor))
+        table = diffop._even_leibniz(pack(a), pack(b), pack(e), pack(f))
+        got = [(unpack(xr, n), unpack(pr, n), unpack(xg, n), unpack(pg, n), fac)
+               for xr, pr, xg, pg, fac in table]
+        assert sorted(got) == sorted(want)
+
+
+def test_grassmann_leibniz_table_moves_the_word_past_the_entry():
+    """dxi^I o xi^M == sum sign xi^(M - S) dxi^P on every xi monomial, by single derives."""
+    n = 4
+    masks = range(1 << n)
+    for dmask, mask, other in product(masks, masks, masks):
+        entry = SuperPolynomial.monomial(n, xi=xi_word(mask))
+        f = SuperPolynomial.monomial(n, xi=xi_word(other))
+        want = entry * f
+        for index in reversed(xi_word(dmask)):
+            want = want.derive("xi", index)
+        got = SuperPolynomial.zero(n)
+        for rest, passed, sign in diffop._odd_leibniz(dmask, mask):
+            moved = f
+            for index in reversed(xi_word(passed)):
+                moved = moved.derive("xi", index)
+            got = got + (SuperPolynomial.monomial(n, xi=xi_word(rest)) * moved).scale(sign)
+        assert got == want
+
+
+def test_lift_compositions_match_reference_and_action():
+    sig = Signature(3, 1)
+    gens = conformal_generators(sig)
+    lifts = [hamiltonian_lift(X, sig) for X in gens]
+    rng = random.Random(5)
+    F = random_superpoly(rng, sig.n, terms=4, max_x=3, h_max=1)
+    for A, B in rng.sample([(A, B) for A in lifts for B in lifts], 12):
+        AB = A.compose(B)
+        assert AB == ref_compose(A, B)
+        assert AB.apply(F) == A.apply(B.apply(F))
 
 
 # -- SpinorDiffOp ---------------------------------------------------------------------
@@ -372,6 +469,22 @@ def test_poisson_and_normal_order_match_reference(data):
     assert normal_order(G, sig) == ref_normal_order(G, sig)
 
 
+@pytest.mark.parametrize("p,q", [(5, 5), (6, 2)])
+def test_poisson_matches_reference_in_high_dimension(p, q):
+    """Seeded operands with exponents in slot n - 1 and xi words that reach index n."""
+    sig = Signature(p, q)
+    n = sig.n
+    rng = random.Random(n)
+    top = (0,) * (n - 1)
+    for _ in range(6):
+        parity = rng.randint(0, 1)
+        F = random_parity_homogeneous(rng, n, parity, terms=3) + SuperPolynomial.monomial(
+            n, xexp=top + (2,), pexp=top + (1,), xi=(1, n)[: 2 - parity], coeff=rng.randint(1, 3))
+        G = random_superpoly(rng, n, terms=4, max_x=2, h_max=1) + SuperPolynomial.monomial(
+            n, xexp=top + (1,), pexp=top + (3,), xi=(n,), coeff=-2)
+        assert poisson(F, G, sig) == ref_poisson(F, G, sig)
+
+
 
 # -- operator sums and differences ------------------------------------------------------
 
@@ -385,8 +498,8 @@ def ref_binop(make, A, B, negate):
 
 
 def stored(op):
-    """The stored coefficient table: a SpinorDiffOp's symbol, a SuperDiffOp's own."""
-    return op.symbol._terms if isinstance(op, SpinorDiffOp) else op._terms
+    """The stored coefficients: a SpinorDiffOp's symbol table, a SuperDiffOp's items."""
+    return op.symbol._terms if isinstance(op, SpinorDiffOp) else dict(op.items())
 
 
 @_settings
