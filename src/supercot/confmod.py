@@ -39,6 +39,8 @@ from .symplectic import (
     conformal_killing_factor,
     divergence,
     hamiltonian_lift,
+    hessian,
+    jacobian,
 )
 
 
@@ -55,20 +57,19 @@ def _tensorial_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
         comp = X.component(i)
         if not comp.is_zero():
             op = op + SuperDiffOp.term(comp, dx=_unit(n, i))
+    jac = jacobian(X)
     for i in range(1, n + 1):
         coeff = SuperPolynomial.zero(n)
         for j in range(1, n + 1):
-            grad = X.component(j).derive("x", i)
-            if not grad.is_zero():
-                coeff = coeff - SuperPolynomial.var_p(n, j) * grad
+            if (j, i) in jac:
+                coeff = coeff - SuperPolynomial.var_p(n, j) * jac[j, i]
         if not coeff.is_zero():
             op = op + SuperDiffOp.term(coeff, dp=_unit(n, i))
     for j in range(1, n + 1):
         coeff = SuperPolynomial.zero(n)
         for i in range(1, n + 1):
-            grad = X.component(j).derive("x", i)
-            if not grad.is_zero():
-                coeff = coeff + SuperPolynomial.var_xi(n, i) * grad
+            if (j, i) in jac:
+                coeff = coeff + SuperPolynomial.var_xi(n, i) * jac[j, i]
         if not coeff.is_zero():
             op = op + SuperDiffOp.term(coeff, dxi=(j,))
     div = divergence(X)
@@ -108,37 +109,19 @@ def _symbol_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     op = hamiltonian_lift(X, sig)
     half_h = Scalar.h(1, Fraction(1, 2))
     quarter_h = Scalar.h(1, Fraction(1, 4))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                hess = X.component(i).derive("x", j).derive("x", k)
-                if hess.is_zero():
-                    continue
-                dp_jk = tuple(
-                    (1 if m == j - 1 else 0) + (1 if m == k - 1 else 0) for m in range(n)
-                )
-                op = op + SuperDiffOp.term(
-                    (hess * SuperPolynomial.var_p(n, i)).scale(-half_h),
-                    dp=dp_jk,
-                )
-                # chi^j_i dp_k, scaled by (h/2) * (1/2) * hess
-                chi_coeff = hess.scale(quarter_h)
-                op = op + SuperDiffOp.term(
-                    chi_coeff * SuperPolynomial.var_xi(n, j), dxi=(i,), dp=_unit(n, k)
-                )
-                op = op - SuperDiffOp.term(
-                    (chi_coeff * SuperPolynomial.var_xi(n, i)).scale(
-                        sig.eta(i) * sig.eta(j)
-                    ),
-                    dxi=(j,),
-                    dp=_unit(n, k),
-                )
-                if i != j:
-                    op = op + SuperDiffOp.term(
-                        chi_coeff.scale(Fraction(1, 2) * sig.eta(j)),
-                        dxi=(j, i),
-                        dp=_unit(n, k),
-                    )
+    for (i, j, k), hess in hessian(X).items():  # in the order of the loops over i, j, k
+        dp_jk = tuple((1 if m == j - 1 else 0) + (1 if m == k - 1 else 0) for m in range(n))
+        op = op + SuperDiffOp.term((hess * SuperPolynomial.var_p(n, i)).scale(-half_h), dp=dp_jk)
+        # chi^j_i dp_k, scaled by (h/2) * (1/2) * hess
+        chi_coeff = hess.scale(quarter_h)
+        op = op + SuperDiffOp.term(chi_coeff * SuperPolynomial.var_xi(n, j), dxi=(i,), dp=_unit(n, k))
+        op = op - SuperDiffOp.term(
+            (chi_coeff * SuperPolynomial.var_xi(n, i)).scale(sig.eta(i) * sig.eta(j)), dxi=(j,), dp=_unit(n, k)
+        )
+        if i != j:
+            op = op + SuperDiffOp.term(
+                chi_coeff.scale(Fraction(1, 2) * sig.eta(j)), dxi=(j, i), dp=_unit(n, k)
+            )
     return op
 
 
@@ -155,10 +138,11 @@ def operator_symbol_action(
     n = sig.n
     op = _with_density(_symbol_core(X, sig), X, mu - lam)
     if lam:
-        div = divergence(X)
+        hess = hessian(X)
         minus_h_lam = Scalar.h(1, -lam)
         for j in range(1, n + 1):
-            grad = div.derive("x", j)
+            # d_j (div X), summed in the order of divergence's terms
+            grad = sum((hess[i, i, j] for i in range(1, n + 1) if (i, i, j) in hess), SuperPolynomial.zero(n))
             if not grad.is_zero():
                 op = op + SuperDiffOp.term(grad.scale(minus_h_lam), dp=_unit(n, j))
     return op

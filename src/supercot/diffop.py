@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
 from typing import Iterable, Mapping
 
 from .coeff import Scalar
 from .superpoly import (
-    _SLOT_MASK, SLOT_BITS, SuperPolynomial, _derivative_plan, _odd_above, _overflow, accumulate,
-    add_term, derive_table, guard_mask, pack, product_rows, slot_sum, sort_xi_word, term_sort_key,
-    unpack, xi_mask, xi_word,
+    SuperPolynomial, _derivative_plan, _odd_above, _overflow, _slot_leibniz, accumulate, add_term,
+    derive_table, guard_mask, pack, product_rows, slot_sum, sort_xi_word, term_sort_key, unpack,
+    xi_mask, xi_word,
 )
 
 OpKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # (dxi, dx, dp)
@@ -47,21 +46,6 @@ def _even_leibniz(dxp: int, dpp: int, xp: int, pp: int) -> tuple:
         (xr, pr, xg, pg, xf * pf)
         for xr, xg, xf in _slot_leibniz(dxp, xp) for pr, pg, pf in _slot_leibniz(dpp, pp)
     )
-
-
-def _slot_leibniz(d: int, e: int) -> list:
-    """(e - d + g, g, prod C(d, g) e!/(e - d + g)!), packed, for the g <= d with d - g <= e."""
-    out, shift = [(e, 0, 1)], 0
-    while d:
-        a, top = d & _SLOT_MASK, e >> shift & _SLOT_MASK
-        if a:
-            out = [
-                (rest - ((a - g) << shift), gain + (g << shift), f * comb(a, g) * perm(top, a - g))
-                for rest, gain, f in out for g in range(max(0, a - top), a + 1)
-            ]
-        d >>= SLOT_BITS
-        shift += SLOT_BITS
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,8 @@ of h), which covers inputs like ``h/2 * xi1*xi2``.  Exponents on h may
 be negative, matching the Laurent scalar ring.  No exponent may exceed
 MAX_EXPONENT (1000) in absolute value: a larger one is a ParseError, so
 that an input like ``p1^99999999999`` is rejected instead of expanded.
+Parentheses nest at most MAX_DEPTH (100) deep, since each level recurses
+through ``expr``: a deeper input is a ParseError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .superpoly import SuperPolynomial
 
 
 MAX_EXPONENT = 1000
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -97,6 +100,7 @@ class _Parser:
     def __init__(self, text: str, n: int):
         self.tok = _Tokenizer(text)
         self.n = n
+        self.depth = 0
 
     def parse(self) -> SuperPolynomial:
         value = self.expr()
@@ -134,9 +138,13 @@ class _Parser:
         tok = self.tok
         char = tok.peek()
         if char == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than the maximum {MAX_DEPTH}", tok.pos)
             tok.pos += 1
+            self.depth += 1
             inner = self.expr()
             tok.expect(")")
+            self.depth -= 1
             return inner
         if char.isdigit():
             num = tok.take_uint()
@@ -207,7 +215,7 @@ def _constant_inverse(divisor: SuperPolynomial, position: int) -> SuperPolynomia
 def sp_parse(text: str, n: int) -> SuperPolynomial:
     """Parse an expression into canonical form in dimension n.
 
-    Raises ParseError on a syntax error, an out-of-range index or an
-    exponent above MAX_EXPONENT.
+    Raises ParseError on a syntax error, an out-of-range index, an
+    exponent above MAX_EXPONENT or parentheses nested deeper than MAX_DEPTH.
     """
     return _Parser(text, n).parse()

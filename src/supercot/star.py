@@ -15,21 +15,18 @@ x^a c^I (h d_x)^b.  Both products read the Clifford product of each pair
 of xi-words from one cached table keyed by their xi masks, in one shared
 loop over the flat term tables of superpoly; the standard product also
 reads, for each pair, the cached table of contractions of its packed
-p- and x-exponents.  The caches live for the whole process; n and the
-degrees met bound their keys.
+p- and x-exponents, built from the even Leibniz splits that
+``SuperDiffOp.compose`` reads too.  The caches live for the whole
+process; n and the degrees met bound their keys.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, perm, prod
 
 from .coeff import _PART_MUL
-from .superpoly import (
-    Signature, SuperPolynomial, _overflow, guard_mask, pack, unpack, xi_word,
-)
+from .superpoly import Signature, SuperPolynomial, _overflow, _slot_leibniz, guard_mask, slot_sum, xi_word
 
 
 def star_left_generator(index: int, G: SuperPolynomial, sig: Signature) -> SuperPolynomial:
@@ -49,18 +46,18 @@ def _word_product(left: int, right: int, sig: Signature) -> tuple[tuple[int, int
 
 
 @lru_cache(maxsize=None)
-def _contractions(pexp: int, xexp: int, n: int):
+def _contractions(pexp: int, xexp: int):
     """(pexp - g, xexp - g, |g|, C(pexp, g) xexp!/(xexp - g)!) for g <= pexp, xexp.
 
     The exponents are packed, and the factor of each g is h^|g| times the
     integer in the last place.  g = 0 comes first.  A larger g
-    differentiates x^xexp past its degree.
+    differentiates x^xexp past its degree.  These are the Leibniz splits
+    of d^pexp past x^xexp with gain pexp - g, listed in reverse.
     """
-    ps, xs = unpack(pexp, n), unpack(xexp, n)
-    box = product(*(range(min(a, b) + 1) for a, b in zip(ps, xs)))
+    order = slot_sum(pexp)
     return tuple(
-        (pexp - pack(g), xexp - pack(g), sum(g), prod(map(comb, ps, g)) * prod(map(perm, xs, g)))
-        for g in box
+        (gain, rest, order - slot_sum(gain), factor)
+        for rest, gain, factor in reversed(_slot_leibniz(pexp, xexp))
     )
 
 
@@ -93,7 +90,7 @@ def _product(F: SuperPolynomial, G: SuperPolynomial, sig: Signature, contract: b
             base = c1 * c2 if f == 1 else c1 * c2 * f
             hbase = h1 + h2
             wrow = _PART_MUL[part]
-            table = _contractions(p1, x2, n) if contract else ((p1, x2, 0, 1),)
+            table = _contractions(p1, x2) if contract else ((p1, x2, 0, 1),)
             for p_rest, x_rest, order, factor in table:
                 xp = x1 + x_rest
                 pp = p_rest + p2

@@ -26,10 +26,13 @@ of two packed keys never carries from one slot into the next; each
 product tests the top bit of every slot of its result (``guard_mask``)
 and raises ValueError before it would store an exponent at the limit.
 
-Two loops carry the operator layers.  ``derive_table`` (behind ``partial``)
-applies a whole derivative multi-index to every term in one pass: an even
-block lowers each exponent and multiplies by the falling factorial, an odd
-block removes its xi indices with the sign of their positions.
+Two loops carry the operator layers.  ``derive_table`` (behind ``partial``
+and the single-index ``derive``) applies a whole derivative multi-index to
+every term in one pass: an even block lowers each exponent and multiplies
+by the falling factorial, an odd block removes its xi indices with the
+sign of their positions.  ``gradient`` gives every first derivative of a
+table in one pass; the conformal-field builders read their Jacobians and
+Hessians from it (``symplectic.jacobian``/``hessian``).
 ``accumulate`` (behind ``add_product``) adds the product of expanded
 ``product_rows`` and a table into a caller-owned term table, so a sum of
 many products is built in one table instead of one copy per summand;
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import perm
+from math import comb, perm
 from typing import Iterable, Iterator, Mapping
 
 from .coeff import _PART_MUL, Scalar, _rational
@@ -340,34 +343,19 @@ class SuperPolynomial:
     # -- derivations ----------------------------------------------------
 
     def derive(self, kind: str, index: int) -> "SuperPolynomial":
-        """Left partial derivative with respect to x^i, p_i or xi^i.
-
-        Each derivative maps distinct monomials to distinct monomials and
-        multiplies by a nonzero integer, so no two terms merge or cancel.
-        """
+        """Left partial derivative with respect to x^i, p_i or xi^i: ``derive_table``
+        with a one-index plan."""
         _check_index(index, self.n)
-        terms: dict = {}
-        if kind == "x" or kind == "p":
-            shift = SLOT_BITS * (index - 1)
-            on_x = kind == "x"
-            dx = 1 << shift if on_x else 0
-            dp = 0 if on_x else 1 << shift
-            for (xp, pp, m, h, q), c in self._terms.items():
-                e = (xp if on_x else pp) >> shift & _SLOT_MASK
-                if e:
-                    c = c * e
-                    if type(c) is not int and c.denominator == 1:
-                        c = c.numerator
-                    terms[(xp - dx, pp - dp, m, h, q)] = c
+        unit = 1 << SLOT_BITS * (index - 1)
+        if kind == "x":
+            plan = _derivative_plan(0, unit, 0)
+        elif kind == "p":
+            plan = _derivative_plan(0, 0, unit)
         elif kind == "xi":
-            bit = 1 << (index - 1)
-            below = bit - 1
-            for (xp, pp, m, h, q), c in self._terms.items():
-                if m & bit:
-                    terms[(xp, pp, m ^ bit, h, q)] = -c if (m & below).bit_count() & 1 else c
+            plan = _derivative_plan(1 << index - 1, 0, 0)
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
-        return SuperPolynomial._wrap(self.n, terms)
+        return SuperPolynomial._wrap(self.n, derive_table(self._terms, plan))
 
     def partial(
         self,
@@ -380,8 +368,7 @@ class SuperPolynomial:
         d_xi^(i1,..,ik) is d_{xi^i1} o ... o d_{xi^ik}.  Removing its
         indices from the largest down leaves the position of each smaller
         one unchanged, so the sign is (-1)^(sum of their slots in the
-        word).  An empty multi-index is no derivative; as in ``derive``
-        no two terms merge, so the table is built without accumulation.
+        word).  An empty multi-index is no derivative.
         """
         plan = _derivative_plan(xi_mask(dxi), pack(dx), pack(dp))
         if plan is None:
@@ -595,7 +582,8 @@ def _derivative_plan(dmask: int, dxp: int, dpp: int):
 
 
 def derive_table(table: dict, plan: tuple) -> dict:
-    """The derivative loop: the flat table of a ``_derivative_plan`` applied to ``table``."""
+    """The derivative loop: the flat table of a ``_derivative_plan`` applied to ``table``, in
+    its term order; distinct monomials stay distinct, so no two terms merge or cancel."""
     xs, dxp, ps, dpp, dmask, below = plan
     terms: dict = {}
     for (xp, pp, m, h, q), c in table.items():
@@ -617,9 +605,12 @@ def derive_table(table: dict, plan: tuple) -> dict:
             if (m & below).bit_count() & 1:
                 factor = -factor
             m ^= dmask
-        c = c * factor
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
+        if factor == -1:
+            c = -c
+        elif factor != 1:
+            c = c * factor
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
         terms[(xp, pp, m, h, q)] = c
     return terms
 
@@ -662,6 +653,22 @@ def _falling(packed: int, slots: tuple) -> int:
             return 0
         factor *= perm(e, a)
     return factor
+
+
+def _slot_leibniz(d: int, e: int) -> list:
+    """(e - d + g, g, prod C(d, g) e!/(e - d + g)!), packed, for the g <= d with d - g <= e,
+    in lexicographic order of g with slot 0 most significant, so g = 0 comes first."""
+    out, shift = [(e, 0, 1)], 0
+    while d:
+        a, top = d & _SLOT_MASK, e >> shift & _SLOT_MASK
+        if a:
+            out = [
+                (rest - ((a - g) << shift), gain + (g << shift), f * comb(a, g) * perm(top, a - g))
+                for rest, gain, f in out for g in range(max(0, a - top), a + 1)
+            ]
+        d >>= SLOT_BITS
+        shift += SLOT_BITS
+    return out
 
 
 def _check_key(key, n: int) -> None:

@@ -15,6 +15,10 @@ the result, and no code changes an operator or polynomial after it is
 built.  The callers ask for the (n+1)(n+2)/2 generators and their
 brackets, so n bounds the caches; bound them if a long-lived caller
 appears.
+
+The builders read a field's derivatives from ``jacobian`` and ``hessian``
+(``superpoly.gradient``).  These are not cached: the builders are, and a
+cache of their own would keep every field's derivatives for the process.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import lru_cache
 
 from .coeff import Scalar
 from .diffop import SuperDiffOp
-from .superpoly import Signature, SuperPolynomial, accumulate, gradient, guard_mask, product_rows
+from .superpoly import Signature, SuperPolynomial, accumulate, add_product, gradient, guard_mask, product_rows
 
 
 class NotConformalError(ValueError):
@@ -212,22 +216,40 @@ def _vf_bracket(X: VectorFieldOnM, Y: VectorFieldOnM, name: str) -> VectorFieldO
     if X.n != Y.n:
         raise ValueError("dimension mismatch")
     n = X.n
+    dX, dY = jacobian(X), jacobian(Y)
     comps = []
     for i in range(1, n + 1):
-        acc = SuperPolynomial.zero(n)
+        terms: dict = {}
         for j in range(1, n + 1):
-            acc = acc + X.component(j) * Y.component(i).derive("x", j)
-            acc = acc - Y.component(j) * X.component(i).derive("x", j)
-        comps.append(acc)
+            if (i, j) in dY:
+                add_product(terms, X.component(j), dY[i, j])
+            if (i, j) in dX:
+                add_product(terms, Y.component(j), dX[i, j], -1)
+        comps.append(SuperPolynomial._wrap(n, terms))
     return VectorFieldOnM(n, tuple(comps), name=name)
 
 
+def _x_gradient(F: SuperPolynomial) -> dict[int, SuperPolynomial]:
+    """The nonzero d_j F of a polynomial in x only, by j in increasing order."""
+    grad = gradient(F._terms)
+    return {j: SuperPolynomial._wrap(F.n, grad[3 * j - 3]) for j in range(1, F.n + 1) if 3 * j - 3 in grad}
+
+
+def jacobian(X: VectorFieldOnM) -> dict[tuple[int, int], SuperPolynomial]:
+    """The nonzero d_j X^i under (i, j), in increasing order of (i, j), each in the term
+    order of ``X.component(i).derive("x", j)``; one ``gradient`` pass per component."""
+    return {(i, j): d for i, comp in enumerate(X.components, 1) for j, d in _x_gradient(comp).items()}
+
+
+def hessian(X: VectorFieldOnM) -> dict[tuple[int, int, int], SuperPolynomial]:
+    """The nonzero d_k d_j X^i under (i, j, k), in increasing order of (i, j, k), each as
+    ``X.component(i).derive("x", j).derive("x", k)``; one ``gradient`` pass per entry of
+    the Jacobian."""
+    return {(i, j, k): d for (i, j), first in jacobian(X).items() for k, d in _x_gradient(first).items()}
+
+
 def divergence(X: VectorFieldOnM) -> SuperPolynomial:
-    n = X.n
-    acc = SuperPolynomial.zero(n)
-    for i in range(1, n + 1):
-        acc = acc + X.component(i).derive("x", i)
-    return acc
+    return sum((d for (i, j), d in jacobian(X).items() if i == j), SuperPolynomial.zero(X.n))
 
 
 @lru_cache(maxsize=None)
@@ -236,11 +258,12 @@ def conformal_killing_factor(X: VectorFieldOnM, sig: Signature) -> SuperPolynomi
     if X.n != sig.n:
         raise ValueError("dimension mismatch")
     n = sig.n
+    jac = jacobian(X)
+    zero = SuperPolynomial.zero(n)
     factor = divergence(X).scale(Fraction(2, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            lie = X.component(i).derive("x", j).scale(sig.eta(i))
-            lie = lie + X.component(j).derive("x", i).scale(sig.eta(j))
+            lie = jac.get((i, j), zero).scale(sig.eta(i)) + jac.get((j, i), zero).scale(sig.eta(j))
             if i == j:
                 lie = lie - factor.scale(sig.eta(i))
             if not lie.is_zero():
@@ -251,12 +274,14 @@ def conformal_killing_factor(X: VectorFieldOnM, sig: Signature) -> SuperPolynomi
 def _skew_gradient(X: VectorFieldOnM, sig: Signature) -> dict[tuple[int, int], SuperPolynomial]:
     """d_[k X_j] = (d_k X_j - d_j X_k)/2 for all index pairs (k, j)."""
     n = X.n
+    jac = jacobian(X)
+    zero = SuperPolynomial.zero(n)
     half = Fraction(1, 2)
     table: dict[tuple[int, int], SuperPolynomial] = {}
     for k in range(1, n + 1):
         for j in range(1, n + 1):
-            dkxj = X.component(j).derive("x", k).scale(sig.eta(j))
-            djxk = X.component(k).derive("x", j).scale(sig.eta(k))
+            dkxj = jac.get((j, k), zero).scale(sig.eta(j))
+            djxk = jac.get((k, j), zero).scale(sig.eta(k))
             table[(k, j)] = (dkxj - djxk).scale(half)
     return table
 
@@ -284,22 +309,18 @@ def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
                 coeff = coeff + (entry * SuperPolynomial.var_xi(n, l)).scale(sig.eta(k))
         if not coeff.is_zero():
             op = op + SuperDiffOp.term(coeff, dxi=(k,))
+    jac, hess = jacobian(X), hessian(X)
     minus_half_h = Scalar.h(1, Fraction(-1, 2))
     for i in range(1, n + 1):
         coeff = SuperPolynomial.zero(n)
         for j in range(1, n + 1):
-            dx_i = X.component(j).derive("x", i)
-            if not dx_i.is_zero():
-                coeff = coeff - SuperPolynomial.var_p(n, j) * dx_i
+            if (j, i) in jac:
+                coeff = coeff - SuperPolynomial.var_p(n, j) * jac[j, i]
         hot = SuperPolynomial.zero(n)
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                if j == k:
-                    continue
-                second = X.component(j).derive("x", i).derive("x", k)
-                if second.is_zero():
-                    continue
-                hot = hot + (second * SuperPolynomial.monomial(n, xi=(j, k))).scale(sig.eta(j))
+                if j != k and (j, i, k) in hess:
+                    hot = hot + (hess[j, i, k] * SuperPolynomial.monomial(n, xi=(j, k))).scale(sig.eta(j))
         coeff = coeff + hot.scale(minus_half_h)
         if not coeff.is_zero():
             op = op + SuperDiffOp.term(coeff, dp=tuple(1 if m == i - 1 else 0 for m in range(n)))

@@ -351,6 +351,15 @@ def test_parse_rejects_exponents_above_the_maximum(capsys, expr):
     assert code == 2 and err.startswith("error: parse error: ")
 
 
+@pytest.mark.parametrize("expr", ["(" * 10_000 + "x1" + ")" * 10_000, "x1*(" * 10_000 + "x1" + ")" * 10_000])
+def test_parse_rejects_deep_nesting(capsys, expr):
+    code, out, err = run_cli(capsys, "parse", expr, "--dim", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error: parentheses nested deeper") and "Traceback" not in err
+    code, _, err = run_cli(capsys, "check", expr, "--module", "S", "--delta", "1", "--dim", "2")
+    assert code == 2 and err.startswith("error: parse error: ") and "Traceback" not in err
+
+
 def test_parse_index_zero_exits_2(capsys):
     code, out, err = run_cli(capsys, "parse", "x0", "--dim", "2")
     assert code == 2 and out == ""

@@ -434,8 +434,8 @@ def test_spinor_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     tables = []
     original = star._contractions
 
-    def recorded(pexp, xexp, n):
-        tables.append((unpack(pexp, n), unpack(xexp, n), original(pexp, xexp, n)))
+    def recorded(pexp, xexp):
+        tables.append((unpack(pexp, n), unpack(xexp, n), original(pexp, xexp)))
         return tables[-1][2]
 
     monkeypatch.setattr(star, "_contractions", recorded)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from supercot.coeff import Scalar
-from supercot.parse import ParseError, sp_parse
+from supercot.parse import MAX_DEPTH, ParseError, sp_parse
 from supercot.superpoly import SuperPolynomial
 
 
@@ -74,3 +74,20 @@ def test_division_restricted_to_constants():
         sp_parse("x1/p1", 2)
     with pytest.raises(ParseError):
         sp_parse("x1/(1+h)", 2)
+
+
+
+@pytest.mark.parametrize(
+    "nest,value,offending",
+    [
+        (lambda d: "(" * d + "x1" + ")" * d, lambda d: "x1", lambda d: d - 1),
+        (lambda d: "x1*(" * d + "x1" + ")" * d, lambda d: f"x1^{d + 1}", lambda d: 4 * d - 1),
+    ],
+    ids=["parens", "product-chain"],
+)
+def test_nesting_depth_is_bounded(nest, value, offending):
+    assert sp_parse(nest(MAX_DEPTH), 2) == sp_parse(value(MAX_DEPTH), 2)
+    with pytest.raises(ParseError) as err:
+        sp_parse(nest(MAX_DEPTH + 1), 2)
+    assert f"nested deeper than the maximum {MAX_DEPTH}" in str(err.value)
+    assert err.value.position == offending(MAX_DEPTH + 1)

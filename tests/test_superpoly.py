@@ -31,8 +31,11 @@ def test_left_derivative():
     assert F.derive("xi", 1) == P2("xi2")
     assert F.derive("xi", 2) == -P2("xi1")
     assert sp_parse("p1^2*xi3", 3).derive("p", 1) == sp_parse("2*p1*xi3", 3)
+    assert sp_parse("x1^3*x2*p2 - x2", 3).derive("x", 1) == sp_parse("3*x1^2*x2*p2", 3)
     with pytest.raises(IndexError):
         F.derive("xi", 3)
+    with pytest.raises(ValueError):
+        F.derive("y", 1)
 
 
 def test_graded_commutativity_randomised():

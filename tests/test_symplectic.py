@@ -19,6 +19,8 @@ from supercot.symplectic import (
     conformal_killing_factor,
     generator_by_name,
     hamiltonian_lift,
+    hessian,
+    jacobian,
     pair_alpha,
     pair_beta,
     poisson,
@@ -87,6 +89,51 @@ def test_vf_bracket():
     assert vf_bracket(T1, D).components == T1.components
     assert all(c.is_zero() for c in vf_bracket(T1, T2).components)
     assert vf_bracket(D, K1).components == K1.components
+
+
+# not conformal, and cubic, so that its Hessian entries are not constant
+CUBIC = VectorFieldOnM(
+    3, tuple(sp_parse(c, 3) for c in ("x1^3 + x2*x3", "x1^2*x2 - 2*x3^3 + x1", "x1*x2*x3 + 1/2*x2^3")), name="C"
+)
+
+
+def _with_brackets(sig):
+    gens = conformal_generators(sig)
+    return gens + [vf_bracket(X, Y) for X in gens for Y in gens]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [_with_brackets(Signature(3, 1)), _with_brackets(Signature(2, 2)), [CUBIC]],
+    ids=["3,1", "2,2", "cubic"],
+)
+def test_jacobian_and_hessian_are_the_derive_chains(fields):
+    """Same entries, values and term order as single derives; no zero entry."""
+    for X in fields:
+        r = range(1, X.n + 1)
+        want = {(i, j): X.component(i).derive("x", j) for i in r for j in r}
+        want = {key: d for key, d in want.items() if not d.is_zero()}
+        want2 = {(i, j, k): d.derive("x", k) for (i, j), d in want.items() for k in r}
+        want2 = {key: d for key, d in want2.items() if not d.is_zero()}
+        for got, expected in ((jacobian(X), want), (hessian(X), want2)):
+            assert list(got) == list(expected)
+            assert all(list(got[k]._terms.items()) == list(expected[k]._terms.items()) for k in got)
+    if fields == [CUBIC]:
+        assert any(d.x_degree() == 1 for d in hessian(CUBIC).values())
+
+
+def test_vf_bracket_of_a_non_conformal_field():
+    sig = Signature(2, 1)
+    for G in (generator_by_name(sig, name) for name in ("T1", "R12", "D", "K1", "K3")):
+        for X, Y in ((CUBIC, G), (G, CUBIC)):
+            want = []
+            for i in range(1, 4):
+                acc = SuperPolynomial.zero(3)
+                for j in range(1, 4):
+                    acc = acc + X.component(j) * Y.component(i).derive("x", j)
+                    acc = acc - Y.component(j) * X.component(i).derive("x", j)
+                want.append(acc)
+            assert vf_bracket(X, Y).components == tuple(want)
 
 
 def test_conformal_killing_factor():
