@@ -605,12 +605,9 @@ def derive_table(table: dict, plan: tuple) -> dict:
             if (m & below).bit_count() & 1:
                 factor = -factor
             m ^= dmask
-        if factor == -1:
-            c = -c
-        elif factor != 1:
-            c = c * factor
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
+        c = c * factor
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
         terms[(xp, pp, m, h, q)] = c
     return terms
 

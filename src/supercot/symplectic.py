@@ -237,14 +237,13 @@ def _x_gradient(F: SuperPolynomial) -> dict[int, SuperPolynomial]:
 
 def jacobian(X: VectorFieldOnM) -> dict[tuple[int, int], SuperPolynomial]:
     """The nonzero d_j X^i under (i, j), in increasing order of (i, j), each in the term
-    order of ``X.component(i).derive("x", j)``; one ``gradient`` pass per component."""
+    order of a single-index ``derive``; one ``gradient`` pass per component."""
     return {(i, j): d for i, comp in enumerate(X.components, 1) for j, d in _x_gradient(comp).items()}
 
 
 def hessian(X: VectorFieldOnM) -> dict[tuple[int, int, int], SuperPolynomial]:
     """The nonzero d_k d_j X^i under (i, j, k), in increasing order of (i, j, k), each as
-    ``X.component(i).derive("x", j).derive("x", k)``; one ``gradient`` pass per entry of
-    the Jacobian."""
+    two single-index derives give it; one ``gradient`` pass per entry of the Jacobian."""
     return {(i, j, k): d for (i, j), first in jacobian(X).items() for k, d in _x_gradient(first).items()}
 
 

@@ -456,15 +456,15 @@ SUITES = {
 MAX_SUITE_DIM = 10
 """Largest dimension n at which any suite runs.
 
-On a 2-core x86-64 machine with Python 3.11, shared with other tenants,
-every suite takes at most 17 s and 32 MB at (5,5) (modules 16 s, lift
-10.6 s, spinrep 6.0 s, the others 5.5 s or less), and verify --suite all
---dim 10 --signature 5,5 35 s and 44 MB, against 40.6 s before
-SuperDiffOp.compose read cached Leibniz tables; the whole command took
-19 s on the same machine when it was quiet.  An earlier measurement had
-lift at 52 s at n = 14.  spinrep multiplies prequantisation matrices of
-side 2^n, but their sparse rows hold one entry each, so a product costs
-one step per row.
+On a 2-core x86-64 machine with Python 3.11, side by side with the code
+before the builders read jacobian/hessian, every suite took at most
+7.3 s and 33 MB at (5,5) (modules 6.1-7.3 s against 8.5-9.1 s, lift
+4.1-4.7 s against 6.0-7.0 s, spinrep 3.1-3.3 s, the others 2.4 s or
+less), and verify --suite all --dim 10 --signature 5,5 16.7-16.9 s
+against 18.6-22.1 s, at 44 MB; other tenants' load moved such times up
+to 1.6x between runs.  An earlier measurement had lift at 52 s at n = 14.
+spinrep multiplies prequantisation matrices of side 2^n, but their sparse
+rows hold one entry each, so a product costs one step per row.
 """
 
 

@@ -351,7 +351,10 @@ def test_parse_rejects_exponents_above_the_maximum(capsys, expr):
     assert code == 2 and err.startswith("error: parse error: ")
 
 
-@pytest.mark.parametrize("expr", ["(" * 10_000 + "x1" + ")" * 10_000, "x1*(" * 10_000 + "x1" + ")" * 10_000])
+@pytest.mark.parametrize(
+    "expr", ["(" * 10_000 + "x1" + ")" * 10_000, "x1*(" * 10_000 + "x1" + ")" * 10_000],
+    ids=["parens", "product-chain"],
+)
 def test_parse_rejects_deep_nesting(capsys, expr):
     code, out, err = run_cli(capsys, "parse", expr, "--dim", "2")
     assert code == 2 and out == ""
