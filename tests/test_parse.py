@@ -76,7 +76,6 @@ def test_division_restricted_to_constants():
         sp_parse("x1/(1+h)", 2)
 
 
-
 @pytest.mark.parametrize(
     "nest,value,offending",
     [
