@@ -26,9 +26,10 @@ from .superpoly import Signature, SuperPolynomial
 from .symplectic import (
     NotConformalError,
     VectorFieldOnM,
+    _divergence_of,
     _skew_gradient,
     conformal_killing_factor,
-    divergence,
+    jacobian,
     poisson,
 )
 
@@ -228,7 +229,8 @@ def kosmann_lie(
     if conformal_killing_factor(X, sig) is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
     n = sig.n
-    skew = _skew_gradient(X, sig)
+    jac = jacobian(X)
+    skew = _skew_gradient(jac, sig)
     items = [
         (((), tuple(1 if k == i - 1 else 0 for k in range(n))), X.component(i))
         for i in range(1, n + 1)
@@ -236,5 +238,5 @@ def kosmann_lie(
     items += [(((j, k), ()), skew[(k, j)]) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     weight = Fraction(weight)
     if weight:
-        items.append((((), ()), divergence(X).scale(weight)))
+        items.append((((), ()), _divergence_of(jac, n).scale(weight)))
     return SpinorDiffOp.from_items(sig, items)

@@ -36,6 +36,7 @@ from .superpoly import Signature, SuperPolynomial
 from .symplectic import (
     NotConformalError,
     VectorFieldOnM,
+    _divergence_of,
     conformal_killing_factor,
     divergence,
     hamiltonian_lift,
@@ -72,7 +73,7 @@ def _tensorial_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
                 coeff = coeff + SuperPolynomial.var_xi(n, i) * jac[j, i]
         if not coeff.is_zero():
             op = op + SuperDiffOp.term(coeff, dxi=(j,))
-    div = divergence(X)
+    div = _divergence_of(jac, n)
     if not div.is_zero():
         for i in range(1, n + 1):
             op = op + SuperDiffOp.term(

@@ -17,6 +17,15 @@ their signs.  The entries moved to one result key are multiplied by A's
 coefficient rows, built once per A term, in one ``accumulate`` call.  The
 plans and tables live as long as the operators and the process; n and
 the orders met bound them.  Composition is exact, so it is associative.
+
+``commutator`` gives A o B - B o A for even operators (each coefficient
+entry has the parity of its xi word, as for every conformal module
+action) from the same loop run in both orders, less the juxtaposition
+split of each pair of terms: the one in which no derivative of the left
+operator reaches the right one's coefficient.  For even terms that split
+is the same in both orders and cancels, and it holds every product of the
+two coefficients, so the bracket costs a fraction of two compositions.  It
+refuses an operator with an odd term.
 """
 
 from __future__ import annotations
@@ -66,6 +75,47 @@ def _odd_leibniz(dmask: int, mask: int) -> tuple:
         if not derived:
             return tuple(out)
         derived = (derived - 1) & common
+
+
+def _leibniz_sum(n: int, products: tuple, skip_juxtaposition: bool) -> "SuperDiffOp":
+    """The sum of sign * A o B over the (A, B, sign) in products, by the graded Leibniz rule.
+
+    Each block of A moves past each flat entry of B's coefficients; the
+    entries moved to one key are multiplied by A's coefficient rows in one
+    ``accumulate`` call.  With skip_juxtaposition the split in which A's
+    whole block passes the entry untouched (the last split of both Leibniz
+    tables) is left out.
+    """
+    guard = guard_mask(n)
+    result: dict = {}
+    for A, B, sign in products:
+        b_terms = [(key, cB._terms.items()) for key, cB in B._terms.items()]
+        for (dmaskA, dxpA, dppA), cA in A._terms.items():
+            moved: dict = {}
+            for (dmaskB, dxpB, dppB), entries in b_terms:
+                if (dxpA + dxpB | dppA + dppB) & guard:
+                    raise _overflow()
+                for (xp, pp, m, h, q), c in entries:
+                    even = _even_leibniz(dxpA, dppA, xp, pp)
+                    if not even:
+                        continue
+                    for rest, passed, odd_sign in _odd_leibniz(dmaskA, m):
+                        if passed & dmaskB:
+                            continue
+                        if passed and (dmaskB & _odd_above(passed)).bit_count() & 1:
+                            odd_sign = -odd_sign
+                        mask = passed | dmaskB
+                        splits = even[:-1] if skip_juxtaposition and passed == dmaskA else even
+                        for xr, pr, xg, pg, factor in splits:
+                            key = (mask, dxpB + xg, dppB + pg)
+                            v = c * (factor * odd_sign)
+                            if type(v) is not int and v.denominator == 1:
+                                v = v.numerator
+                            add_term(moved.setdefault(key, {}), (xr, pr, rest, h, q), v)
+            rows = product_rows(cA._terms, sign) if moved else None
+            for key, table in moved.items():  # a cancelled table adds nothing
+                accumulate(result.setdefault(key, {}), rows, table.items(), guard)
+    return SuperDiffOp._wrap(n, {k: SuperPolynomial._wrap(n, t) for k, t in result.items() if t})
 
 
 class SuperDiffOp:
@@ -174,35 +224,27 @@ class SuperDiffOp:
         """Operator product self o other in canonical form (graded Leibniz rule)."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        guard = guard_mask(n)
-        b_terms = [(key, cB._terms.items()) for key, cB in other._terms.items()]
-        result: dict = {}
-        for (dmaskA, dxpA, dppA), cA in self._terms.items():
-            moved: dict = {}
-            for (dmaskB, dxpB, dppB), entries in b_terms:
-                if (dxpA + dxpB | dppA + dppB) & guard:
-                    raise _overflow()
-                for (xp, pp, m, h, q), c in entries:
-                    even = _even_leibniz(dxpA, dppA, xp, pp)
-                    if not even:
-                        continue
-                    for rest, passed, sign in _odd_leibniz(dmaskA, m):
-                        if passed & dmaskB:
-                            continue
-                        if passed and (dmaskB & _odd_above(passed)).bit_count() & 1:
-                            sign = -sign
-                        mask = passed | dmaskB
-                        for xr, pr, xg, pg, factor in even:
-                            key = (mask, dxpB + xg, dppB + pg)
-                            v = c * (factor * sign)
-                            if type(v) is not int and v.denominator == 1:
-                                v = v.numerator
-                            add_term(moved.setdefault(key, {}), (xr, pr, rest, h, q), v)
-            rows = product_rows(cA._terms) if moved else None
-            for key, table in moved.items():  # a cancelled table adds nothing
-                accumulate(result.setdefault(key, {}), rows, table.items(), guard)
-        return SuperDiffOp._wrap(n, {k: SuperPolynomial._wrap(n, t) for k, t in result.items() if t})
+        return _leibniz_sum(self.n, ((self, other, 1),), False)
+
+    def commutator(self, other: "SuperDiffOp") -> "SuperDiffOp":
+        """self o other - other o self for even operators; ValueError if a term is odd.
+
+        Both products run the Leibniz loop of ``compose`` without the
+        juxtaposition split (no derivative of one operator reaches the other's
+        coefficient): for even terms it is the same in both orders and cancels.
+        """
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        if not (self._is_even() and other._is_even()):
+            raise ValueError("commutator needs even operators: a term's coefficient and xi word differ in parity")
+        return _leibniz_sum(self.n, ((self, other, 1), (other, self, -1)), True)
+
+    def _is_even(self) -> bool:
+        """Every term maps even to even: each coefficient entry has the parity of its xi word."""
+        return all(
+            not (dmask.bit_count() + m.bit_count()) & 1
+            for (dmask, _dxp, _dpp), coeff in self._terms.items() for _xp, _pp, m, _h, _q in coeff._terms
+        )
 
     # -- inspection ---------------------------------------------------------
 

@@ -17,8 +17,14 @@ brackets, so n bounds the caches; bound them if a long-lived caller
 appears.
 
 The builders read a field's derivatives from ``jacobian`` and ``hessian``
-(``superpoly.gradient``).  These are not cached: the builders are, and a
-cache of their own would keep every field's derivatives for the process.
+(``superpoly.gradient``); a builder computes the Jacobian once and derives
+the Hessian, divergence and skew gradient it needs from that one table.
+These are not cached: the builders are, and a cache of their own would
+keep every field's derivatives for the process.
+
+``hamiltonian_vector_field(F)`` is the operator {F, .}; the lift of a
+conformal field, built by its own Darboux formula, equals the one of its
+even comoment.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from functools import lru_cache
 
 from .coeff import Scalar
 from .diffop import SuperDiffOp
-from .superpoly import Signature, SuperPolynomial, accumulate, add_product, gradient, guard_mask, product_rows
+from .superpoly import (
+    Signature, SuperPolynomial, accumulate, add_product, gradient, guard_mask, pack, product_rows,
+)
 
 
 class NotConformalError(ValueError):
@@ -89,6 +97,31 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
                 if left in dF and right in dG:
                     accumulate(terms, product_rows(dF[left], factor), dG[right].items(), guard)
     return SuperPolynomial._wrap(n, terms)
+
+
+def hamiltonian_vector_field(F: SuperPolynomial, sig: Signature) -> SuperDiffOp:
+    """The operator {F, .}, from one ``gradient`` pass; F must be parity-homogeneous.
+
+    Its terms are poisson's products with G's derivatives left to the operator:
+    (d_p_i F) dx_i - (d_x_i F) dp_i + (eta^ii / h) (-1)^|F| (d_xi_i F) dxi_i.
+    """
+    if F.n != sig.n:
+        raise ValueError("dimension mismatch")
+    sign = -1 if F.parity() else 1
+    n = sig.n
+    inv_h = (_INV_H[sign], _INV_H[-sign])
+    terms: dict = {}
+    for code, table in gradient(F._terms).items():
+        i, kind = divmod(code, 3)
+        unit = pack(tuple(int(m == i) for m in range(n)))
+        if kind == 0:
+            key, factor = (0, 0, unit), -1
+        elif kind == 1:
+            key, factor = (0, unit, 0), 1
+        else:
+            key, factor = (1 << i, 0, 0), inv_h[i >= sig.p]
+        terms[key] = SuperPolynomial._wrap(n, table).scale(factor)
+    return SuperDiffOp._wrap(n, terms)
 
 
 # -- pairings with the symplectic potentials --------------------------------
@@ -244,11 +277,19 @@ def jacobian(X: VectorFieldOnM) -> dict[tuple[int, int], SuperPolynomial]:
 def hessian(X: VectorFieldOnM) -> dict[tuple[int, int, int], SuperPolynomial]:
     """The nonzero d_k d_j X^i under (i, j, k), in increasing order of (i, j, k), each as
     two single-index derives give it; one ``gradient`` pass per entry of the Jacobian."""
-    return {(i, j, k): d for (i, j), first in jacobian(X).items() for k, d in _x_gradient(first).items()}
+    return _hessian_of(jacobian(X))
+
+
+def _hessian_of(jac: dict) -> dict[tuple[int, int, int], SuperPolynomial]:
+    return {(i, j, k): d for (i, j), first in jac.items() for k, d in _x_gradient(first).items()}
 
 
 def divergence(X: VectorFieldOnM) -> SuperPolynomial:
-    return sum((d for (i, j), d in jacobian(X).items() if i == j), SuperPolynomial.zero(X.n))
+    return _divergence_of(jacobian(X), X.n)
+
+
+def _divergence_of(jac: dict, n: int) -> SuperPolynomial:
+    return sum((d for (i, j), d in jac.items() if i == j), SuperPolynomial.zero(n))
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +300,7 @@ def conformal_killing_factor(X: VectorFieldOnM, sig: Signature) -> SuperPolynomi
     n = sig.n
     jac = jacobian(X)
     zero = SuperPolynomial.zero(n)
-    factor = divergence(X).scale(Fraction(2, n))
+    factor = _divergence_of(jac, n).scale(Fraction(2, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             lie = jac.get((i, j), zero).scale(sig.eta(i)) + jac.get((j, i), zero).scale(sig.eta(j))
@@ -270,10 +311,9 @@ def conformal_killing_factor(X: VectorFieldOnM, sig: Signature) -> SuperPolynomi
     return factor
 
 
-def _skew_gradient(X: VectorFieldOnM, sig: Signature) -> dict[tuple[int, int], SuperPolynomial]:
-    """d_[k X_j] = (d_k X_j - d_j X_k)/2 for all index pairs (k, j)."""
-    n = X.n
-    jac = jacobian(X)
+def _skew_gradient(jac: dict, sig: Signature) -> dict[tuple[int, int], SuperPolynomial]:
+    """d_[k X_j] = (d_k X_j - d_j X_k)/2 for all index pairs (k, j), from the Jacobian."""
+    n = sig.n
     zero = SuperPolynomial.zero(n)
     half = Fraction(1, 2)
     table: dict[tuple[int, int], SuperPolynomial] = {}
@@ -291,7 +331,8 @@ def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     if conformal_killing_factor(X, sig) is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
     n = sig.n
-    skew = _skew_gradient(X, sig)
+    jac = jacobian(X)
+    skew = _skew_gradient(jac, sig)
     op = SuperDiffOp.zero(n)
     for i in range(1, n + 1):
         comp = X.component(i)
@@ -308,7 +349,7 @@ def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
                 coeff = coeff + (entry * SuperPolynomial.var_xi(n, l)).scale(sig.eta(k))
         if not coeff.is_zero():
             op = op + SuperDiffOp.term(coeff, dxi=(k,))
-    jac, hess = jacobian(X), hessian(X)
+    hess = _hessian_of(jac)
     minus_half_h = Scalar.h(1, Fraction(-1, 2))
     for i in range(1, n + 1):
         coeff = SuperPolynomial.zero(n)
@@ -332,7 +373,7 @@ def comoment_even(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     if conformal_killing_factor(X, sig) is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
     n = sig.n
-    skew = _skew_gradient(X, sig)
+    skew = _skew_gradient(jacobian(X), sig)
     result = SuperPolynomial.zero(n)
     for i in range(1, n + 1):
         result = result + SuperPolynomial.var_p(n, i) * X.component(i)

@@ -4,6 +4,20 @@ Each suite returns a list of CheckRow, one per identity; a row fails
 only when an identity does not hold exactly in the scalar ring.  The
 randomised suites draw from a seeded generator so reruns are
 reproducible and byte-identical.
+
+Where an identity is one between operators it is checked as one, with no
+sample: the Lie-algebra morphisms [A_X, A_Y] = A_[X,Y] of the lift, the
+spinor Lie derivative and the three module actions (one bracket per
+unordered pair of generators, ``SuperDiffOp.commutator`` for the
+operators on symbols), the lift as the operator {J_X, .}, the
+Hamiltonian minus the tensorial action as its closed-form xi xi d2X dp
+operator, and the agreement of the three actions on each similitude.
+The rows that stay sampled are those whose identity holds between
+polynomials or matrices rather than fixed operators: Poisson graded
+antisymmetry, Leibniz and Jacobi, star associativity, filtration and the
+degree-2 Weyl bracket, the rho algebra morphism, the route equality of
+the operator action (``modules.operator-route-equality``) and the
+graded-Poisson bracket correspondence.
 """
 
 from __future__ import annotations
@@ -17,11 +31,13 @@ from .clifford import build_spin_rep, kosmann_lie, prequant_op, weyl_bracket_che
 from .confmod import (
     act_D_direct,
     act_D_symbolside,
-    act_S,
-    act_T,
+    hamiltonian_operator,
     normal_order,
     normal_order_inverse,
+    operator_symbol_action,
+    tensorial_operator,
 )
+from .diffop import SuperDiffOp
 from .matutil import anticommutator, identity, mat_mul
 from .randgen import (
     random_bidegree,
@@ -37,6 +53,7 @@ from .symplectic import (
     comoment_odd,
     conformal_generators,
     hamiltonian_lift,
+    hamiltonian_vector_field,
     hessian,
     pair_alpha,
     pair_beta,
@@ -185,52 +202,43 @@ def suite_star(sig: Signature, seed: int) -> list[CheckRow]:
 # -- lift and comoment ------------------------------------------------------------
 
 
-def _morphism_failures(gens, build, message) -> list[str]:
+def _morphism_failures(gens, build, bracket, message) -> list[str]:
     """Failures of [build(X), build(Y)] == build([X, Y]) on gens x gens, in row-major order.
 
-    Each unordered pair composes build(X) o build(Y) and build(Y) o build(X)
-    once; the identities of (X, Y) and (Y, X) both subtract those two
-    products, and only the two of one pair are held at a time.
+    One bracket(build(X), build(Y)) per unordered pair, diagonal included:
+    it is compared with build([X, Y]), and its negative with build([Y, X]).
     """
     count = len(gens)
     failures = []
     for i, X in enumerate(gens):
         for j in range(i, count):
             Y = gens[j]
-            xy = build(X).compose(build(Y))
-            yx = xy if i == j else build(Y).compose(build(X))
-            cases = [(i * count + j, X, Y, xy, yx)]
-            if i != j:
-                cases.append((j * count + i, Y, X, yx, xy))
-            for index, A, B, ab, ba in cases:
-                if ab - ba != build(vf_bracket(A, B)):
-                    failures.append((index, message(A, B)))
+            c = bracket(build(X), build(Y))
+            if c != build(vf_bracket(X, Y)):
+                failures.append((i * count + j, message(X, Y)))
+            if i != j and c.scale(-1) != build(vf_bracket(Y, X)):
+                failures.append((j * count + i, message(Y, X)))
     return [text for _index, text in sorted(failures)]
 
 
 def suite_lift(sig: Signature, seed: int) -> list[CheckRow]:
-    rng = random.Random(seed)
-    n = sig.n
     gens = conformal_generators(sig)
     rows = []
 
     failures = _morphism_failures(
         gens,
         lambda X: hamiltonian_lift(X, sig),
+        SuperDiffOp.commutator,
         lambda X, Y: f"[lift {X.name}, lift {Y.name}] differs from lift of bracket",
     )
     rows.append(_row("lift.lie-algebra-morphism", len(gens) ** 2, failures))
 
-    failures = []
-    cases = 0
-    for X in gens:
-        J = comoment_even(X, sig)
-        for _ in range(3):
-            cases += 1
-            f = random_superpoly(rng, n, terms=4)
-            if hamiltonian_lift(X, sig).apply(f) != poisson(J, f, sig):
-                failures.append(f"{X.name}: lift(f) != {{J, f}}")
-    rows.append(_row("lift.hamiltonian-consistency", cases, failures))
+    failures = [
+        f"{X.name}: lift != {{J, .}}"
+        for X in gens
+        if hamiltonian_lift(X, sig) != hamiltonian_vector_field(comoment_even(X, sig), sig)
+    ]
+    rows.append(_row("lift.hamiltonian-consistency", len(gens), failures))
 
     failures = []
     for X in gens:
@@ -323,6 +331,7 @@ def suite_kosmann(sig: Signature, seed: int) -> list[CheckRow]:
     failures = _morphism_failures(
         gens,
         lambda X: kosmann_lie(X, sig),
+        lambda A, B: A.compose(B) - B.compose(A),
         lambda X, Y: f"[sL_{X.name}, sL_{Y.name}] != sL_[X,Y]",
     )
     rows.append(_row("kosmann.lie-algebra-morphism", len(gens) ** 2, failures))
@@ -340,63 +349,43 @@ def suite_modules(sig: Signature, seed: int) -> list[CheckRow]:
     delta = Fraction(1, 3)
     lam = Fraction(1, 5)
     mu = lam + delta
+    operators = {
+        "tensorial": lambda X: tensorial_operator(X, delta, sig),
+        "hamiltonian": lambda X: hamiltonian_operator(X, delta, sig),
+        "operator": lambda X: operator_symbol_action(X, lam, mu, sig),
+    }
 
-    def actions():
-        yield "tensorial", lambda X, F: act_T(X, delta, F, sig)
-        yield "hamiltonian", lambda X, F: act_S(X, delta, F, sig)
-        yield "operator", lambda X, F: act_D_symbolside(X, lam, mu, F, sig)
-
-    for label, action in actions():
-        failures = []
-        cases = 0
-        for X in gens:
-            for Y in gens:
-                B = vf_bracket(X, Y)
-                for _ in range(2):
-                    cases += 1
-                    F = random_superpoly(rng, n, terms=3)
-                    lhs = action(X, action(Y, F)) - action(Y, action(X, F))
-                    if lhs != action(B, F):
-                        failures.append(f"[{label} {X.name}, {label} {Y.name}] fails")
-        rows.append(_row(f"modules.{label}-morphism", cases, failures))
+    for label, build in operators.items():
+        failures = _morphism_failures(
+            gens, build, SuperDiffOp.commutator, lambda X, Y: f"[{label} {X.name}, {label} {Y.name}] fails"
+        )
+        rows.append(_row(f"modules.{label}-morphism", len(gens) ** 2, failures))
 
     failures = []
-    cases = 0
+    minus_half_h = Scalar.h(1, Fraction(-1, 2))
     for X in gens:
+        # (-h/2) eta_kk (d_i d_j X^k) xi^k xi^j dp_i, summed over k != j
         hess = hessian(X)
-        for _ in range(3):
-            cases += 1
-            F = random_superpoly(rng, n, terms=4)
-            diff = act_S(X, delta, F, sig) - act_T(X, delta, F, sig)
-            corr = SuperPolynomial.zero(n)
-            for i in range(1, n + 1):
-                dpF = F.partial(dp=tuple(int(m == i) for m in range(1, n + 1)))
-                if dpF.is_zero():
-                    continue
-                acc = SuperPolynomial.zero(n)
-                for k in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        if k != j and (k, i, j) in hess:
-                            acc = acc + (hess[k, i, j] * SuperPolynomial.monomial(n, xi=(k, j))).scale(sig.eta(k))
-                corr = corr + acc * dpF
-            corr = corr.scale(Scalar.h(1, Fraction(-1, 2)))
-            if diff != corr:
-                failures.append(f"{X.name}: hamiltonian minus tensorial differs from xi xi d2X dp term")
-    rows.append(_row("modules.hamiltonian-vs-tensorial-difference", cases, failures))
+        corr = SuperDiffOp.zero(n)
+        for i in range(1, n + 1):
+            acc = SuperPolynomial.zero(n)
+            for k in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if k != j and (k, i, j) in hess:
+                        acc = acc + (hess[k, i, j] * SuperPolynomial.monomial(n, xi=(k, j))).scale(sig.eta(k))
+            if not acc.is_zero():
+                corr = corr + SuperDiffOp.term(acc.scale(minus_half_h), dp=tuple(int(m == i) for m in range(1, n + 1)))
+        if operators["hamiltonian"](X) - operators["tensorial"](X) != corr:
+            failures.append(f"{X.name}: hamiltonian minus tensorial differs from xi xi d2X dp term")
+    rows.append(_row("modules.hamiltonian-vs-tensorial-difference", len(gens), failures))
 
-    failures = []
-    cases = 0
     similitudes = [g for g in gens if not g.name.startswith("K")]
-    for X in similitudes:
-        for _ in range(2):
-            cases += 1
-            F = random_superpoly(rng, n, terms=4)
-            a = act_T(X, delta, F, sig)
-            b = act_S(X, delta, F, sig)
-            c = act_D_symbolside(X, lam, mu, F, sig)
-            if a != b or b != c:
-                failures.append(f"{X.name}: three actions disagree on a similitude")
-    rows.append(_row("modules.similitude-agreement", cases, failures))
+    failures = [
+        f"{X.name}: three actions disagree on a similitude"
+        for X in similitudes
+        if not operators["tensorial"](X) == operators["hamiltonian"](X) == operators["operator"](X)
+    ]
+    rows.append(_row("modules.similitude-agreement", len(similitudes), failures))
 
     failures = []
     count = 100
@@ -456,12 +445,13 @@ SUITES = {
 MAX_SUITE_DIM = 10
 """Largest dimension n at which any suite runs.
 
-On a 2-core x86-64 machine with Python 3.11, side by side with the code
-before the builders read jacobian/hessian, every suite took at most
-7.3 s and 33 MB at (5,5) (modules 6.1-7.3 s against 8.5-9.1 s, lift
-4.1-4.7 s against 6.0-7.0 s, spinrep 3.1-3.3 s, the others 2.4 s or
-less), and verify --suite all --dim 10 --signature 5,5 16.7-16.9 s
-against 18.6-22.1 s, at 44 MB; other tenants' load moved such times up
+On a 2-core x86-64 machine with Python 3.11, in one process, side by side
+with the code that checked the module morphisms on random symbols, every
+suite took at most 7 s and 44 MB at (5,5) (modules 5.1-6.8 s against
+6.6-7.9 s, spinrep 5.9-7.0 s, star 3.0-3.6 s, lift 2.1-2.5 s against
+6.8-7.9 s, the others 1.2 s or less), and all suites together 19.4-20.5 s
+against 24.5-26.4 s (verify --suite all --dim 10 --signature 5,5 16 s as
+a command); other tenants' load moved such times up
 to 1.6x between runs.  An earlier measurement had lift at 52 s at n = 14.
 spinrep multiplies prequantisation matrices of side 2^n, but their sparse
 rows hold one entry each, so a product costs one step per row.

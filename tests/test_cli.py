@@ -388,14 +388,15 @@ PINNED_STDOUT = [
          "--lambda", "1/8", "--mu", "7/8", "--format", "json"),
         "b1f0205f548d61db944bac1b9872435f2e2fc0ca8f8f43336df5fa7a5e52b504",
     ),
+    # both verify digests recorded when the module morphisms, the lift's Hamiltonian
+    # consistency and two more modules rows became exact operator identities
     (
         ("verify", "--suite", "all", "--dim", "2", "--format", "json"),
-        "7cf952643b52b3ea14d80b65ed827199b034ee69bcd79ad4dcfcc272ae542642",
+        "602f2651e6fcc20fe2606fd810bfed9dc0ab5aa0641dca17d9b07c0be2e19ec0",
     ),
-    # recorded before the conformal-field builders were memoised
     (
         ("verify", "--suite", "all", "--dim", "4", "--signature", "3,1", "--format", "json"),
-        "f918afbd1db8ae1fe0e436e813eb3a63cd1525683430432a12a00d2b31b884aa",
+        "a633d3dd9decb01b60464c57b962551d33ffdec04313384d291bdb505b7d5741",
     ),
     # text mode, through render_gamma; recorded before SpinorDiffOp was stored as its symbol
     (

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from supercot import diffop, star
 from supercot.clifford import build_spin_rep
 from supercot.coeff import Scalar
-from supercot.confmod import normal_order
+from supercot.confmod import hamiltonian_operator, normal_order, operator_symbol_action, tensorial_operator
 from supercot.diffop import SuperDiffOp
 from supercot.randgen import random_parity_homogeneous, random_superpoly
 from supercot.spinop import SpinorDiffOp
@@ -183,9 +183,17 @@ def polys(draw, n, x_only=False, max_terms=4):
 
 
 @st.composite
-def diffops(draw, n):
+def diffops(draw, n, even=False):
     keys = st.tuples(_words(n), _exps(n, 2), _exps(n, 2))
-    terms = draw(st.dictionaries(keys, polys(n, max_terms=3), max_size=3))
+    terms = draw(st.dictionaries(keys, polys(n, max_terms=3), min_size=int(even), max_size=3))
+    if even:  # give each coefficient entry the parity of its word, toggling xi1 where it differs
+        terms = {
+            (word, dx, dp): SuperPolynomial(n, {
+                (xe, pe, xi if (len(xi) + len(word)) % 2 == 0 else tuple(sorted(set(xi) ^ {1}))): c
+                for (xe, pe, xi), c in coeff.items()
+            })
+            for (word, dx, dp), coeff in terms.items()
+        }
     return SuperDiffOp(n, terms)
 
 
@@ -272,6 +280,50 @@ def test_compose_matches_reference_and_action(data):
     AB = A.compose(B)
     assert AB == ref_compose(A, B)
     assert AB.apply(F) == A.apply(B.apply(F))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_commutator_is_the_difference_of_the_two_products(data):
+    n = data.draw(st.integers(1, 3))
+    A, B = data.draw(diffops(n, even=True)), data.draw(diffops(n, even=True))
+    assert A.commutator(B) == A.compose(B) - B.compose(A)
+    assert A.commutator(A).is_zero()
+
+
+def _module_builders(sig):
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    return {
+        "lift": lambda X: hamiltonian_lift(X, sig),
+        "tensorial": lambda X: tensorial_operator(X, third, sig),
+        "hamiltonian": lambda X: hamiltonian_operator(X, third, sig),
+        "operator": lambda X: operator_symbol_action(X, fifth, fifth + third, sig),
+    }
+
+
+@pytest.mark.parametrize("label", ["lift", "tensorial", "hamiltonian", "operator"])
+@pytest.mark.parametrize("sig", [Signature(2, 0), Signature(1, 1), Signature(3, 1)], ids=str)
+def test_commutator_of_every_generator_pair(sig, label):
+    ops = [_module_builders(sig)[label](X) for X in conformal_generators(sig)]
+    for i, A in enumerate(ops):
+        for B in ops[i:]:
+            ab, ba = A.compose(B), B.compose(A)
+            assert A.commutator(B) == ab - ba
+            assert B.commutator(A) == ba - ab
+
+
+def test_commutator_refuses_an_odd_term():
+    n = 2
+    xi1 = SuperPolynomial.var_xi(n, 1)
+    even = SuperDiffOp.term(SuperPolynomial.var_x(n, 1), dx=(1, 0))
+    for odd in (
+        SuperDiffOp.term(xi1),
+        SuperDiffOp.term(SuperPolynomial.one(n), dxi=(2,)),
+        SuperDiffOp.term(SuperPolynomial.one(n) + xi1 * SuperPolynomial.var_xi(n, 2), dxi=(1,)),
+    ):
+        for left, right in ((odd, even), (even, odd)):
+            with pytest.raises(ValueError, match="even operators"):
+                left.commutator(right)
 
 
 def test_compose_prunes_derivatives_past_the_x_degree(monkeypatch):

@@ -2,8 +2,8 @@
 
 Each cached result must equal a fresh build (``__wrapped__`` bypasses the
 cache), a repeated call must hand out the same object, and the verify
-suites that compose each ordered operator product once must still report
-the first failure in row-major order.
+suites that bracket each unordered pair of operators once must still
+report the first failure in row-major order.
 """
 
 from fractions import Fraction
@@ -109,29 +109,38 @@ def _zero_bracket_for(monkeypatch, pairs):
         (verify.suite_lift, "lift.lie-algebra-morphism",
          "[lift T1, lift K2] differs from lift of bracket"),
         (verify.suite_kosmann, "kosmann.lie-algebra-morphism", "[sL_T1, sL_K2] != sL_[X,Y]"),
+    ] + [
+        (verify.suite_modules, f"modules.{label}-morphism", f"[{label} T1, {label} K2] fails")
+        for label in ("tensorial", "hamiltonian", "operator")
     ],
 )
 def test_morphism_suites_report_the_row_major_first_failure(monkeypatch, suite, row, detail):
     sig = Signature(2, 0)
     # gens are T1 T2 R12 D K1 K2: (R12, T1) is row 2, (T1, K2) row 0; the
-    # unordered-pair loop meets (R12, T1) first, while composing T1 with R12
+    # unordered-pair loop meets (R12, T1) first, while bracketing T1 with R12
     _zero_bracket_for(monkeypatch, {("R12", "T1"), ("T1", "K2")})
     rows = {r.name: r for r in suite(sig, 0)}
     assert not rows[row].ok and rows[row].cases == 36
     assert rows[row].detail == detail
-    assert all(r.ok for name, r in rows.items() if name != row)
+    # the patched bracket reaches every morphism row of the suite, and no other row
+    assert all(r.ok for name, r in rows.items() if not name.endswith("-morphism"))
 
 
-def test_lift_suite_composes_each_ordered_product_once(monkeypatch):
+def test_lift_suite_brackets_each_unordered_pair_once(monkeypatch):
     sig = Signature(2, 0)
     calls = []
-    original = SuperDiffOp.compose
+    original = SuperDiffOp.commutator
 
     def counted(self, other):
-        calls.append(1)
+        calls.append((self, other))
         return original(self, other)
 
-    monkeypatch.setattr(SuperDiffOp, "compose", counted)
+    def refused(self, other):
+        raise AssertionError("the lift suite composes")
+
+    monkeypatch.setattr(SuperDiffOp, "commutator", counted)
+    monkeypatch.setattr(SuperDiffOp, "compose", refused)
     rows = verify.suite_lift(sig, 0)
     assert all(r.ok for r in rows)
-    assert len(calls) == len(conformal_generators(sig)) ** 2
+    count = len(conformal_generators(sig))
+    assert len(calls) == count * (count + 1) // 2

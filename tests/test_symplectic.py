@@ -19,6 +19,7 @@ from supercot.symplectic import (
     conformal_killing_factor,
     generator_by_name,
     hamiltonian_lift,
+    hamiltonian_vector_field,
     hessian,
     jacobian,
     pair_alpha,
@@ -194,6 +195,26 @@ def test_hamiltonian_consistency():
             for _ in range(3):
                 f = random_superpoly(rng, 2, terms=4)
                 assert lift.apply(f) == poisson(J, f, sig)
+
+
+@pytest.mark.parametrize("sig", [E2, Signature(1, 1), Signature(3, 1)], ids=str)
+def test_hamiltonian_vector_field_applies_the_bracket(sig):
+    rng = random.Random(17)
+    for parity in (0, 1, 0, 1):
+        F = random_parity_homogeneous(rng, sig.n, parity, terms=5)
+        field = hamiltonian_vector_field(F, sig)
+        for _ in range(6):
+            G = random_parity_homogeneous(rng, sig.n, rng.randint(0, 1))
+            assert field.apply(G) == poisson(F, G, sig)
+    assert hamiltonian_vector_field(SuperPolynomial.zero(sig.n), sig).is_zero()
+    with pytest.raises(ValueError):
+        hamiltonian_vector_field(P2("x1 + xi1"), E2)
+
+
+def test_hamiltonian_vector_field_of_a_comoment_is_the_lift():
+    for sig in (E2, Signature(1, 1), Signature(2, 2)):
+        for gen in conformal_generators(sig):
+            assert hamiltonian_vector_field(comoment_even(gen, sig), sig) == hamiltonian_lift(gen, sig)
 
 
 def test_morphisms_n2():
