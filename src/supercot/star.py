@@ -8,16 +8,21 @@ The generators then obey xi^i * xi^j + xi^j * xi^i = -eta^ij, i.e. the
 star algebra is the Clifford algebra in the c-normalisation c^i = xi^i,
 with the conventional gamma matrices gamma^i = sqrt2 * c^i.
 
+Because eta is diagonal, the product of two xi words is one signed word:
+xi^A * xi^B = (-1)^inv(A,B) prod_{i in A & B} (-eta^ii/2) xi^(A ^ B),
+where inv(A, B) counts the pairs a in A, b in B with a > b.  On masks the
+sign is the parity of popcount(B & _odd_above(A)) plus the number of
+shared indices with eta^ii = +1, and the factor is 2^-popcount(A & B).
+
 The standard-ordered product F o G = sum_gamma h^|gamma|/gamma!
 (d_p^gamma F) * (d_x^gamma G) composes spinor differential operators
 written as normal-order symbols, where x^a p^b xi^I stands for
-x^a c^I (h d_x)^b.  Both products read the Clifford product of each pair
-of xi-words from one cached table keyed by their xi masks, in one shared
-loop over the flat term tables of superpoly; the standard product also
+x^a c^I (h d_x)^b.  Both products run one shared loop over the product
+rows of F and the flat term table of G; the standard product also
 reads, for each pair, the cached table of contractions of its packed
 p- and x-exponents, built from the even Leibniz splits that
-``SuperDiffOp.compose`` reads too.  The caches live for the whole
-process; n and the degrees met bound their keys.
+``SuperDiffOp.compose`` reads too.  That cache lives for the whole
+process; n and the degrees met bound its keys.
 """
 
 from __future__ import annotations
@@ -25,24 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import _PART_MUL
-from .superpoly import Signature, SuperPolynomial, _overflow, _slot_leibniz, guard_mask, slot_sum, xi_word
-
-
-def star_left_generator(index: int, G: SuperPolynomial, sig: Signature) -> SuperPolynomial:
-    """xi^index * G by one wedge plus one contraction."""
-    wedge = SuperPolynomial.var_xi(G.n, index) * G
-    contraction = G.derive("xi", index).scale(Fraction(-1, 2) * sig.eta(index))
-    return wedge + contraction
-
-
-@lru_cache(maxsize=None)
-def _word_product(left: int, right: int, sig: Signature) -> tuple[tuple[int, int, int, object], ...]:
-    """xi^left * xi^right for two xi masks, as flat (mask, hpow, part, rational) entries."""
-    value = SuperPolynomial.monomial(sig.n, xi=xi_word(right))
-    for index in reversed(xi_word(left)):
-        value = star_left_generator(index, value, sig)
-    return tuple((m, h, q, c) for (_x, _p, m, h, q), c in value._terms.items())
+from .superpoly import Signature, SuperPolynomial, _overflow, _slot_leibniz, guard_mask, product_rows, slot_sum
 
 
 @lru_cache(maxsize=None)
@@ -77,38 +65,38 @@ def _product(F: SuperPolynomial, G: SuperPolynomial, sig: Signature, contract: b
     if n != G.n or n != sig.n:
         raise ValueError("dimension mismatch")
     guard = guard_mask(n)
+    positive = (1 << sig.p) - 1  # the xi^i with eta^ii = +1
     terms: dict = {}
     get = terms.get
     right_items = G._terms.items()
-    for (x1, p1, m1, h1, q1), c1 in F._terms.items():
-        row = _PART_MUL[q1]
+    for x1, p1, m1, odd1, h1, row, c1 in product_rows(F._terms):
         for (x2, p2, m2, h2, q2), c2 in right_items:
-            words = _word_product(m1, m2, sig)
-            if not words:
-                continue
             f, part = row[q2]
             base = c1 * c2 if f == 1 else c1 * c2 * f
+            shared = m1 & m2
+            odd = ((m2 & odd1).bit_count() + (shared & positive).bit_count()) & 1
+            if shared:
+                scale = 1 << shared.bit_count()
+                base = Fraction(base, -scale if odd else scale)
+            elif odd:
+                base = -base
+            word = m1 ^ m2
             hbase = h1 + h2
-            wrow = _PART_MUL[part]
             table = _contractions(p1, x2) if contract else ((p1, x2, 0, 1),)
             for p_rest, x_rest, order, factor in table:
                 xp = x1 + x_rest
                 pp = p_rest + p2
                 if (xp | pp) & guard:
                     raise _overflow()
-                coeff = base * factor if factor != 1 else base
-                hpow = hbase + order
-                for word, wh, wq, wc in words:
-                    f2, q = wrow[wq]
-                    key = (xp, pp, word, hpow + wh, q)
-                    c = coeff * wc if f2 == 1 else coeff * wc * f2
-                    acc = get(key)
-                    if acc is not None:
-                        c = acc + c
-                        if not c:
-                            del terms[key]
-                            continue
-                    if type(c) is not int and c.denominator == 1:
-                        c = c.numerator
-                    terms[key] = c
+                key = (xp, pp, word, hbase + order, part)
+                c = base * factor if factor != 1 else base
+                acc = get(key)
+                if acc is not None:
+                    c = acc + c
+                    if not c:
+                        del terms[key]
+                        continue
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[key] = c
     return SuperPolynomial._wrap(n, terms)

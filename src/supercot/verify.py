@@ -445,23 +445,27 @@ SUITES = {
 MAX_SUITE_DIM = 10
 """Largest dimension n at which any suite runs.
 
-On a 2-core x86-64 machine with Python 3.11, in one process, side by side
-with the code that checked the module morphisms on random symbols, every
-suite took at most 7 s and 44 MB at (5,5) (modules 5.1-6.8 s against
-6.6-7.9 s, spinrep 5.9-7.0 s, star 3.0-3.6 s, lift 2.1-2.5 s against
-6.8-7.9 s, the others 1.2 s or less), and all suites together 19.4-20.5 s
-against 24.5-26.4 s (verify --suite all --dim 10 --signature 5,5 16 s as
-a command); other tenants' load moved such times up
-to 1.6x between runs.  An earlier measurement had lift at 52 s at n = 14.
-spinrep multiplies prequantisation matrices of side 2^n, but their sparse
-rows hold one entry each, so a product costs one step per row.
+On a 2-core x86-64 machine with Python 3.11, in one process, side by
+side with the code that read the Clifford product of xi words from a
+table, every suite took at most 5.7 s and 35 MB at (5,5) (modules
+4.3-5.7 s, spinrep 3.9-4.9 s, lift 1.5-2.6 s, star 0.14-0.25 s against
+2.3-2.6 s, the others 0.6 s or less), and all suites together 12.5-13.3
+s and 35 MB against 13.7-14.3 s and 44 MB (verify --suite all --dim 10
+--signature 5,5 13.6-14.7 s against 15.1-17.9 s as a command); other
+tenants' load moved such times up to 1.6x between runs.  An earlier
+measurement had lift at 52 s at n = 14.  spinrep multiplies
+prequantisation matrices of side 2^n, but their sparse rows hold one
+entry each, so a product costs one step per row.
 """
 
 
 def check_suite(name: str, sig: Signature) -> None:
-    """Refuse a suite that cannot run at sig: a spin suite in odd n, or n above the limit."""
+    """Refuse a suite that cannot run at sig: a spin suite in odd n, spinrep at p < q
+    (``build_spin_rep`` needs p >= q), or n above the limit."""
     if SUITES[name][1] and sig.n % 2:
         raise ValueError(f"suite {name!r} requires an even dimension")
+    if name == "spinrep" and sig.p < sig.q:
+        raise ValueError(f"suite {name!r} requires a signature with p >= q")
     if sig.n > MAX_SUITE_DIM:
         raise ValueError(
             f"suite {name!r} in dimension {sig.n} exceeds the limit MAX_SUITE_DIM = {MAX_SUITE_DIM}"

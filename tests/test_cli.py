@@ -164,6 +164,19 @@ def test_verify_refuses_a_suite_above_its_limit(capsys, monkeypatch, suite, dim,
     assert f"MAX_SUITE_DIM = {verify.MAX_SUITE_DIM}" in err
 
 
+@pytest.mark.parametrize("suite", ["spinrep", "all"])
+def test_verify_refuses_spinrep_at_p_below_q_before_any_suite_runs(capsys, monkeypatch, suite):
+    from supercot import verify
+
+    def never(*args):
+        raise AssertionError("every suite limit must be checked before any suite runs")
+
+    monkeypatch.setattr(verify, "SUITES", {name: (never, even) for name, (_f, even) in verify.SUITES.items()})
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--dim", "4", "--signature", "1,3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "suite 'spinrep' requires a signature with p >= q" in err
+
+
 def test_suite_limits_admit_the_largest_case_of_each_suite():
     from supercot import verify
     from supercot.superpoly import Signature

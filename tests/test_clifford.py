@@ -257,17 +257,23 @@ def test_kosmann_weight_term():
     assert diff == SpinorDiffOp.term(E2, P2("1"))  # (1/2) * div(D) = (1/2) * 2
 
 
-@pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (3, 1), (2, 2)])
-def test_star_word_table_against_oracle_exhaustive(p, q):
-    # every pair of xi-words, each with a seeded central even part and scalar
+@pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (3, 1), (2, 2), (1, 3)])
+def test_clifford_word_products_against_oracle_exhaustive(p, q):
+    # every pair of xi-words, each with a seeded central even part and a scalar
+    # with rational, i, sqrt2 and i sqrt2 parts
     sig = Signature(p, q)
     n = sig.n
     rng = random.Random(17 + n)
     words = [tuple(i for i in range(1, n + 1) if code >> (i - 1) & 1) for code in range(1 << n)]
+    parts = (Scalar.rational(1), Scalar.i(), Scalar.sqrt2(), Scalar.i() * Scalar.sqrt2())
 
     def term(word):
         xexp = tuple(rng.randint(0, 1) for _ in range(n))
-        coeff = Scalar.h(rng.randint(-1, 1), Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+        coeff = sum(
+            (Scalar.h(rng.randint(-1, 1), Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))) * part
+             for part in rng.sample(parts, 2)),
+            Scalar.zero(),
+        )
         return SuperPolynomial.monomial(n, xexp=xexp, xi=word, coeff=coeff)
 
     for left in words:

@@ -19,7 +19,7 @@ from itertools import product
 from math import comb, perm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from supercot import diffop, star
 from supercot.clifford import build_spin_rep
@@ -208,6 +208,8 @@ def spinops(draw, sig):
 
 
 _settings = settings(derandomize=True, max_examples=80, deadline=None)
+# a failing draw of ``diffops`` can shrink for minutes; its tests report the first failing example
+_NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 # -- partial and add_product -----------------------------------------------------------
@@ -263,7 +265,7 @@ def test_add_product_scales_by_the_factor():
 # -- SuperDiffOp ----------------------------------------------------------------------
 
 
-@_settings
+@settings(_settings, phases=_NO_SHRINK)
 @given(st.data())
 def test_apply_matches_reference(data):
     n = data.draw(st.integers(1, 3))
@@ -271,7 +273,7 @@ def test_apply_matches_reference(data):
     assert D.apply(F) == ref_apply(D, F)
 
 
-@settings(derandomize=True, max_examples=50, deadline=None)
+@settings(derandomize=True, max_examples=50, deadline=None, phases=_NO_SHRINK)
 @given(st.data())
 def test_compose_matches_reference_and_action(data):
     n = data.draw(st.integers(1, 3))
@@ -282,7 +284,7 @@ def test_compose_matches_reference_and_action(data):
     assert AB.apply(F) == A.apply(B.apply(F))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(st.data())
 def test_commutator_is_the_difference_of_the_two_products(data):
     n = data.draw(st.integers(1, 3))
