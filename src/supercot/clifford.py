@@ -7,9 +7,11 @@ polarised spinor matrix representation for even dimension and any
 signature with p >= q, the prequantisation operator on the full exterior
 algebra, and the spinor Lie derivative along conformal vector fields.
 Their matrices are matutil's sparse rows; each generator stores one
-entry per row.  The spinor Lie derivative is built once per (field,
-signature, weight) and cached for the life of the process, like the
-lift and comoments; n and the weights asked for bound the cache.
+entry per row.  The spinor Lie derivative is cached per (field,
+signature, weight) for the life of the process, like the lift and
+comoments: each weight adds weight (div X) to one weight-free build,
+cached per (field, signature).  n alone bounds the weight-free cache;
+n and the weights asked for bound the weighted one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .superpoly import Signature, SuperPolynomial
 from .symplectic import (
     NotConformalError,
     VectorFieldOnM,
-    _divergence_of,
     _skew_gradient,
     conformal_killing_factor,
     jacobian,
@@ -214,6 +215,23 @@ def prequant_op(v: SuperPolynomial, sig: Signature, variant: str = "standard") -
 
 
 @lru_cache(maxsize=None)
+def _kosmann_core(X: VectorFieldOnM, sig: Signature) -> SpinorDiffOp:
+    """The weight-free spinor Lie derivative; kosmann_lie adds the weight term to it."""
+    if sig.n % 2:
+        raise ValueError("spinor Lie derivative requires even dimension")
+    if conformal_killing_factor(X, sig) is None:
+        raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
+    n = sig.n
+    skew = _skew_gradient(jacobian(X), sig)
+    items = [
+        (((), tuple(1 if k == i - 1 else 0 for k in range(n))), X.component(i))
+        for i in range(1, n + 1)
+    ]
+    items += [(((j, k), ()), skew[(k, j)]) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    return SpinorDiffOp.from_items(sig, items)
+
+
+@lru_cache(maxsize=None)
 def kosmann_lie(
     X: VectorFieldOnM, sig: Signature, weight: Fraction | int = 0
 ) -> SpinorDiffOp:
@@ -222,21 +240,10 @@ def kosmann_lie(
     Built in the c-normalisation: the quadratic spin term is
     (1/2) d_[k X_j] c^j c^k with the same skew-symmetrisation convention
     as the even comoment, so that normal ordering of the comoment equals
-    h times this operator.
+    h times this operator.  div X is n/2 times the conformal factor.
     """
-    if sig.n % 2:
-        raise ValueError("spinor Lie derivative requires even dimension")
-    if conformal_killing_factor(X, sig) is None:
-        raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
-    n = sig.n
-    jac = jacobian(X)
-    skew = _skew_gradient(jac, sig)
-    items = [
-        (((), tuple(1 if k == i - 1 else 0 for k in range(n))), X.component(i))
-        for i in range(1, n + 1)
-    ]
-    items += [(((j, k), ()), skew[(k, j)]) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    core = _kosmann_core(X, sig)
     weight = Fraction(weight)
-    if weight:
-        items.append((((), ()), _divergence_of(jac, n).scale(weight)))
-    return SpinorDiffOp.from_items(sig, items)
+    if not weight:
+        return core
+    return core + SpinorDiffOp(sig, conformal_killing_factor(X, sig).scale(weight * Fraction(sig.n, 2)))

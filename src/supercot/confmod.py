@@ -18,9 +18,11 @@ Each action is materialised once per (generator, weights) as a
 SuperDiffOp and cached for the life of the process, so sweeping a large
 monomial ansatz stays cheap; n and the weights asked for bound the caches.
 The weight-free cores (the tensorial operator without its delta (div X)
-term, and the lift plus Hessian terms of operator_symbol_action) are cached
-per (field, signature), so n alone bounds them; a new weight only adds the
-weight terms to a core.
+term, and the lift plus Hessian terms of operator_symbol_action) and the
+two weight terms, div X and -h d_j(div X) dp_j, are cached separately per
+(field, signature), so n alone bounds them.  A new weight adds scaled
+copies of the weight terms to a core and takes no derivative of X; the
+tensorial and Hamiltonian actions read only div X.
 """
 
 from __future__ import annotations
@@ -82,24 +84,42 @@ def _tensorial_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     return op
 
 
-def _with_density(op: SuperDiffOp, X: VectorFieldOnM, delta: Fraction) -> SuperDiffOp:
-    """op + delta (div X), the weight term of the tensorial and Hamiltonian actions."""
-    div = divergence(X)
-    if delta and not div.is_zero():
-        op = op + SuperDiffOp.term(div.scale(delta))
+@lru_cache(maxsize=None)
+def _density(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
+    """div X, the weight term of every action, as an operator of order zero."""
+    return SuperDiffOp.term(divergence(X))
+
+
+@lru_cache(maxsize=None)
+def _lambda_term(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
+    """-h d_j(div X) dp_j, the lambda term of operator_symbol_action."""
+    n = sig.n
+    hess = hessian(X)
+    minus_h = Scalar.h(1, -1)
+    op = SuperDiffOp.zero(n)
+    for j in range(1, n + 1):
+        # d_j (div X), summed in the order of divergence's terms
+        grad = sum((hess[i, i, j] for i in range(1, n + 1) if (i, i, j) in hess), SuperPolynomial.zero(n))
+        if not grad.is_zero():
+            op = op + SuperDiffOp.term(grad.scale(minus_h), dp=_unit(n, j))
     return op
+
+
+def _plus_scaled(op: SuperDiffOp, term: SuperDiffOp, weight: Fraction) -> SuperDiffOp:
+    """op + weight * term; op itself when that adds nothing."""
+    return op + term.scale(weight) if weight and not term.is_zero() else op
 
 
 @lru_cache(maxsize=None)
 def tensorial_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
     """X^i d_i - p_j (d_i X^j) dp_i + xi^i (d_i X^j) dxi_j + (delta - Sigma/n) div X."""
-    return _with_density(_tensorial_core(X, sig), X, delta)
+    return _plus_scaled(_tensorial_core(X, sig), _density(X, sig), delta)
 
 
 @lru_cache(maxsize=None)
 def hamiltonian_operator(X: VectorFieldOnM, delta: Fraction, sig: Signature):
     """lift(X) + delta (div X); requires a conformal field."""
-    return _with_density(hamiltonian_lift(X, sig), X, delta)
+    return _plus_scaled(hamiltonian_lift(X, sig), _density(X, sig), delta)
 
 
 @lru_cache(maxsize=None)
@@ -136,17 +156,8 @@ def operator_symbol_action(
     (h/2)(d_j d_k X^i)(-p_i dp_j + chi^j_i / 2) dp_k - h lam d_j(div X) dp_j,
     with chi^j_i = xi^j dxi_i - xi_i dxi_j + (1/2) dxi_j dxi^i.
     """
-    n = sig.n
-    op = _with_density(_symbol_core(X, sig), X, mu - lam)
-    if lam:
-        hess = hessian(X)
-        minus_h_lam = Scalar.h(1, -lam)
-        for j in range(1, n + 1):
-            # d_j (div X), summed in the order of divergence's terms
-            grad = sum((hess[i, i, j] for i in range(1, n + 1) if (i, i, j) in hess), SuperPolynomial.zero(n))
-            if not grad.is_zero():
-                op = op + SuperDiffOp.term(grad.scale(minus_h_lam), dp=_unit(n, j))
-    return op
+    op = _plus_scaled(_symbol_core(X, sig), _density(X, sig), mu - lam)
+    return _plus_scaled(op, _lambda_term(X, sig), lam)
 
 
 # -- the public actions ------------------------------------------------------

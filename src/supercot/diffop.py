@@ -8,8 +8,11 @@ is ``(dxi, dx, dp)``; the constructor sorts dxi into its coefficient's
 sign, drops a word with a repeated index and refuses a bad key.  Inside,
 a key is packed as in superpoly: ``(mask of I, packed a, packed b)``.
 
-``apply`` compiles and keeps a plan (per term, the packed derivative and
-the coefficient's product rows).  ``compose`` moves each block of A past
+``apply_all`` applies a family of operators to one polynomial, taking
+each derivative of it once for every operator that reads it; ``apply``
+is its one-operator case.  Each operator compiles and keeps a plan (per
+term, the packed derivative and the coefficient's product rows) on its
+first application.  ``compose`` moves each block of A past
 each flat entry of B's coefficients by the graded Leibniz rule, reading
 two cached tables that list only the surviving splits: an even one, with
 their binomial times falling-factorial factors, and a Grassmann one, with
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .coeff import Scalar
 from .superpoly import (
@@ -116,6 +119,40 @@ def _leibniz_sum(n: int, products: tuple, skip_juxtaposition: bool) -> "SuperDif
             for key, table in moved.items():  # a cancelled table adds nothing
                 accumulate(result.setdefault(key, {}), rows, table.items(), guard)
     return SuperDiffOp._wrap(n, {k: SuperPolynomial._wrap(n, t) for k, t in result.items() if t})
+
+
+def apply_all(ops: Sequence["SuperDiffOp"], poly: SuperPolynomial) -> list[SuperPolynomial]:
+    """[op.apply(poly) for op in ops], taking each derivative of poly once.
+
+    The terms of all the operators are grouped by derivative key; each
+    derivative is added into every image that reads it before the next
+    is taken, so no derivative table is kept and the images are all that
+    grows.
+    """
+    n = poly.n
+    images: list[dict] = []
+    readers: dict = {}
+    for op in ops:
+        if op.n != n:
+            raise ValueError("dimension mismatch")
+        terms: dict = {}
+        images.append(terms)
+        if op._plan is None:  # compiled on the first apply and kept, in the order of op._terms
+            op._plan = [(_derivative_plan(*key), product_rows(coeff._terms)) for key, coeff in op._terms.items()]
+        for key, (derivative, rows) in zip(op._terms, op._plan):
+            group = readers.get(key)
+            if group is None:
+                readers[key] = (derivative, [(terms, rows)])
+            else:
+                group[1].append((terms, rows))
+    source = poly._terms
+    guard = guard_mask(n)
+    for derivative, targets in readers.values():
+        derived = source if derivative is None else derive_table(source, derivative)
+        if derived:
+            for terms, rows in targets:
+                accumulate(terms, rows, derived.items(), guard)
+    return [SuperPolynomial._wrap(n, terms) for terms in images]
 
 
 class SuperDiffOp:
@@ -203,22 +240,7 @@ class SuperDiffOp:
     # -- action and composition ----------------------------------------------
 
     def apply(self, poly: SuperPolynomial) -> SuperPolynomial:
-        if poly.n != self.n:
-            raise ValueError("dimension mismatch")
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = [
-                (_derivative_plan(*key), product_rows(coeff._terms))
-                for key, coeff in self._terms.items()
-            ]
-        source = poly._terms
-        guard = guard_mask(self.n)
-        terms: dict = {}
-        for derivative, rows in plan:
-            derived = source if derivative is None else derive_table(source, derivative)
-            if derived:
-                accumulate(terms, rows, derived.items(), guard)
-        return SuperPolynomial._wrap(self.n, terms)
+        return apply_all((self,), poly)[0]
 
     def compose(self, other: "SuperDiffOp") -> "SuperDiffOp":
         """Operator product self o other in canonical form (graded Leibniz rule)."""

@@ -9,11 +9,13 @@ linear system whose kernel, in reduced form, is the invariant subspace.
 That is the kernel of all of conf: the module actions are Lie-algebra
 morphisms and these n + 1 fields generate conf under the bracket.
 check_invariance still applies, and reports, every generator.
-Both look up each generator's cached confmod operator once per call;
-check applies it to the candidate, and search applies it once to the
-whole ansatz, each monomial tagged with its column (_linear_system).
-Those operators and their weight-free cores are cached per field and
-signature, so n bounds the caches.
+Both look up each generator's cached confmod operator once per call.
+check applies all of them in one shared pass (diffop.apply_all), which
+takes each derivative of the candidate once; search applies each once to
+the whole ansatz, each monomial tagged with its column, and holds one
+generator's image at a time (_linear_system).  Those operators are
+cached per (field, weights, signature); their weight-free cores and
+weight terms per (field, signature), so n alone bounds those.
 Optional flags enlarge the ansatz with bounded x-degree or h-degree as a
 sanity check; both default to off.  An ansatz larger than MAX_ANSATZ
 monomials is refused before any monomial is built, a dimension above
@@ -32,7 +34,7 @@ from .confmod import (
     hamiltonian_operator, normal_order, normal_order_inverse, operator_symbol_action,
     tensorial_operator,
 )
-from .diffop import SuperDiffOp
+from .diffop import SuperDiffOp, apply_all
 from .matutil import kernel
 from .spinop import SpinorDiffOp
 from .star import star_mul
@@ -61,9 +63,11 @@ MAX_CONFORMAL_DIM = 20
 
 Both act with conformal generators: check with all (n+1)(n+2)/2 of
 them, search with n + 1, each a field of n components.  On a 2-core
-x86-64 machine with Python 3.11, check p1 at n = 20 takes 6.9 s and
-23 MB in module D, 4.8 s in S and 0.4 s in T; past the limit, D takes
-22 s at n = 24 and T 50 s and 110 MB at n = 80.
+x86-64 machine with Python 3.11, check p1 at n = 20 takes 1.4-2.1 s and
+23 MB in module D, 1.2-1.8 s in S and 0.3-0.5 s in T; building the 231
+operators, not applying them, takes most of that time.  Past the limit
+(measured in process), D takes 3.4 s at n = 24 and T 12 s and 75 MB at
+n = 80.
 """
 
 MAX_DIRAC_TERMS = 80_000
@@ -205,11 +209,10 @@ def check_invariance(
     _check_conformal_dim(sig)
     if isinstance(candidate, SpinorDiffOp):
         candidate = normal_order_inverse(candidate)
-    residuals = []
-    for gen in conformal_generators(sig):
-        op = _action_operator(module_tag, gen, weights, sig)
-        residuals.append((gen.name, op.apply(candidate)))
-    return InvariantReport(candidate, module_tag, weights, tuple(residuals))
+    gens = conformal_generators(sig)
+    images = apply_all([_action_operator(module_tag, gen, weights, sig) for gen in gens], candidate)
+    residuals = tuple((gen.name, image) for gen, image in zip(gens, images))
+    return InvariantReport(candidate, module_tag, weights, residuals)
 
 
 # -- exhaustive search ----------------------------------------------------------

@@ -46,6 +46,7 @@ from .randgen import (
     random_xi_homogeneous,
     random_xi_poly,
 )
+from .spinop import SpinorDiffOp
 from .star import star_mul
 from .superpoly import Signature, SuperPolynomial
 from .symplectic import (
@@ -331,7 +332,8 @@ def suite_kosmann(sig: Signature, seed: int) -> list[CheckRow]:
     failures = _morphism_failures(
         gens,
         lambda X: kosmann_lie(X, sig),
-        lambda A, B: A.compose(B) - B.compose(A),
+        # kosmann_lie is cached, so a diagonal pair (X, X) is one object, whose bracket is zero
+        lambda A, B: SpinorDiffOp.zero(sig) if A is B else A.compose(B) - B.compose(A),
         lambda X, Y: f"[sL_{X.name}, sL_{Y.name}] != sL_[X,Y]",
     )
     rows.append(_row("kosmann.lie-algebra-morphism", len(gens) ** 2, failures))

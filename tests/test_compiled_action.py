@@ -4,9 +4,9 @@
 packed derivative and the coefficient's product rows) and reuses it.
 These tests compare the fused pass with the term-by-term sum
 sum coeff * poly.partial(dx, dp, dxi), check that every new operator gets
-its own plan, that the confmod builders differ across weights by exactly
-their weight terms, and that a search looks each generator's operator up
-once.
+its own plan, that the confmod builders and the spinor Lie derivative
+differ across weights by exactly their weight terms, and that a search
+looks each generator's operator up once.
 """
 
 import random
@@ -15,12 +15,14 @@ from fractions import Fraction
 import pytest
 
 from supercot import confmod
+from supercot.clifford import kosmann_lie
 from supercot.coeff import Scalar
 from supercot.diffop import SuperDiffOp
 from supercot.invariants import Weights, search_invariants
 from supercot.randgen import random_superpoly
+from supercot.spinop import SpinorDiffOp
 from supercot.superpoly import SLOT_LIMIT, Signature, SuperPolynomial
-from supercot.symplectic import conformal_generators, divergence
+from supercot.symplectic import conformal_generators, divergence, hessian, vf_bracket
 
 SIGS = [Signature(3, 1), Signature(2, 2)]
 CACHES = ("tensorial_operator", "hamiltonian_operator", "operator_symbol_action")
@@ -171,3 +173,25 @@ def test_the_builders_differ_across_weights_by_their_weight_terms(sig):
         D = confmod.operator_symbol_action
         assert D(X, l1, m1, sig) - D(X, l2, m2, sig) == want
         assert D(X, Fraction(0), Fraction(0), sig) == confmod._symbol_core(X, sig)
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=str)
+def test_weighted_builders_are_the_weight_free_ones_plus_their_weight_terms(sig):
+    n = sig.n
+    gens = conformal_generators(sig)
+    third, seventh = Fraction(1, 3), Fraction(-2, 7)
+    for X in dict.fromkeys(gens + [vf_bracket(X, Y) for X in gens for Y in gens]):
+        div = divergence(X)
+        for w in (third, seventh):
+            density = SpinorDiffOp.from_items(sig, [(((), ()), div.scale(w))])
+            assert kosmann_lie(X, sig, w) == kosmann_lie(X, sig) + density
+        hess = hessian(X)
+        grads = [sum((hess[i, i, j] for i in range(1, n + 1) if (i, i, j) in hess), SuperPolynomial.zero(n))
+                 for j in range(1, n + 1)]
+        for lam, mu in ((third, seventh), (seventh, third)):
+            # (mu - lam) div X - h lam d_j(div X) dp_j
+            want = SuperDiffOp.term(div.scale(mu - lam))
+            for j, grad in enumerate(grads, 1):
+                want = want + SuperDiffOp.term(grad.scale(Scalar.h(1, -lam)), dp=_unit(n, j))
+            D = confmod.operator_symbol_action
+            assert D(X, lam, mu, sig) - D(X, Fraction(0), Fraction(0), sig) == want

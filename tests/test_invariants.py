@@ -8,6 +8,7 @@ from supercot.confmod import normal_order
 from supercot.invariants import (
     CanonicalSymbol,
     Weights,
+    _action_operator,
     canonical_symbol,
     check_invariance,
     dirac_power,
@@ -18,7 +19,7 @@ from supercot.matutil import kernel
 from supercot.parse import sp_parse
 from supercot.star import star_mul
 from supercot.superpoly import Signature, SuperPolynomial
-from supercot.symplectic import poisson
+from supercot.symplectic import conformal_generators, poisson
 
 E2 = Signature(2, 0)
 P2 = lambda text: sp_parse(text, 2)
@@ -169,6 +170,18 @@ def test_dirac_powers_invariant():
                 dp.weights.lam + Fraction(1, 100), dp.weights.mu + Fraction(1, 100)
             )
             assert not check_invariance(dp.operator, "D", off, sig).invariant
+
+
+@pytest.mark.parametrize("s", range(3))
+def test_check_residuals_are_the_per_generator_actions(s):
+    sig = Signature(3, 1)
+    dp = dirac_power(s, sig)
+    shift = Fraction(1, 7)
+    for weights in (dp.weights, Weights.operator(dp.weights.lam + shift, dp.weights.mu + shift)):
+        report = check_invariance(dp.symbol, "D", weights, sig)
+        want = [(X.name, _action_operator("D", X, weights, sig).apply(dp.symbol)) for X in conformal_generators(sig)]
+        assert list(report.residuals) == want
+        assert report.invariant == (weights == dp.weights)
 
 
 def test_twisted_powers_also_invariant():

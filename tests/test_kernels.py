@@ -273,6 +273,31 @@ def test_apply_matches_reference(data):
     assert D.apply(F) == ref_apply(D, F)
 
 
+@settings(_settings, phases=_NO_SHRINK)
+@given(st.data())
+def test_apply_all_equals_one_apply_per_operator(data):
+    n = data.draw(st.integers(1, 3))
+    ops = data.draw(st.lists(diffops(n), max_size=4))
+    F = data.draw(polys(n, max_terms=6))
+    images = diffop.apply_all(ops, F)
+    assert images == [op.apply(F) for op in ops] == [ref_apply(op, F) for op in ops]
+
+
+def test_apply_all_edge_cases():
+    n = 2
+    x1, xi2 = SuperPolynomial.var_x(n, 1), SuperPolynomial.var_xi(n, 2)
+    A = SuperDiffOp.term(x1 * xi2, dx=(1, 0)) + SuperDiffOp.term(x1, dxi=(2,))
+    B = SuperDiffOp.term(xi2, dx=(1, 0))
+    F = x1 * x1 * xi2 + x1
+    # an operator listed twice gets two images, each the full action
+    assert diffop.apply_all([A, B, A], F) == [ref_apply(A, F), ref_apply(B, F), ref_apply(A, F)]
+    assert diffop.apply_all([], F) == []
+    assert diffop.apply_all([A, B], SuperPolynomial.zero(n)) == [SuperPolynomial.zero(n)] * 2
+    for ops in ([SuperDiffOp.term(SuperPolynomial.var_x(3, 1))], [A, SuperDiffOp.zero(3)]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            diffop.apply_all(ops, F)
+
+
 @settings(derandomize=True, max_examples=50, deadline=None, phases=_NO_SHRINK)
 @given(st.data())
 def test_compose_matches_reference_and_action(data):
