@@ -78,16 +78,15 @@ def _weights(args, module: str) -> Weights:
     delta = _fraction(args.delta, "--delta") if args.delta is not None else None
     lam = _fraction(args.lam, "--lambda") if args.lam is not None else None
     mu = _fraction(args.mu, "--mu") if args.mu is not None else None
+    if module == "D":
+        if lam is None or mu is None:
+            raise CliError("module D requires --lambda and --mu")
+    elif lam is not None or mu is not None:
+        raise CliError(f"module {module} takes --delta only: --lambda and --mu weigh module D")
+    elif delta is None:
+        raise CliError(f"module {module} requires --delta")
     try:
-        if module == "D":
-            if lam is None or mu is None:
-                raise CliError("module D requires --lambda and --mu")
-            if delta is not None and delta != mu - lam:
-                raise CliError("--delta must equal --mu minus --lambda")
-            return Weights.operator(lam, mu)
-        if delta is None:
-            raise CliError(f"module {module} requires --delta")
-        return Weights.symbol(delta)
+        return Weights(delta=delta, lam=lam, mu=mu)  # checks delta = mu - lambda
     except ValueError as exc:
         raise CliError(str(exc))
 

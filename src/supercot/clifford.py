@@ -32,6 +32,7 @@ from .symplectic import (
     conformal_killing_factor,
     jacobian,
     poisson,
+    units,
 )
 
 
@@ -221,13 +222,8 @@ def _kosmann_core(X: VectorFieldOnM, sig: Signature) -> SpinorDiffOp:
         raise ValueError("spinor Lie derivative requires even dimension")
     if conformal_killing_factor(X, sig) is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
-    n = sig.n
-    skew = _skew_gradient(jacobian(X), sig)
-    items = [
-        (((), tuple(1 if k == i - 1 else 0 for k in range(n))), X.component(i))
-        for i in range(1, n + 1)
-    ]
-    items += [(((j, k), ()), skew[(k, j)]) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    items = [(((), unit), comp) for unit, comp in zip(units(sig.n), X.components)]
+    items += [(((j, k), ()), entry) for (k, j), entry in _skew_gradient(jacobian(X), sig).items() if j < k]
     return SpinorDiffOp.from_items(sig, items)
 
 

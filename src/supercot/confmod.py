@@ -17,6 +17,10 @@ applies the closed form ``operator_symbol_action``.
 Each action is materialised once per (generator, weights) as a
 SuperDiffOp and cached for the life of the process, so sweeping a large
 monomial ansatz stays cheap; n and the weights asked for bound the caches.
+Each builder below lists its terms from the field's sparse Jacobian or
+Hessian, in the order symplectic describes, and makes one SuperDiffOp
+constructor call, which sums repeated keys and drops zero coefficients;
+the symbol core is the lift plus one such operator.
 The weight-free cores (the tensorial operator without its delta (div X)
 term, and the lift plus Hessian terms of operator_symbol_action) and the
 two weight terms, div X and -h d_j(div X) dp_j, are cached separately per
@@ -38,50 +42,27 @@ from .superpoly import Signature, SuperPolynomial
 from .symplectic import (
     NotConformalError,
     VectorFieldOnM,
+    _cotangent_terms,
     _divergence_of,
     conformal_killing_factor,
     divergence,
     hamiltonian_lift,
     hessian,
     jacobian,
+    units,
 )
-
-
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if k == i - 1 else 0 for k in range(n))
 
 
 @lru_cache(maxsize=None)
 def _tensorial_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     """The weight-free part of tensorial_operator: all but its delta (div X) term."""
     n = sig.n
-    op = SuperDiffOp.zero(n)
-    for i in range(1, n + 1):
-        comp = X.component(i)
-        if not comp.is_zero():
-            op = op + SuperDiffOp.term(comp, dx=_unit(n, i))
     jac = jacobian(X)
-    for i in range(1, n + 1):
-        coeff = SuperPolynomial.zero(n)
-        for j in range(1, n + 1):
-            if (j, i) in jac:
-                coeff = coeff - SuperPolynomial.var_p(n, j) * jac[j, i]
-        if not coeff.is_zero():
-            op = op + SuperDiffOp.term(coeff, dp=_unit(n, i))
-    for j in range(1, n + 1):
-        coeff = SuperPolynomial.zero(n)
-        for i in range(1, n + 1):
-            if (j, i) in jac:
-                coeff = coeff + SuperPolynomial.var_xi(n, i) * jac[j, i]
-        if not coeff.is_zero():
-            op = op + SuperDiffOp.term(coeff, dxi=(j,))
-    div = _divergence_of(jac, n)
-    if not div.is_zero():
-        for i in range(1, n + 1):
-            op = op + SuperDiffOp.term(
-                (div * SuperPolynomial.var_xi(n, i)).scale(Fraction(-1, n)), dxi=(i,)
-            )
-    return op
+    transport, momentum = _cotangent_terms(X, jac)
+    rotation = [(((j,), (), ()), SuperPolynomial.var_xi(n, i) * d) for (j, i), d in jac.items()]
+    damped = _divergence_of(jac, n).scale(Fraction(-1, n))
+    euler = [(((i,), (), ()), damped * SuperPolynomial.var_xi(n, i)) for i in range(1, n + 1) if damped]
+    return SuperDiffOp(n, transport + momentum + rotation + euler)
 
 
 @lru_cache(maxsize=None)
@@ -92,17 +73,10 @@ def _density(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
 
 @lru_cache(maxsize=None)
 def _lambda_term(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
-    """-h d_j(div X) dp_j, the lambda term of operator_symbol_action."""
-    n = sig.n
-    hess = hessian(X)
-    minus_h = Scalar.h(1, -1)
-    op = SuperDiffOp.zero(n)
-    for j in range(1, n + 1):
-        # d_j (div X), summed in the order of divergence's terms
-        grad = sum((hess[i, i, j] for i in range(1, n + 1) if (i, i, j) in hess), SuperPolynomial.zero(n))
-        if not grad.is_zero():
-            op = op + SuperDiffOp.term(grad.scale(minus_h), dp=_unit(n, j))
-    return op
+    """-h d_j(div X) dp_j, the lambda term of operator_symbol_action; d_j(div X) = d_j d_i X^i."""
+    minus_h, unit = Scalar.h(1, -1), units(sig.n)
+    by_j = sorted(hessian(X).items(), key=lambda item: item[0][::-1])  # d_j d_i X^i by j, then i
+    return SuperDiffOp(sig.n, [(((), (), unit[j - 1]), d.scale(minus_h)) for (i, k, j), d in by_j if i == k])
 
 
 def _plus_scaled(op: SuperDiffOp, term: SuperDiffOp, weight: Fraction) -> SuperDiffOp:
@@ -127,23 +101,19 @@ def _symbol_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     """The weight-free part of operator_symbol_action: lift(X) plus the Hessian terms
     (h/2)(d_j d_k X^i)(-p_i dp_j + chi^j_i / 2) dp_k."""
     n = sig.n
-    op = hamiltonian_lift(X, sig)
-    half_h = Scalar.h(1, Fraction(1, 2))
-    quarter_h = Scalar.h(1, Fraction(1, 4))
-    for (i, j, k), hess in hessian(X).items():  # in the order of the loops over i, j, k
-        dp_jk = tuple((1 if m == j - 1 else 0) + (1 if m == k - 1 else 0) for m in range(n))
-        op = op + SuperDiffOp.term((hess * SuperPolynomial.var_p(n, i)).scale(-half_h), dp=dp_jk)
-        # chi^j_i dp_k, scaled by (h/2) * (1/2) * hess
-        chi_coeff = hess.scale(quarter_h)
-        op = op + SuperDiffOp.term(chi_coeff * SuperPolynomial.var_xi(n, j), dxi=(i,), dp=_unit(n, k))
-        op = op - SuperDiffOp.term(
-            (chi_coeff * SuperPolynomial.var_xi(n, i)).scale(sig.eta(i) * sig.eta(j)), dxi=(j,), dp=_unit(n, k)
-        )
-        if i != j:
-            op = op + SuperDiffOp.term(
-                chi_coeff.scale(Fraction(1, 2) * sig.eta(j)), dxi=(j, i), dp=_unit(n, k)
-            )
-    return op
+    unit = units(n)
+    minus_half_h, quarter_h = Scalar.h(1, Fraction(-1, 2)), Scalar.h(1, Fraction(1, 4))
+    terms = []
+    for (i, j, k), hess in hessian(X).items():
+        dp_jk = tuple(a + b for a, b in zip(unit[j - 1], unit[k - 1]))
+        chi = hess.scale(quarter_h)  # chi^j_i dp_k, scaled by (h/2) * (1/2) * hess
+        terms += [
+            (((), (), dp_jk), hess * SuperPolynomial.monomial(n, pexp=unit[i - 1], coeff=minus_half_h)),
+            (((i,), (), unit[k - 1]), chi * SuperPolynomial.var_xi(n, j)),
+            (((j,), (), unit[k - 1]), (chi * SuperPolynomial.var_xi(n, i)).scale(-sig.eta(i) * sig.eta(j))),
+            (((j, i), (), unit[k - 1]), chi.scale(Fraction(sig.eta(j), 2))),  # dropped when i = j
+        ]
+    return hamiltonian_lift(X, sig) + SuperDiffOp(n, terms)
 
 
 @lru_cache(maxsize=None)

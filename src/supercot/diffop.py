@@ -4,9 +4,15 @@ A SuperDiffOp is a finite sum of terms ``coeff * dxi^I dx^a dp^b`` acting
 on SuperPolynomial from the left; ``dxi^(i1,..,ik)`` is the composition
 d_{xi^i1} o ... o d_{xi^ik}, the rightmost factor acting first.  At the
 boundary (the constructor, ``term``, ``items``, ``order``, printing) a key
-is ``(dxi, dx, dp)``; the constructor sorts dxi into its coefficient's
-sign, drops a word with a repeated index and refuses a bad key.  Inside,
-a key is packed as in superpoly: ``(mask of I, packed a, packed b)``.
+is ``(dxi, dx, dp)``.  The constructor takes a mapping or an iterable of
+``(key, coeff)`` pairs and sums them in order, as adding one
+``SuperDiffOp.term`` per pair would: it drops a zero coefficient unread,
+sorts dxi into its coefficient's sign, drops a word with a repeated index,
+refuses a bad key, and adds the coefficients of keys that coincide once
+sorted (a repeated key, or two orders of one word), dropping a key whose
+sum cancels.  So an operator built term by term is one constructor call
+over its list of terms, and the list's order is the table's.  Inside, a
+key is packed as in superpoly: ``(mask of I, packed a, packed b)``.
 
 ``apply_all`` applies a family of operators to one polynomial, taking
 each derivative of it once for every operator that reads it; ``apply``
@@ -160,15 +166,19 @@ class SuperDiffOp:
 
     __slots__ = ("n", "_terms", "_plan")
 
-    def __init__(self, n: int, terms: Mapping[OpKey, SuperPolynomial] | None = None):
+    def __init__(
+        self, n: int, terms: Mapping[OpKey, SuperPolynomial] | Iterable[tuple[OpKey, SuperPolynomial]] = (),
+    ):
         self.n = n
         self._plan = None
         table: dict = {}
-        for (dxi, dx, dp), coeff in (terms or {}).items():
+        for (dxi, dx, dp), coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if coeff.n != n:
                 raise ValueError("coefficient dimension mismatch")
-            dx, dp = tuple(dx) or (0,) * n, tuple(dp) or (0,) * n
-            if len(dx) != n or len(dp) != n:
+            if not coeff:
+                continue
+            dx, dp = tuple(dx), tuple(dp)  # () stands for no derivative and packs to 0
+            if len(dx) not in (0, n) or len(dp) not in (0, n):
                 raise ValueError("derivative multi-indices must have length n")
             if not all(type(i) is int and 1 <= i <= n for i in dxi):
                 raise ValueError(f"xi derivative word {tuple(dxi)!r} must lie within 1..{n}")
@@ -176,9 +186,15 @@ class SuperDiffOp:
             if sorted_word is None:
                 continue
             key = (xi_mask(dxi), pack(dx), pack(dp))
-            coeff = coeff * sorted_word[0]
-            table[key] = coeff + table[key] if key in table else coeff
-        self._terms = {key: c for key, c in table.items() if c}
+            if sorted_word[0] < 0:
+                coeff = -coeff
+            acc = table.get(key)
+            coeff = coeff if acc is None else acc + coeff
+            if coeff:
+                table[key] = coeff
+            else:
+                del table[key]
+        self._terms = table
 
     @staticmethod
     def _wrap(n: int, terms: dict) -> "SuperDiffOp":

@@ -39,7 +39,7 @@ from .matutil import kernel
 from .spinop import SpinorDiffOp
 from .star import star_mul
 from .superpoly import SLOT_BITS, SLOT_LIMIT, Signature, SuperPolynomial, pack, xi_mask
-from .symplectic import conformal_generating_set, conformal_generators
+from .symplectic import conformal_generating_set, conformal_generators, units
 
 MODULE_TAGS = ("T", "S", "D")
 
@@ -63,11 +63,12 @@ MAX_CONFORMAL_DIM = 20
 
 Both act with conformal generators: check with all (n+1)(n+2)/2 of
 them, search with n + 1, each a field of n components.  On a 2-core
-x86-64 machine with Python 3.11, check p1 at n = 20 takes 1.4-2.1 s and
-23 MB in module D, 1.2-1.8 s in S and 0.3-0.5 s in T; building the 231
-operators, not applying them, takes most of that time.  Past the limit
-(measured in process), D takes 3.4 s at n = 24 and T 12 s and 75 MB at
-n = 80.
+x86-64 machine with Python 3.11, check p1 at n = 20 takes 0.7-0.9 s and
+23 MB in module D, 0.45-0.55 s and 21 MB in S and 0.3-0.45 s and 21 MB
+in T; building the 231 operators, not applying them, still takes most
+of that time (under cProfile, about 90 % in D and S and 80 % in T).
+Past the limit (measured in process), D takes 0.9 s and S 0.5 s at
+n = 24, and T 8 s and 76 MB at n = 80.
 """
 
 MAX_DIRAC_TERMS = 80_000
@@ -135,10 +136,8 @@ def canonical_symbol(name: str, sig: Signature) -> CanonicalSymbol:
         return CanonicalSymbol(name, poly, Fraction(0))
     if name == "Delta":
         poly = SuperPolynomial.zero(n)
-        for i in range(1, n + 1):
-            poly = poly + SuperPolynomial.monomial(
-                n, pexp=tuple(1 if k == i - 1 else 0 for k in range(n)), xi=(i,)
-            )
+        for i, unit in enumerate(units(n), 1):
+            poly = poly + SuperPolynomial.monomial(n, pexp=unit, xi=(i,))
         return CanonicalSymbol(name, poly, Fraction(1, n))
     if name == "DeltaStarChi":
         delta = canonical_symbol("Delta", sig).poly
@@ -146,9 +145,8 @@ def canonical_symbol(name: str, sig: Signature) -> CanonicalSymbol:
         return CanonicalSymbol(name, star_mul(delta, chi, sig), Fraction(1, n))
     if name == "R":
         poly = SuperPolynomial.zero(n)
-        for i in range(1, n + 1):
-            pexp = tuple(2 if k == i - 1 else 0 for k in range(n))
-            poly = poly + SuperPolynomial.monomial(n, pexp=pexp, coeff=sig.eta(i))
+        for i, unit in enumerate(units(n), 1):
+            poly = poly + SuperPolynomial.monomial(n, pexp=tuple(2 * e for e in unit), coeff=sig.eta(i))
         return CanonicalSymbol(name, poly, Fraction(2, n))
     raise KeyError(f"unknown canonical symbol {name!r}")
 

@@ -19,8 +19,21 @@ appears.
 The builders read a field's derivatives from ``jacobian`` and ``hessian``
 (``superpoly.gradient``); a builder computes the Jacobian once and derives
 the Hessian, divergence and skew gradient it needs from that one table.
-These are not cached: the builders are, and a cache of their own would
-keep every field's derivatives for the process.
+The Jacobian, the Hessian and the skew gradient hold only nonzero
+entries; the skew gradient is computed only at the index pairs of the
+Jacobian's off-diagonal entries, and the Killing-factor check visits only
+the pairs where L_X eta - lambda eta can be nonzero, so no builder walks a
+dense n x n table.  These are not cached: the builders are, and a cache
+of their own would keep every field's derivatives for the process.
+
+An operator builder lists its terms as ``((dxi, dx, dp), coeff)`` pairs,
+repeated keys and zero coefficients allowed, and makes one ``SuperDiffOp``
+constructor call, which sums them in list order; ``units(n)`` holds the
+unit multi-indices of the keys.  The lists keep the term order of the
+loops that added one term at a time: a search's rows follow it, and row
+order steers the fill-in of exact elimination.  ``hamiltonian_lift``
+shares the terms X^i dx_i and -p_j (d_i X^j) dp_i with ``confmod``'s
+tensorial action.
 
 ``hamiltonian_vector_field(F)`` is the operator {F, .}; the lift of a
 conformal field, built by its own Darboux formula, equals the one of its
@@ -113,7 +126,7 @@ def hamiltonian_vector_field(F: SuperPolynomial, sig: Signature) -> SuperDiffOp:
     terms: dict = {}
     for code, table in gradient(F._terms).items():
         i, kind = divmod(code, 3)
-        unit = pack(tuple(int(m == i) for m in range(n)))
+        unit = pack(units(n)[i])
         if kind == 0:
             key, factor = (0, 0, unit), -1
         elif kind == 1:
@@ -262,6 +275,12 @@ def _vf_bracket(X: VectorFieldOnM, Y: VectorFieldOnM, name: str) -> VectorFieldO
     return VectorFieldOnM(n, tuple(comps), name=name)
 
 
+@lru_cache(maxsize=None)
+def units(n: int) -> tuple[tuple[int, ...], ...]:
+    """The unit multi-indices of length n: units(n)[i - 1] is 1 in slot i and 0 elsewhere."""
+    return tuple(tuple(int(m == i) for m in range(n)) for i in range(n))
+
+
 def _x_gradient(F: SuperPolynomial) -> dict[int, SuperPolynomial]:
     """The nonzero d_j F of a polynomial in x only, by j in increasing order."""
     grad = gradient(F._terms)
@@ -294,77 +313,79 @@ def _divergence_of(jac: dict, n: int) -> SuperPolynomial:
 
 @lru_cache(maxsize=None)
 def conformal_killing_factor(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial | None:
-    """The function lambda with L_X eta = lambda eta, or None if there is none."""
+    """The function lambda with L_X eta = lambda eta, or None if there is none.
+
+    (L_X eta - lambda eta)_ij = eta_ii d_j X^i + eta_jj d_i X^j - lambda eta_ij is
+    symmetric in (i, j) and can be nonzero only where the Jacobian has an entry
+    (i, j) or (j, i), or on the diagonal, so only those pairs are checked, once
+    each; on the diagonal both Jacobian terms read the entry (i, i).
+    """
     if X.n != sig.n:
         raise ValueError("dimension mismatch")
     n = sig.n
     jac = jacobian(X)
     zero = SuperPolynomial.zero(n)
     factor = _divergence_of(jac, n).scale(Fraction(2, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            lie = jac.get((i, j), zero).scale(sig.eta(i)) + jac.get((j, i), zero).scale(sig.eta(j))
-            if i == j:
-                lie = lie - factor.scale(sig.eta(i))
-            if not lie.is_zero():
-                return None
+    for i, j in {(min(key), max(key)) for key in jac} | {(i, i) for i in range(1, n + 1)}:
+        lie = jac.get((i, j), zero).scale(sig.eta(i)) + jac.get((j, i), zero).scale(sig.eta(j))
+        if i == j:
+            lie = lie - factor.scale(sig.eta(i))
+        if lie:
+            return None
     return factor
 
 
 def _skew_gradient(jac: dict, sig: Signature) -> dict[tuple[int, int], SuperPolynomial]:
-    """d_[k X_j] = (d_k X_j - d_j X_k)/2 for all index pairs (k, j), from the Jacobian."""
-    n = sig.n
-    zero = SuperPolynomial.zero(n)
-    half = Fraction(1, 2)
+    """The nonzero d_[k X_j] = (d_k X_j - d_j X_k)/2 under (k, j), in increasing order of (j, k).
+
+    Only a pair (k, j), k != j, with a Jacobian entry (j, k) or (k, j) can be
+    nonzero, so only those are computed.
+    """
+    zero = SuperPolynomial.zero(sig.n)
     table: dict[tuple[int, int], SuperPolynomial] = {}
-    for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            dkxj = jac.get((j, k), zero).scale(sig.eta(j))
-            djxk = jac.get((k, j), zero).scale(sig.eta(k))
-            table[(k, j)] = (dkxj - djxk).scale(half)
+    for j, k in sorted({pair for i, l in jac if i != l for pair in ((i, l), (l, i))}):
+        dkxj = jac.get((j, k), zero).scale(sig.eta(j))
+        djxk = jac.get((k, j), zero).scale(sig.eta(k))
+        entry = (dkxj - djxk).scale(Fraction(1, 2))
+        if entry:
+            table[k, j] = entry
     return table
+
+
+def _cotangent_terms(X: VectorFieldOnM, jac: dict) -> tuple[list, list]:
+    """The terms X^i dx_i and -p_j (d_i X^j) dp_i, by i and then j, of the lift and the tensorial action."""
+    n, unit = X.n, units(X.n)
+    by_column = sorted(jac.items(), key=lambda item: item[0][::-1])  # d_i X^j by i, then j
+    return (
+        [(((), unit[i], ()), comp) for i, comp in enumerate(X.components)],
+        [(((), (), unit[i - 1]), -(SuperPolynomial.var_p(n, j) * d)) for (j, i), d in by_column],
+    )
+
+
+_MINUS_HALF_H = {1: Scalar.h(1, Fraction(-1, 2)), -1: Scalar.h(1, Fraction(1, 2))}  # -h/2 times eta_jj
 
 
 @lru_cache(maxsize=None)
 def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
-    """Hamiltonian lift of a conformal vector field, in flat Darboux form."""
+    """Hamiltonian lift of a conformal vector field, in flat Darboux form:
+    X^i dx_i + eta^kk d_[l X_k] xi^l dxi_k - p_j (d_i X^j) dp_i
+    - (h/2) eta_jj (d_k d_i X^j) xi^j xi^k dp_i, the last summed over j != k."""
     if conformal_killing_factor(X, sig) is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
     n = sig.n
     jac = jacobian(X)
-    skew = _skew_gradient(jac, sig)
-    op = SuperDiffOp.zero(n)
-    for i in range(1, n + 1):
-        comp = X.component(i)
-        if not comp.is_zero():
-            op = op + SuperDiffOp.term(
-                comp, dx=tuple(1 if m == i - 1 else 0 for m in range(n))
-            )
-    # Grassmann rotation block: sum_{k,l} d_[l X_k] eta^kk xi^l dxi^k
-    for k in range(1, n + 1):
-        coeff = SuperPolynomial.zero(n)
-        for l in range(1, n + 1):
-            entry = skew[(l, k)]
-            if not entry.is_zero():
-                coeff = coeff + (entry * SuperPolynomial.var_xi(n, l)).scale(sig.eta(k))
-        if not coeff.is_zero():
-            op = op + SuperDiffOp.term(coeff, dxi=(k,))
-    hess = _hessian_of(jac)
-    minus_half_h = Scalar.h(1, Fraction(-1, 2))
-    for i in range(1, n + 1):
-        coeff = SuperPolynomial.zero(n)
-        for j in range(1, n + 1):
-            if (j, i) in jac:
-                coeff = coeff - SuperPolynomial.var_p(n, j) * jac[j, i]
-        hot = SuperPolynomial.zero(n)
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if j != k and (j, i, k) in hess:
-                    hot = hot + (hess[j, i, k] * SuperPolynomial.monomial(n, xi=(j, k))).scale(sig.eta(j))
-        coeff = coeff + hot.scale(minus_half_h)
-        if not coeff.is_zero():
-            op = op + SuperDiffOp.term(coeff, dp=tuple(1 if m == i - 1 else 0 for m in range(n)))
-    return op
+    transport, momentum = _cotangent_terms(X, jac)
+    rotation = [
+        (((k,), (), ()), (entry * SuperPolynomial.var_xi(n, l)).scale(sig.eta(k)))
+        for (l, k), entry in _skew_gradient(jac, sig).items()
+    ]
+    unit = units(n)
+    spin = [  # d_k d_i X^j by i, then j and k
+        (((), (), unit[i - 1]), d * SuperPolynomial.monomial(n, xi=(j, k), coeff=_MINUS_HALF_H[sig.eta(j)]))
+        for (j, i, k), d in sorted(_hessian_of(jac).items(), key=lambda item: (item[0][1], item[0][0], item[0][2]))
+        if j != k
+    ]
+    return SuperDiffOp(n, transport + rotation + momentum + spin)
 
 
 @lru_cache(maxsize=None)
@@ -373,20 +394,13 @@ def comoment_even(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     if conformal_killing_factor(X, sig) is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
     n = sig.n
-    skew = _skew_gradient(jacobian(X), sig)
-    result = SuperPolynomial.zero(n)
-    for i in range(1, n + 1):
-        result = result + SuperPolynomial.var_p(n, i) * X.component(i)
+    terms: dict = {}
+    for i, comp in enumerate(X.components, 1):
+        add_product(terms, SuperPolynomial.var_p(n, i), comp)
     half_h = Scalar.h(1, Fraction(1, 2))
-    spin = SuperPolynomial.zero(n)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            if j == k:
-                continue
-            entry = skew[(k, j)]
-            if not entry.is_zero():
-                spin = spin + entry * SuperPolynomial.monomial(n, xi=(j, k))
-    return result + spin.scale(half_h)
+    for (k, j), entry in _skew_gradient(jacobian(X), sig).items():
+        add_product(terms, entry, SuperPolynomial.monomial(n, xi=(j, k)), half_h)
+    return SuperPolynomial._wrap(n, terms)
 
 
 @lru_cache(maxsize=None)
@@ -395,9 +409,7 @@ def comoment_odd(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     if conformal_killing_factor(X, sig) is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
     n = sig.n
-    result = SuperPolynomial.zero(n)
-    for i in range(1, n + 1):
-        comp = X.component(i)
-        if not comp.is_zero():
-            result = result + (SuperPolynomial.var_xi(n, i) * comp).scale(sig.eta(i))
-    return result
+    terms: dict = {}
+    for i, comp in enumerate(X.components, 1):
+        add_product(terms, SuperPolynomial.var_xi(n, i), comp, sig.eta(i))
+    return SuperPolynomial._wrap(n, terms)

@@ -59,6 +59,7 @@ from .symplectic import (
     pair_alpha,
     pair_beta,
     poisson,
+    units,
     vf_bracket,
 )
 
@@ -364,19 +365,13 @@ def suite_modules(sig: Signature, seed: int) -> list[CheckRow]:
         rows.append(_row(f"modules.{label}-morphism", len(gens) ** 2, failures))
 
     failures = []
-    minus_half_h = Scalar.h(1, Fraction(-1, 2))
+    minus_half_h, unit = Scalar.h(1, Fraction(-1, 2)), units(n)
     for X in gens:
         # (-h/2) eta_kk (d_i d_j X^k) xi^k xi^j dp_i, summed over k != j
-        hess = hessian(X)
-        corr = SuperDiffOp.zero(n)
-        for i in range(1, n + 1):
-            acc = SuperPolynomial.zero(n)
-            for k in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if k != j and (k, i, j) in hess:
-                        acc = acc + (hess[k, i, j] * SuperPolynomial.monomial(n, xi=(k, j))).scale(sig.eta(k))
-            if not acc.is_zero():
-                corr = corr + SuperDiffOp.term(acc.scale(minus_half_h), dp=tuple(int(m == i) for m in range(1, n + 1)))
+        corr = SuperDiffOp(n, [
+            (((), (), unit[i - 1]), (d * SuperPolynomial.monomial(n, xi=(k, j), coeff=minus_half_h)).scale(sig.eta(k)))
+            for (k, i, j), d in hessian(X).items() if k != j
+        ])
         if operators["hamiltonian"](X) - operators["tensorial"](X) != corr:
             failures.append(f"{X.name}: hamiltonian minus tensorial differs from xi xi d2X dp term")
     rows.append(_row("modules.hamiltonian-vs-tensorial-difference", len(gens), failures))

@@ -69,6 +69,27 @@ def test_bad_inputs_exit_2_without_traceback(capsys, tmp_path, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("module", ["T", "S"])
+@pytest.mark.parametrize("flags", [("--lambda", "5", "--mu", "9"), ("--lambda", "5"), ("--mu", "9")], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "p1*xi1+p2*xi2"), ("search", "--bidegree", "1,1")],
+    ids=lambda argv: argv[0],
+)
+def test_operator_weights_are_rejected_outside_module_d(capsys, argv, flags, module):
+    code, out, err = run_cli(capsys, *argv, "--module", module, "--delta", "1/2", *flags, "--dim", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: module {module} takes --delta only") and "Traceback" not in err
+
+
+def test_module_d_weights_must_satisfy_delta_is_mu_minus_lambda(capsys):
+    base = ("check", "p1*xi1+p2*xi2", "--module", "D", "--lambda", "1/4", "--mu", "3/4", "--dim", "2")
+    code, out, err = run_cli(capsys, *base, "--delta", "1/3")
+    assert code == 2 and out == "" and "delta must equal mu - lambda" in err
+    code, out, _ = run_cli(capsys, *base, "--delta", "1/2")
+    assert code == 0 and out == run_cli(capsys, *base)[1]
+
+
 def test_check_json_and_file_input(capsys, tmp_path):
     path = tmp_path / "expr.txt"
     path.write_text("p1*xi1 + p2*xi2\n")

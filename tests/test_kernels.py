@@ -402,6 +402,37 @@ def test_constructor_sorts_the_word_and_absorbs_its_sign():
     assert SuperDiffOp(n, {((1, 1), (), ()): one}).is_zero()  # d_xi1 o d_xi1 = 0
 
 
+def test_constructor_sums_a_list_of_terms():
+    n = 2
+    one, x1, zero = SuperPolynomial.one(n), SuperPolynomial.var_x(n, 1), SuperPolynomial.zero(n)
+    key = ((1,), (0, 1), ())
+    # a repeated key adds up
+    assert SuperDiffOp(n, [(key, one), (key, x1), (key, one)]) == SuperDiffOp(n, {key: x1 + one.scale(2)})
+    assert SuperDiffOp(n, [(key, x1), (key, -x1)]).is_zero()
+    # the words (1, 2) and (2, 1) with equal coefficients cancel
+    assert SuperDiffOp(n, [(((1, 2), (), ()), x1), (((2, 1), (), ()), x1)]).is_zero()
+    # a word with a repeated xi index is dropped
+    assert SuperDiffOp(n, [(((2, 2), (), ()), one), (key, x1)]) == SuperDiffOp.term(x1, *key)
+    # a zero coefficient is dropped before its key is read, even a key it would refuse
+    assert SuperDiffOp(n, [(key, zero), (((), (0, SLOT_LIMIT), ()), zero)]) == SuperDiffOp(n)
+    # a mapping and the same pairs, as a list or a one-pass iterator, give one operator
+    pairs = [(key, x1), (((2, 1), (1, 0), ()), one), (((), (), (0, 2)), -x1)]
+    op = SuperDiffOp(n, dict(pairs))
+    assert op == SuperDiffOp(n, pairs) == SuperDiffOp(n, iter(pairs))
+    assert list(op.items()) == [
+        (((), (0, 0), (0, 2)), -x1), (((1,), (0, 1), (0, 0)), x1), (((1, 2), (1, 0), (0, 0)), -one),
+    ]
+    # the sum runs in list order, as one added term per pair: a key that cancels is dropped, and comes back last
+    pairs += [(key, -x1), (((2, 1), (1, 0), ()), x1), (key, one)]
+    added = SuperDiffOp(n)
+    for (dxi, dx, dp), coeff in pairs:
+        added = added + SuperDiffOp.term(coeff, dxi, dx, dp)
+    summed = SuperDiffOp(n, pairs)
+    assert list(summed._terms.items()) == list(added._terms.items())
+    assert [word for (word, _dx, _dp), _c in summed.items()] == [(), (1,), (1, 2)]
+    assert list(summed._terms)[-1] == (1, pack((0, 1)), 0)
+
+
 @pytest.mark.parametrize(
     "key,message",
     [(((), (1,), (0, 0)), "length n"), (((), (0, -1), (0, 0)), "exponent"),

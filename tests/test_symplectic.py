@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import Phase, given, settings, strategies as st
 
 from supercot.coeff import Scalar
 from supercot.diffop import SuperDiffOp
@@ -12,11 +13,13 @@ from supercot.superpoly import Signature, SuperPolynomial
 from supercot.symplectic import (
     NotConformalError,
     VectorFieldOnM,
+    _skew_gradient,
     comoment_even,
     comoment_odd,
     conformal_generating_set,
     conformal_generators,
     conformal_killing_factor,
+    divergence,
     generator_by_name,
     hamiltonian_lift,
     hamiltonian_vector_field,
@@ -146,6 +149,101 @@ def test_conformal_killing_factor():
         hamiltonian_lift(bad, E2)
     with pytest.raises(NotConformalError):
         comoment_even(bad, E2)
+
+
+# -- sparse field derivatives against the dense formulas ---------------------------
+
+
+def dense_skew_gradient(jac, sig):
+    """d_[k X_j] = (d_k X_j - d_j X_k)/2 at all n^2 index pairs, zeros included."""
+    n = sig.n
+    zero = SuperPolynomial.zero(n)
+    table = {}
+    for k in range(1, n + 1):
+        for j in range(1, n + 1):
+            dkxj = jac.get((j, k), zero).scale(sig.eta(j))
+            djxk = jac.get((k, j), zero).scale(sig.eta(k))
+            table[(k, j)] = (dkxj - djxk).scale(Fraction(1, 2))
+    return table
+
+
+def dense_killing_factor(X, sig):
+    """lambda with L_X eta = lambda eta, checked at all n^2 index pairs; None if there is none."""
+    n = sig.n
+    jac = jacobian(X)
+    zero = SuperPolynomial.zero(n)
+    factor = divergence(X).scale(Fraction(2, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            lie = jac.get((i, j), zero).scale(sig.eta(i)) + jac.get((j, i), zero).scale(sig.eta(j))
+            if i == j:
+                lie = lie - factor.scale(sig.eta(i))
+            if not lie.is_zero():
+                return None
+    return factor
+
+
+def _assert_sparse_matches_dense(X, sig):
+    jac = jacobian(X)
+    dense = dense_skew_gradient(jac, sig)
+    assert _skew_gradient(jac, sig) == {key: d for key, d in dense.items() if not d.is_zero()}
+    assert conformal_killing_factor(X, sig) == dense_killing_factor(X, sig)
+
+
+@pytest.mark.parametrize("sig", [Signature(3, 1), Signature(2, 2)], ids=str)
+def test_sparse_derivatives_match_dense_on_generators_and_brackets(sig):
+    for X in _with_brackets(sig):
+        _assert_sparse_matches_dense(X, sig)
+        assert conformal_killing_factor(X, sig) is not None
+
+
+def test_killing_factor_reads_the_diagonal_without_a_jacobian_entry():
+    # X = x1 d1: d_1 X^1 = 1 is the only entry, so lambda = 1, and (L_X eta)_22 = 0 differs from lambda eta_22
+    X = VectorFieldOnM(2, (P2("x1"), P2("0")))
+    assert jacobian(X) == {(1, 1): P2("1")}
+    for sig in (E2, Signature(1, 1)):
+        assert dense_killing_factor(X, sig) is None
+        _assert_sparse_matches_dense(X, sig)
+
+
+def test_skew_gradient_of_one_sided_and_cancelling_jacobians():
+    # X = x2 d1: the one Jacobian entry (1, 2) gives d_[k X_j] at (2, 1) and at (1, 2)
+    X = VectorFieldOnM(2, (P2("x2"), P2("0")))
+    assert _skew_gradient(jacobian(X), E2) == {(2, 1): P2("1/2"), (1, 2): P2("-1/2")}
+    # Y = x2 d1 + x1 d2: the two Jacobian entries cancel for eta = diag(1, 1) only, and leave no entry
+    Y = VectorFieldOnM(2, (P2("x2"), P2("x1")))
+    assert _skew_gradient(jacobian(Y), E2) == {}
+    assert _skew_gradient(jacobian(Y), Signature(1, 1)) == {(2, 1): P2("1"), (1, 2): P2("-1")}
+    for Z in (X, Y):
+        for sig in (E2, Signature(1, 1)):
+            _assert_sparse_matches_dense(Z, sig)
+
+
+_NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+@st.composite
+def fields_of_degree_two(draw):
+    """(X, sig) at n = 2..4: an integer mix of the conformal generators plus
+    x-polynomial noise of degree <= 2, which leaves most fields not conformal."""
+    p = draw(st.integers(0, 4))
+    sig = Signature(p, draw(st.integers(max(0, 2 - p), 4 - p)))
+    n, gens = sig.n, conformal_generators(sig)
+    mix = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    values = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    comps = []
+    for i in range(n):
+        comp = sum((g.components[i].scale(w) for g, w in zip(gens, mix)), SuperPolynomial.zero(n))
+        noise = draw(st.dictionaries(exps, values, max_size=2))
+        comps.append(comp + SuperPolynomial(n, {(e, (0,) * n, ()): c for e, c in noise.items()}))
+    return VectorFieldOnM(n, tuple(comps)), sig
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, phases=_NO_SHRINK)
+@given(fields_of_degree_two())
+def test_sparse_derivatives_match_dense_on_drawn_fields(drawn):
+    _assert_sparse_matches_dense(*drawn)
 
 
 def test_lift_of_translation_and_homothety():
