@@ -3,9 +3,9 @@
 Exit codes: 0 on success (or verified invariance), 1 when a verification
 or invariance check fails, 2 on usage, parse or consistency errors, 141
 (128 + SIGPIPE) when the reader closes stdout before the output ends.  All
-numeric output is exact; rationals print as num/den.  Randomised suites
-take an explicit --seed (default 0) and identical invocations produce
-byte-identical output.
+numeric output is exact; rationals print as num/den.  The randomised
+suites of verify take --seed (default 0), which no other subcommand
+accepts, and identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -303,7 +303,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--signature", default=None, help="metric signature p,q (default Euclidean n,0)"
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomised suites")
 
 
 def _add_specialize_h(parser: argparse.ArgumentParser) -> None:
@@ -330,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("--suite", required=True, help=f"one of {', '.join(SUITES)}, or all")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomised suites")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import Scalar
-from .matutil import Matrix, anticommutator, identity, mat_add, mat_mul, mat_scale, rank
+from .matutil import Matrix, identity, mat_add, mat_mul, mat_scale, rank
 from .spinop import SpinorDiffOp
 from .star import star_mul
 from .superpoly import Signature, SuperPolynomial
@@ -125,14 +125,6 @@ class SpinorRep:
         for (_x, _p, word), coeff in poly.items():
             mat = mat_add(mat, mat_scale(self.monomial_matrix(word), coeff))
         return mat
-
-    def verify_clifford_relations(self) -> bool:
-        for i in range(1, self.sig.n + 1):
-            for j in range(i, self.sig.n + 1):
-                anti = anticommutator(self.c_matrix(i), self.c_matrix(j))
-                if anti != identity(self.size, Scalar.rational(-self.sig.eta(i, j))):
-                    return False
-        return True
 
     def monomial_rank(self) -> int:
         """Rank of the 2^n ordered c-monomial images over Q(i, sqrt2).

@@ -5,19 +5,24 @@ only when an identity does not hold exactly in the scalar ring.  The
 randomised suites draw from a seeded generator so reruns are
 reproducible and byte-identical.
 
-Where an identity is one between operators it is checked as one, with no
-sample: the Lie-algebra morphisms [A_X, A_Y] = A_[X,Y] of the lift, the
-spinor Lie derivative and the three module actions (one bracket per
-unordered pair of generators, ``SuperDiffOp.commutator`` for the
-operators on symbols), the lift as the operator {J_X, .}, the
-Hamiltonian minus the tensorial action as its closed-form xi xi d2X dp
-operator, and the agreement of the three actions on each similitude.
-The rows that stay sampled are those whose identity holds between
-polynomials or matrices rather than fixed operators: Poisson graded
-antisymmetry, Leibniz and Jacobi, star associativity, filtration and the
-degree-2 Weyl bracket, the rho algebra morphism, the route equality of
-the operator action (``modules.operator-route-equality``) and the
-graded-Poisson bracket correspondence.
+Each kind of identity has one checker.  ``_morphism_failures`` checks the
+Lie-algebra morphisms [A_X, A_Y] = A_[X,Y] of the lift, the even
+comoment, the spinor Lie derivative and the three module actions exactly,
+with no sample.  Its brackets (``SuperDiffOp.commutator``, ``poisson`` on
+even comoments, ``SpinorDiffOp.graded_commutator`` on even operators) are
+antisymmetric by construction, so a pair X != Y is bracketed once, and on
+the diagonal [A_X, A_X] = 0 leaves A_[X,X] = 0, the action of the zero
+field, to be checked with no bracket.  ``_anticommutation_failures``
+checks {e_i, e_j} = want(i, j) once per unordered pair, for the star
+products of the xi^i, the spin c-matrices and both prequantisations.
+``_sampled`` runs the rows whose identity holds between polynomials or
+matrices rather than fixed operators (Poisson graded antisymmetry,
+Leibniz and Jacobi, star associativity, filtration and the degree-2 Weyl
+bracket, the rho algebra morphism, the route equality of the operator
+action and the graded-Poisson correspondence), drawing each case in a
+fixed order.  The lift as {J_X, .}, the Hamiltonian minus the tensorial
+action as its closed-form xi xi d2X dp operator and the agreement of the
+three actions on each similitude are operator identities too.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
 
 from .coeff import Scalar
 from .clifford import build_spin_rep, kosmann_lie, prequant_op, weyl_bracket_check
@@ -82,71 +88,100 @@ def _row(name: str, cases: int, failures: list[str]) -> CheckRow:
     return CheckRow(name, not failures, cases, failures[0] if failures else "")
 
 
+def _sampled(name: str, count: int, case) -> CheckRow:
+    """The row of count seeded cases; case() draws one case and yields its failure messages."""
+    return _row(name, count, [text for _ in range(count) for text in case()])
+
+
+def _anticommutation_failures(elems, anti, want, message) -> list[str]:
+    """Failures of anti(e_i, e_j) == want(i, j) for i, j in 1..len(elems), in row-major order.
+
+    anti is symmetric, so each unordered pair is computed once; message(i, j,
+    got) names a failing pair, and an off-diagonal one fails in both orders.
+    """
+    failures = []
+    for i in range(1, len(elems) + 1):
+        for j in range(i, len(elems) + 1):
+            got = anti(elems[i - 1], elems[j - 1])
+            if got != want(i, j):
+                failures.append(((i, j), message(i, j, got)))
+                if i != j:
+                    failures.append(((j, i), message(j, i, got)))
+    return [text for _pair, text in sorted(failures)]
+
+
+def _morphism_failures(gens, build, bracket, message) -> list[str]:
+    """Failures of [build(X), build(Y)] == build([X, Y]) on gens x gens, in row-major order.
+
+    Every bracket passed here is antisymmetric, so a pair X != Y is
+    bracketed once: the result is compared with build([X, Y]), and its
+    negative with build([Y, X]).  On the diagonal the bracket is zero and
+    the identity says that build([X, X]), the action of the zero field, is
+    zero; that is checked with no bracket.
+    """
+    failures = []
+    for i, X in enumerate(gens):
+        if not build(vf_bracket(X, X)).is_zero():
+            failures.append(((i, i), message(X, X)))
+        for j in range(i + 1, len(gens)):
+            Y = gens[j]
+            c = bracket(build(X), build(Y))
+            if c != build(vf_bracket(X, Y)):
+                failures.append(((i, j), message(X, Y)))
+            if c.scale(-1) != build(vf_bracket(Y, X)):
+                failures.append(((j, i), message(Y, X)))
+    return [text for _pair, text in sorted(failures)]
+
+
 # -- poisson ------------------------------------------------------------------
 
 
 def suite_poisson(sig: Signature, seed: int) -> list[CheckRow]:
     rng = random.Random(seed)
     n = sig.n
-    rows = []
 
     failures = []
-    cases = 0
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            cases += 3
             got = poisson(SuperPolynomial.var_p(n, i), SuperPolynomial.var_x(n, j), sig)
-            want = SuperPolynomial.one(n) if i == j else SuperPolynomial.zero(n)
-            if got != want:
+            if got != SuperPolynomial.constant(n, int(i == j)):
                 failures.append(f"{{p{i},x{j}}} = {got}")
             got = poisson(SuperPolynomial.var_xi(n, i), SuperPolynomial.var_xi(n, j), sig)
-            want = (
-                SuperPolynomial.constant(n, Scalar.h(-1, -sig.eta(i)))
-                if i == j
-                else SuperPolynomial.zero(n)
-            )
-            if got != want:
+            if got != SuperPolynomial.constant(n, Scalar.h(-1, -sig.eta(i, j))):
                 failures.append(f"{{xi{i},xi{j}}} = {got}")
             if not poisson(SuperPolynomial.var_x(n, i), SuperPolynomial.var_x(n, j), sig).is_zero():
                 failures.append(f"{{x{i},x{j}}} nonzero")
-    rows.append(_row("poisson.canonical-relations", cases, failures))
 
-    failures = []
-    count = 200
-    for _ in range(count):
+    def antisymmetry():
         F = random_parity_homogeneous(rng, n, rng.randint(0, 1))
         G = random_parity_homogeneous(rng, n, rng.randint(0, 1))
         sign = -1 if (F.parity() and G.parity()) else 1
-        lhs = poisson(F, G, sig)
-        rhs = poisson(G, F, sig).scale(-sign)
-        if lhs != rhs:
-            failures.append(f"antisymmetry fails: F={F}, G={G}")
-    rows.append(_row("poisson.graded-antisymmetry", count, failures))
+        if poisson(F, G, sig) != poisson(G, F, sig).scale(-sign):
+            yield f"antisymmetry fails: F={F}, G={G}"
 
-    failures = []
-    for _ in range(count):
+    def leibniz():
         F = random_parity_homogeneous(rng, n, rng.randint(0, 1), terms=3)
         G = random_parity_homogeneous(rng, n, rng.randint(0, 1), terms=3)
         H = random_superpoly(rng, n, terms=3)
-        lhs = poisson(F, G * H, sig)
         sign = -1 if (F.parity() and G.parity()) else 1
-        rhs = poisson(F, G, sig) * H + (G * poisson(F, H, sig)).scale(sign)
-        if lhs != rhs:
-            failures.append(f"Leibniz fails: F={F}, G={G}, H={H}")
-    rows.append(_row("poisson.graded-leibniz", count, failures))
+        if poisson(F, G * H, sig) != poisson(F, G, sig) * H + (G * poisson(F, H, sig)).scale(sign):
+            yield f"Leibniz fails: F={F}, G={G}, H={H}"
 
-    failures = []
-    for _ in range(count):
+    def jacobi():
         F = random_parity_homogeneous(rng, n, rng.randint(0, 1), terms=3)
         G = random_parity_homogeneous(rng, n, rng.randint(0, 1), terms=3)
         H = random_parity_homogeneous(rng, n, rng.randint(0, 1), terms=3)
         sign = -1 if (F.parity() and G.parity()) else 1
         lhs = poisson(F, poisson(G, H, sig), sig)
-        rhs = poisson(poisson(F, G, sig), H, sig) + poisson(G, poisson(F, H, sig), sig).scale(sign)
-        if lhs != rhs:
-            failures.append(f"Jacobi fails: F={F}, G={G}, H={H}")
-    rows.append(_row("poisson.graded-jacobi", count, failures))
-    return rows
+        if lhs != poisson(poisson(F, G, sig), H, sig) + poisson(G, poisson(F, H, sig), sig).scale(sign):
+            yield f"Jacobi fails: F={F}, G={G}, H={H}"
+
+    return [
+        _row("poisson.canonical-relations", 3 * n * n, failures),
+        _sampled("poisson.graded-antisymmetry", 200, antisymmetry),
+        _sampled("poisson.graded-leibniz", 200, leibniz),
+        _sampled("poisson.graded-jacobi", 200, jacobi),
+    ]
 
 
 # -- star -----------------------------------------------------------------------
@@ -155,72 +190,46 @@ def suite_poisson(sig: Signature, seed: int) -> list[CheckRow]:
 def suite_star(sig: Signature, seed: int) -> list[CheckRow]:
     rng = random.Random(seed)
     n = sig.n
-    rows = []
 
-    failures = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            xi_i, xi_j = SuperPolynomial.var_xi(n, i), SuperPolynomial.var_xi(n, j)
-            acc = star_mul(xi_i, xi_j, sig) + star_mul(xi_j, xi_i, sig)
-            want = SuperPolynomial.constant(n, -sig.eta(i)) if i == j else SuperPolynomial.zero(n)
-            if acc != want:
-                failures.append(f"xi{i}*xi{j}+xi{j}*xi{i} = {acc}")
-    rows.append(_row("star.clifford-relations", n * n, failures))
+    failures = _anticommutation_failures(
+        [SuperPolynomial.var_xi(n, i) for i in range(1, n + 1)],
+        lambda a, b: star_mul(a, b, sig) + star_mul(b, a, sig),
+        lambda i, j: SuperPolynomial.constant(n, -sig.eta(i, j)),
+        lambda i, j, got: f"xi{i}*xi{j}+xi{j}*xi{i} = {got}",
+    )
 
-    failures = []
-    count = 200
-    for _ in range(count):
+    def associativity():
         F, G, H = (random_xi_poly(rng, n) for _ in range(3))
         if star_mul(star_mul(F, G, sig), H, sig) != star_mul(F, star_mul(G, H, sig), sig):
-            failures.append(f"associativity fails: F={F}, G={G}, H={H}")
-    rows.append(_row("star.associativity", count, failures))
+            yield f"associativity fails: F={F}, G={G}, H={H}"
 
-    failures = []
-    count = 100
-    for _ in range(count):
+    def filtration():
         k, l = rng.randint(0, n), rng.randint(0, n)
         F = random_xi_homogeneous(rng, n, k)
         G = random_xi_homogeneous(rng, n, l)
         prod = star_mul(F, G, sig)
         if prod.bidegree_component(0, k + l) != (F * G).bidegree_component(0, k + l):
-            failures.append(f"top component differs: F={F}, G={G}")
+            yield f"top component differs: F={F}, G={G}"
         for (_kk, kappa) in prod.bidegrees():
             if kappa > k + l or (k + l - kappa) % 2:
-                failures.append(f"degree {kappa} outside filtration for ({k},{l})")
-    rows.append(_row("star.filtration", count, failures))
+                yield f"degree {kappa} outside filtration for ({k},{l})"
 
-    failures = []
-    count = 50
-    for _ in range(count):
+    def weyl_bracket():
         u = random_xi_homogeneous(rng, n, rng.randint(0, min(2, n)))
         v = random_xi_poly(rng, n)
         ok, lhs, rhs = weyl_bracket_check(u, v, sig)
         if not ok:
-            failures.append(f"bracket mismatch: u={u}, v={v}, lhs={lhs}, rhs={rhs}")
-    rows.append(_row("star.weyl-bracket-degree2", count, failures))
-    return rows
+            yield f"bracket mismatch: u={u}, v={v}, lhs={lhs}, rhs={rhs}"
+
+    return [
+        _row("star.clifford-relations", n * n, failures),
+        _sampled("star.associativity", 200, associativity),
+        _sampled("star.filtration", 100, filtration),
+        _sampled("star.weyl-bracket-degree2", 50, weyl_bracket),
+    ]
 
 
 # -- lift and comoment ------------------------------------------------------------
-
-
-def _morphism_failures(gens, build, bracket, message) -> list[str]:
-    """Failures of [build(X), build(Y)] == build([X, Y]) on gens x gens, in row-major order.
-
-    One bracket(build(X), build(Y)) per unordered pair, diagonal included:
-    it is compared with build([X, Y]), and its negative with build([Y, X]).
-    """
-    count = len(gens)
-    failures = []
-    for i, X in enumerate(gens):
-        for j in range(i, count):
-            Y = gens[j]
-            c = bracket(build(X), build(Y))
-            if c != build(vf_bracket(X, Y)):
-                failures.append((i * count + j, message(X, Y)))
-            if i != j and c.scale(-1) != build(vf_bracket(Y, X)):
-                failures.append((j * count + i, message(Y, X)))
-    return [text for _index, text in sorted(failures)]
 
 
 def suite_lift(sig: Signature, seed: int) -> list[CheckRow]:
@@ -255,13 +264,12 @@ def suite_lift(sig: Signature, seed: int) -> list[CheckRow]:
 
 def suite_comoment(sig: Signature, seed: int) -> list[CheckRow]:
     gens = conformal_generators(sig)
-    failures = []
-    for X in gens:
-        JX = comoment_even(X, sig)
-        for Y in gens:
-            JY = comoment_even(Y, sig)
-            if poisson(JX, JY, sig) != comoment_even(vf_bracket(X, Y), sig):
-                failures.append(f"{{J_{X.name}, J_{Y.name}}} != J_[X,Y]")
+    failures = _morphism_failures(
+        gens,
+        lambda X: comoment_even(X, sig),
+        lambda F, G: poisson(F, G, sig),
+        lambda X, Y: f"{{J_{X.name}, J_{Y.name}}} != J_[X,Y]",
+    )
     return [_row("comoment.lie-algebra-morphism", len(gens) ** 2, failures)]
 
 
@@ -274,44 +282,35 @@ def suite_spinrep(sig: Signature, seed: int) -> list[CheckRow]:
     rows = []
     rep = build_spin_rep(sig)
 
-    rows.append(
-        _row(
-            "spinrep.clifford-relations",
-            n * n,
-            [] if rep.verify_clifford_relations() else ["anticommutators differ from -eta"],
-        )
+    failures = _anticommutation_failures(
+        rep.matrices,
+        anticommutator,
+        lambda i, j: identity(rep.size, Scalar.rational(-sig.eta(i, j))),
+        lambda i, j, got: "anticommutators differ from -eta",
     )
+    rows.append(_row("spinrep.clifford-relations", n * n, failures))
     rank = rep.monomial_rank()
-    rows.append(
-        _row(
-            "spinrep.monomial-rank",
-            1,
-            [] if rank == 2**n else [f"rank {rank} != {2**n}"],
-        )
-    )
+    rows.append(_row("spinrep.monomial-rank", 1, [] if rank == 2**n else [f"rank {rank} != {2**n}"]))
 
-    failures = []
-    count = 20
-    for _ in range(count):
+    def rho_morphism():
         F, G = random_xi_poly(rng, n), random_xi_poly(rng, n)
         if rep.rho(star_mul(F, G, sig)) != mat_mul(rep.rho(F), rep.rho(G)):
-            failures.append(f"rho not multiplicative on F={F}, G={G}")
-    rows.append(_row("spinrep.rho-algebra-morphism", count, failures))
+            yield f"rho not multiplicative on F={F}, G={G}"
+
+    rows.append(_sampled("spinrep.rho-algebra-morphism", 20, rho_morphism))
 
     failures = []
-    cases = 0
     for variant in ("standard", "canonical"):
-        mats = [prequant_op(SuperPolynomial.var_xi(n, i), sig, variant) for i in range(1, n + 1)]
-        for i in range(n):
-            for j in range(n):
-                cases += 1
-                anti = anticommutator(mats[i], mats[j])
-                if i == j:
-                    if anti != identity(2**n, Scalar.rational(-2 * sig.eta(i + 1))):
-                        failures.append(f"{variant}: c(xi{i+1})^2 wrong")
-                elif any(anti):
-                    failures.append(f"{variant}: c(xi{i+1}) and c(xi{j+1}) do not anticommute")
-    rows.append(_row("spinrep.prequantisation-relations", cases, failures))
+        failures += _anticommutation_failures(
+            [prequant_op(SuperPolynomial.var_xi(n, i), sig, variant) for i in range(1, n + 1)],
+            anticommutator,
+            lambda i, j: identity(2**n, Scalar.rational(-2 * sig.eta(i, j))),
+            lambda i, j, got: (
+                f"{variant}: c(xi{i})^2 wrong" if i == j
+                else f"{variant}: c(xi{i}) and c(xi{j}) do not anticommute"
+            ),
+        )
+    rows.append(_row("spinrep.prequantisation-relations", 2 * n * n, failures))
     return rows
 
 
@@ -333,8 +332,7 @@ def suite_kosmann(sig: Signature, seed: int) -> list[CheckRow]:
     failures = _morphism_failures(
         gens,
         lambda X: kosmann_lie(X, sig),
-        # kosmann_lie is cached, so a diagonal pair (X, X) is one object, whose bracket is zero
-        lambda A, B: SpinorDiffOp.zero(sig) if A is B else A.compose(B) - B.compose(A),
+        SpinorDiffOp.graded_commutator,
         lambda X, Y: f"[sL_{X.name}, sL_{Y.name}] != sL_[X,Y]",
     )
     rows.append(_row("kosmann.lie-algebra-morphism", len(gens) ** 2, failures))
@@ -384,16 +382,16 @@ def suite_modules(sig: Signature, seed: int) -> list[CheckRow]:
     ]
     rows.append(_row("modules.similitude-agreement", len(similitudes), failures))
 
-    failures = []
-    count = 100
-    for t in range(count):
-        X = gens[t % len(gens)]
+    fields = cycle(gens)
+
+    def route_equality():
+        X = next(fields)
         F = random_bidegree(rng, n, rng.randint(0, 2), rng.randint(0, min(2, n)), terms=3)
         lhs = normal_order(act_D_symbolside(X, lam, mu, F, sig), sig)
-        rhs = act_D_direct(X, lam, mu, normal_order(F, sig), sig)
-        if lhs != rhs:
-            failures.append(f"{X.name}: symbol-side and direct routes disagree on {F}")
-    rows.append(_row("modules.operator-route-equality", count, failures))
+        if lhs != act_D_direct(X, lam, mu, normal_order(F, sig), sig):
+            yield f"{X.name}: symbol-side and direct routes disagree on {F}"
+
+    rows.append(_sampled("modules.operator-route-equality", 100, route_equality))
     return rows
 
 
@@ -403,28 +401,24 @@ def suite_modules(sig: Signature, seed: int) -> list[CheckRow]:
 def suite_graded_poisson(sig: Signature, seed: int) -> list[CheckRow]:
     rng = random.Random(seed)
     n = sig.n
-    rows = []
-
-    failures = []
-    count = 100
     inv_h = Scalar.h(-1)
-    for _ in range(count):
+
+    def correspondence():
         k1, kap1 = rng.randint(0, 2), rng.randint(0, min(2, n))
         k2, kap2 = rng.randint(0, 2), rng.randint(0, min(2, n))
         F = random_bidegree(rng, n, k1, kap1, terms=3)
         G = random_bidegree(rng, n, k2, kap2, terms=3)
-        d1, d2 = 2 * k1 + kap1, 2 * k2 + kap2
-        target = d1 + d2 - 2
+        target = 2 * k1 + kap1 + 2 * k2 + kap2 - 2
         bracket_ops = normal_order(F, sig).graded_commutator(normal_order(G, sig))
         lhs_poly = normal_order_inverse(bracket_ops).scale(inv_h)
         lhs = lhs_poly.hamiltonian_components().get(target, SuperPolynomial.zero(n))
         rhs = poisson(F, G, sig).hamiltonian_components().get(target, SuperPolynomial.zero(n))
         if lhs != rhs:
-            failures.append(f"top-symbol mismatch for F={F}, G={G}")
+            yield f"top-symbol mismatch for F={F}, G={G}"
         if not lhs_poly.is_zero() and max(lhs_poly.hamiltonian_components()) > target:
-            failures.append(f"commutator exceeds filtration degree for F={F}, G={G}")
-    rows.append(_row("graded-poisson.bracket-correspondence", count, failures))
-    return rows
+            yield f"commutator exceeds filtration degree for F={F}, G={G}"
+
+    return [_sampled("graded-poisson.bracket-correspondence", 100, correspondence)]
 
 
 SUITES = {
@@ -443,16 +437,17 @@ MAX_SUITE_DIM = 10
 """Largest dimension n at which any suite runs.
 
 On a 2-core x86-64 machine with Python 3.11, in one process, side by
-side with the code that read the Clifford product of xi words from a
-table, every suite took at most 5.7 s and 35 MB at (5,5) (modules
-4.3-5.7 s, spinrep 3.9-4.9 s, lift 1.5-2.6 s, star 0.14-0.25 s against
-2.3-2.6 s, the others 0.6 s or less), and all suites together 12.5-13.3
-s and 35 MB against 13.7-14.3 s and 44 MB (verify --suite all --dim 10
---signature 5,5 13.6-14.7 s against 15.1-17.9 s as a command); other
-tenants' load moved such times up to 1.6x between runs.  An earlier
-measurement had lift at 52 s at n = 14.  spinrep multiplies
-prequantisation matrices of side 2^n, but their sparse rows hold one
-entry each, so a product costs one step per row.
+side with the code that bracketed every diagonal pair and computed each
+anticommutator in both orders, every suite took at most 4.4 s at (5,5)
+(modules 4.3-4.4 s against 5.9-6.3 s, spinrep 3.6-3.9 s against 5.1-6.1
+s, lift 1.8 s against 2.1-2.4 s, comoment 0.2-0.3 s against 0.4-0.5 s,
+the others 0.5 s or less).  As commands, verify --suite all --dim 10
+--signature 5,5 took 13.6-14.9 s and 36 MB against 13.9-17.2 s and 36
+MB, comoment alone 1.0-1.2 s against 1.3-1.6 s and modules alone 5.6-7.5
+s against 6.7-8.3 s; other tenants' load moved such times up to 1.3x
+between runs.  An earlier measurement had lift at 52 s at n = 14.
+spinrep multiplies prequantisation matrices of side 2^n, but their
+sparse rows hold one entry each, so a product costs one step per row.
 """
 
 

@@ -28,7 +28,7 @@ from supercot.invariants import (
     predicted_dimension,
     search_invariants,
 )
-from supercot.matutil import dense, identity
+from supercot.matutil import anticommutator, dense, identity
 from supercot.randgen import (
     random_bidegree,
     random_parity_homogeneous,
@@ -38,7 +38,7 @@ from supercot.randgen import (
 from supercot.star import star_mul
 from supercot.superpoly import Signature, SuperPolynomial
 from supercot.symplectic import conformal_generators, poisson
-from supercot.verify import run_suite
+from supercot.verify import _anticommutation_failures, run_suite
 
 
 def report(num: int, label: str, failures: list[str], started: float) -> None:
@@ -138,7 +138,12 @@ def test_criterion_04_spin_representation():
     failures = []
     for p, q in [(2, 0), (1, 1), (4, 0), (3, 1), (2, 2)]:
         rep = build_spin_rep(Signature(p, q))
-        if not rep.verify_clifford_relations():
+        if _anticommutation_failures(
+            rep.matrices,
+            anticommutator,
+            lambda i, j: identity(rep.size, Scalar.rational(-rep.sig.eta(i, j))),
+            lambda i, j, got: f"{{c{i}, c{j}}} = {got}",
+        ):
             failures.append(f"({p},{q}): Clifford relations fail")
         rank = rep.monomial_rank()
         if rank != 2 ** (p + q):

@@ -290,6 +290,44 @@ def test_specialize_h_is_rejected_where_it_is_not_honoured(capsys, argv):
     assert captured.out == "" and "--specialize-h" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "p1", "--dim", "2", "--module", "T", "--delta", "1/2"),
+        ("search", "--bidegree", "1,0", "--dim", "2", "--module", "T", "--delta", "1/2"),
+        ("dirac-power", "--s", "0", "--dim", "2"),
+        ("spin-rep", "--dim", "2"),
+        ("parse", "x1", "--dim", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_rejected_where_nothing_is_drawn(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed" in captured.err
+
+
+def test_verify_passes_its_seed_to_every_suite(capsys, monkeypatch):
+    from supercot import cli
+
+    seeds = []
+    real = cli.run_suite
+
+    def recording(name, sig, seed):
+        seeds.append(seed)
+        return real(name, sig, seed)
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "poisson", "--dim", "2", "--seed", "5", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["seed"] == 5 and seeds == [5]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "poisson", "--dim", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["seed"] == 0 and seeds == [5, 0]
+
+
 def test_dirac_power_output(capsys):
     code, out, _ = run_cli(capsys, "dirac-power", "--s", "1", "--dim", "4")
     assert code == 0
@@ -431,6 +469,12 @@ PINNED_STDOUT = [
     (
         ("verify", "--suite", "all", "--dim", "4", "--signature", "3,1", "--format", "json"),
         "a633d3dd9decb01b60464c57b962551d33ffdec04313384d291bdb505b7d5741",
+    ),
+    # odd n and a Lorentzian signature, where the spin suites are skipped; recorded
+    # before the Lie-morphism, anticommutation and sampled-row checkers were merged
+    (
+        ("verify", "--suite", "all", "--dim", "3", "--signature", "2,1", "--format", "json"),
+        "4ebd5e9a7d16bc4191c4b404c89b43eb56243a98f24fe013c8c7cbfb8e432367",
     ),
     # text mode, through render_gamma; recorded before SpinorDiffOp was stored as its symbol
     (

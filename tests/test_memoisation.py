@@ -13,6 +13,7 @@ import pytest
 from supercot import symplectic, verify
 from supercot.clifford import kosmann_lie
 from supercot.diffop import SuperDiffOp
+from supercot.spinop import SpinorDiffOp
 from supercot.superpoly import Signature, SuperPolynomial
 from supercot.symplectic import (
     NotConformalError,
@@ -143,4 +144,37 @@ def test_lift_suite_brackets_each_unordered_pair_once(monkeypatch):
     rows = verify.suite_lift(sig, 0)
     assert all(r.ok for r in rows)
     count = len(conformal_generators(sig))
-    assert len(calls) == count * (count + 1) // 2
+    # the diagonal pairs need no bracket: [A_X, A_X] = 0 = A_[X,X]
+    assert len(calls) == count * (count - 1) // 2
+
+
+def test_comoment_suite_brackets_each_pair_of_distinct_generators_once(monkeypatch):
+    sig = Signature(2, 0)
+    calls = []
+    original = verify.poisson
+
+    def counted(F, G, sig):
+        calls.append((F, G))
+        return original(F, G, sig)
+
+    monkeypatch.setattr(verify, "poisson", counted)
+    rows = verify.suite_comoment(sig, 0)
+    assert all(r.ok for r in rows)
+    count = len(conformal_generators(sig))
+    assert len(calls) == count * (count - 1) // 2
+
+
+def test_kosmann_suite_composes_twice_per_pair_of_distinct_generators(monkeypatch):
+    sig = Signature(2, 0)
+    calls = []
+    original = SpinorDiffOp.compose
+
+    def counted(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(SpinorDiffOp, "compose", counted)
+    rows = verify.suite_kosmann(sig, 0)
+    assert all(r.ok for r in rows)
+    count = len(conformal_generators(sig))
+    assert len(calls) == 2 * (count * (count - 1) // 2)
