@@ -16,16 +16,14 @@ key is packed as in superpoly: ``(mask of I, packed a, packed b)``.
 
 ``apply_all`` applies a family of operators to one polynomial, taking
 each derivative of it once for every operator that reads it; ``apply``
-is its one-operator case.  Each operator compiles and keeps a plan (per
-term, the packed derivative and the coefficient's product rows) on its
-first application.  ``compose`` moves each block of A past
+is its one-operator case.  ``compose`` moves each block of A past
 each flat entry of B's coefficients by the graded Leibniz rule, reading
 two cached tables that list only the surviving splits: an even one, with
 their binomial times falling-factorial factors, and a Grassmann one, with
 their signs.  The entries moved to one result key are multiplied by A's
 coefficient rows, built once per A term, in one ``accumulate`` call.  The
-plans and tables live as long as the operators and the process; n and
-the orders met bound them.  Composition is exact, so it is associative.
+tables live as long as the process; n and the orders met bound them.
+Composition is exact, so it is associative.
 
 ``commutator`` gives A o B - B o A for even operators (each coefficient
 entry has the parity of its xi word, as for every conformal module
@@ -143,12 +141,11 @@ def apply_all(ops: Sequence["SuperDiffOp"], poly: SuperPolynomial) -> list[Super
             raise ValueError("dimension mismatch")
         terms: dict = {}
         images.append(terms)
-        if op._plan is None:  # compiled on the first apply and kept, in the order of op._terms
-            op._plan = [(_derivative_plan(*key), product_rows(coeff._terms)) for key, coeff in op._terms.items()]
-        for key, (derivative, rows) in zip(op._terms, op._plan):
+        for key, coeff in op._terms.items():
+            rows = product_rows(coeff._terms)
             group = readers.get(key)
             if group is None:
-                readers[key] = (derivative, [(terms, rows)])
+                readers[key] = (_derivative_plan(*key), [(terms, rows)])
             else:
                 group[1].append((terms, rows))
     source = poly._terms
@@ -164,13 +161,12 @@ def apply_all(ops: Sequence["SuperDiffOp"], poly: SuperPolynomial) -> list[Super
 class SuperDiffOp:
     """Finite-order differential operator on the supercotangent chart."""
 
-    __slots__ = ("n", "_terms", "_plan")
+    __slots__ = ("n", "_terms")
 
     def __init__(
         self, n: int, terms: Mapping[OpKey, SuperPolynomial] | Iterable[tuple[OpKey, SuperPolynomial]] = (),
     ):
         self.n = n
-        self._plan = None
         table: dict = {}
         for (dxi, dx, dp), coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if coeff.n != n:
@@ -202,7 +198,6 @@ class SuperDiffOp:
         out = SuperDiffOp.__new__(SuperDiffOp)
         out.n = n
         out._terms = terms
-        out._plan = None
         return out
 
     # -- constructors ---------------------------------------------------

@@ -165,9 +165,6 @@ class InvariantReport:
     def invariant(self) -> bool:
         return all(res.is_zero() for _name, res in self.residuals)
 
-    def nonzero(self) -> list[tuple[str, SuperPolynomial]]:
-        return [(name, res) for name, res in self.residuals if not res.is_zero()]
-
 
 def _action_operator(tag: str, gen, weights: Weights, sig: Signature) -> SuperDiffOp:
     """The cached confmod operator by which gen acts on module tag at the weights."""

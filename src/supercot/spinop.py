@@ -49,23 +49,6 @@ class SpinorDiffOp:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(sig: Signature) -> "SpinorDiffOp":
-        return SpinorDiffOp(sig)
-
-    @staticmethod
-    def identity(sig: Signature) -> "SpinorDiffOp":
-        return SpinorDiffOp(sig, SuperPolynomial.one(sig.n))
-
-    @staticmethod
-    def term(
-        sig: Signature,
-        xcoeff: SuperPolynomial,
-        cliff: Iterable[int] = (),
-        dx: Iterable[int] = (),
-    ) -> "SpinorDiffOp":
-        return SpinorDiffOp.from_items(sig, [((cliff, dx), xcoeff)])
-
-    @staticmethod
     def from_items(sig: Signature, items: Iterable[tuple[tuple, SuperPolynomial]]) -> "SpinorDiffOp":
         """The sum of xcoeff * c^cliff * dx^dx over ((cliff, dx), xcoeff); inverts items().
 

@@ -3,7 +3,7 @@
 Functions are polynomials in the even coordinates x^1..x^n, p_1..p_n and
 the Grassmann coordinates xi^1..xi^n, with coefficients in the exact
 scalar ring of coeff.Scalar.  At the public boundary (the constructor,
-``monomial``, ``coefficient``, ``items``, JSON and printing) a monomial
+``monomial``, ``items``, JSON and printing) a monomial
 key is ``(xexp, pexp, xi)``: xexp and pexp are exponent tuples of length
 n, xi is a strictly increasing tuple of 1-based indices, and the
 coefficient is a Scalar.  Any sign produced by reordering Grassmann
@@ -424,11 +424,6 @@ class SuperPolynomial:
         ]
         out.sort(key=lambda kv: term_sort_key(kv[0]))
         return out
-
-    def coefficient(self, key: Key) -> Scalar:
-        xexp, pexp, xi = key
-        head = (pack(xexp), pack(pexp), xi_mask(xi))
-        return Scalar._wrap({k[3:]: c for k, c in self._terms.items() if k[:3] == head})
 
     def items(self) -> Iterator[tuple[Key, Scalar]]:
         return iter(self._grouped())

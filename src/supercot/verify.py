@@ -286,7 +286,7 @@ def suite_spinrep(sig: Signature, seed: int) -> list[CheckRow]:
         rep.matrices,
         anticommutator,
         lambda i, j: identity(rep.size, Scalar.rational(-sig.eta(i, j))),
-        lambda i, j, got: "anticommutators differ from -eta",
+        lambda i, j, got: f"c{i}c{j}+c{j}c{i} differs from -eta",
     )
     rows.append(_row("spinrep.clifford-relations", n * n, failures))
     rank = rep.monomial_rank()
@@ -436,17 +436,12 @@ SUITES = {
 MAX_SUITE_DIM = 10
 """Largest dimension n at which any suite runs.
 
-On a 2-core x86-64 machine with Python 3.11, in one process, side by
-side with the code that bracketed every diagonal pair and computed each
-anticommutator in both orders, every suite took at most 4.4 s at (5,5)
-(modules 4.3-4.4 s against 5.9-6.3 s, spinrep 3.6-3.9 s against 5.1-6.1
-s, lift 1.8 s against 2.1-2.4 s, comoment 0.2-0.3 s against 0.4-0.5 s,
-the others 0.5 s or less).  As commands, verify --suite all --dim 10
---signature 5,5 took 13.6-14.9 s and 36 MB against 13.9-17.2 s and 36
-MB, comoment alone 1.0-1.2 s against 1.3-1.6 s and modules alone 5.6-7.5
-s against 6.7-8.3 s; other tenants' load moved such times up to 1.3x
-between runs.  An earlier measurement had lift at 52 s at n = 14.
-spinrep multiplies prequantisation matrices of side 2^n, but their
+On a 2-core x86-64 machine with Python 3.11, in one process, every suite
+took at most 4.4 s at (5,5) (modules 4.3-4.4 s, spinrep 3.6-3.9 s, lift
+1.8 s, comoment 0.2-0.3 s, the others 0.5 s or less).  As commands,
+verify --suite all --dim 10 --signature 5,5 took 13.6-14.9 s and 36 MB,
+comoment alone 1.0-1.2 s and modules alone 5.6-7.5 s; other tenants'
+load moved such times up to 1.3x between runs.  spinrep multiplies prequantisation matrices of side 2^n, but their
 sparse rows hold one entry each, so a product costs one step per row.
 """
 

@@ -237,7 +237,7 @@ def test_prequantisation_matches_pinned_digest():
 
 def test_kosmann_translation_and_errors():
     T1 = conformal_generators(E2)[0]
-    assert kosmann_lie(T1, E2) == SpinorDiffOp.term(E2, P2("1"), dx=(1, 0))
+    assert kosmann_lie(T1, E2) == SpinorDiffOp.from_items(E2, [(((), (1, 0)), P2("1"))])
     bad = VectorFieldOnM(2, (P2("x1"), P2("0")))
     with pytest.raises(NotConformalError):
         kosmann_lie(bad, E2)
@@ -261,7 +261,7 @@ def test_kosmann_weight_term():
     op = kosmann_lie(D, E2, Fraction(1, 2))
     plain = kosmann_lie(D, E2)
     diff = op - plain
-    assert diff == SpinorDiffOp.term(E2, P2("1"))  # (1/2) * div(D) = (1/2) * 2
+    assert diff == SpinorDiffOp.from_items(E2, [(((), ()), P2("1"))])  # (1/2) * div(D) = (1/2) * 2
 
 
 @pytest.mark.parametrize("p,q", [(2, 0), (1, 1), (3, 1), (2, 2), (1, 3)])

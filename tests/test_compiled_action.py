@@ -1,10 +1,11 @@
-"""The compiled action of SuperDiffOp and the weight-free confmod cores.
+"""The fused action of SuperDiffOp and the weight-free confmod cores.
 
-``SuperDiffOp.apply`` compiles a plan on its first call (per term, the
-packed derivative and the coefficient's product rows) and reuses it.
+``SuperDiffOp.apply`` takes, per term, the packed derivative and the
+coefficient's product rows, and accumulates every term in one table.
 These tests compare the fused pass with the term-by-term sum
-sum coeff * poly.partial(dx, dp, dxi), check that every new operator gets
-its own plan, that the confmod builders and the spinor Lie derivative
+sum coeff * poly.partial(dx, dp, dxi), check that an operator applies the
+same way before and after it is applied and that so do the operators
+built from it, that the confmod builders and the spinor Lie derivative
 differ across weights by exactly their weight terms, and that a search
 looks each generator's operator up once.
 """
@@ -29,7 +30,7 @@ CACHES = ("tensorial_operator", "hamiltonian_operator", "operator_symbol_action"
 
 
 def term_by_term(op, poly):
-    """The action before compiled plans: one partial and one product per term."""
+    """The reference action: one partial and one product per term."""
     out = SuperPolynomial.zero(op.n)
     for (dxi, dx, dp), coeff in op.items():
         out = out + coeff * poly.partial(dx, dp, dxi)
@@ -75,7 +76,7 @@ def test_fused_apply_equals_the_term_by_term_sum_on_seeded_operators():
     for _ in range(60):
         n = rng.randint(1, 3)
         op = _seeded_op(rng, n)
-        for _ in range(3):  # the first call compiles the plan, the others reuse it
+        for _ in range(3):  # one operator applied to several polynomials in turn
             F = _seeded_poly(rng, n, terms=5)
             assert op.apply(F) == term_by_term(op, F)
 
@@ -112,15 +113,13 @@ def test_a_product_that_reaches_the_slot_limit_raises_through_apply():
         SuperDiffOp.term(top, dp=(0, 1)).apply(x1 * SuperPolynomial.var_p(n, 2))
 
 
-def test_every_new_operator_gets_a_fresh_plan():
+def test_operators_built_from_an_applied_one_apply_term_by_term():
     rng = random.Random(3)
     n = 3
     op, other = _seeded_op(rng, n), _seeded_op(rng, n)
     F = _seeded_poly(rng, n, terms=5)
     first = op.apply(F)
-    assert op._plan is not None
     for new in (op + other, op - other, -op, op.scale(Fraction(2, 3)), op.compose(other)):
-        assert new._plan is None
         assert new.apply(F) == term_by_term(new, F)
     assert (op + other).apply(F) == first + other.apply(F)
     assert op.apply(F) == first

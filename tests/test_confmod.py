@@ -172,8 +172,8 @@ def test_chirality_invariant_at_equal_weights():
 
 
 def test_normal_order_examples():
-    assert normal_order(P2("xi1*p2"), E2) == SpinorDiffOp.term(E2, P2("h"), cliff=(1,), dx=(0, 1))
-    assert normal_order(P2("1"), E2) == SpinorDiffOp.identity(E2)
+    assert normal_order(P2("xi1*p2"), E2) == SpinorDiffOp.from_items(E2, [(((1,), (0, 1)), P2("h"))])
+    assert normal_order(P2("1"), E2) == SpinorDiffOp.from_items(E2, [(((), ()), SuperPolynomial.one(2))])
     rng = random.Random(20)
     for _ in range(500):
         F = random_superpoly(rng, 2, terms=4, h_max=1)
@@ -181,29 +181,23 @@ def test_normal_order_examples():
 
 
 def test_spinor_compose():
-    c1hd1 = SpinorDiffOp.term(E2, P2("h"), cliff=(1,), dx=(1, 0))
-    assert c1hd1.compose(c1hd1) == SpinorDiffOp.term(E2, P2("-1/2*h^2"), dx=(2, 0))
-    hd1 = SpinorDiffOp.term(E2, P2("h"), dx=(1, 0))
-    x1 = SpinorDiffOp.term(E2, P2("x1"))
-    assert hd1.compose(x1) == SpinorDiffOp.term(E2, P2("x1*h"), dx=(1, 0)) + SpinorDiffOp.term(
-        E2, P2("h")
-    )
+    c1hd1 = SpinorDiffOp.from_items(E2, [(((1,), (1, 0)), P2("h"))])
+    assert c1hd1.compose(c1hd1) == SpinorDiffOp.from_items(E2, [(((), (2, 0)), P2("-1/2*h^2"))])
+    hd1 = SpinorDiffOp.from_items(E2, [(((), (1, 0)), P2("h"))])
+    x1 = SpinorDiffOp.from_items(E2, [(((), ()), P2("x1"))])
+    assert hd1.compose(x1) == SpinorDiffOp.from_items(E2, [(((), (1, 0)), P2("x1*h")), (((), ()), P2("h"))])
     rng = random.Random(21)
     for _ in range(30):
         ops = []
         for _k in range(3):
-            ops.append(
-                SpinorDiffOp.term(
-                    E2,
-                    SuperPolynomial.monomial(
-                        2,
-                        xexp=(rng.randint(0, 1), rng.randint(0, 1)),
-                        coeff=rng.randint(-3, 3),
-                    ),
-                    cliff=tuple(sorted(rng.sample((1, 2), rng.randint(0, 2)))),
-                    dx=(rng.randint(0, 1), rng.randint(0, 1)),
-                )
+            xcoeff = SuperPolynomial.monomial(
+                2,
+                xexp=(rng.randint(0, 1), rng.randint(0, 1)),
+                coeff=rng.randint(-3, 3),
             )
+            cliff = tuple(sorted(rng.sample((1, 2), rng.randint(0, 2))))
+            dx = (rng.randint(0, 1), rng.randint(0, 1))
+            ops.append(SpinorDiffOp.from_items(E2, [((cliff, dx), xcoeff)]))
         A, B, C = ops
         assert A.compose(B).compose(C) == A.compose(B.compose(C))
 
@@ -221,14 +215,13 @@ def test_route_equality_random():
 
 
 def test_dirac_invariance_direct():
-    Dirac = SpinorDiffOp.term(E2, P2("h"), cliff=(1,), dx=(1, 0)) + SpinorDiffOp.term(
-        E2, P2("h"), cliff=(2,), dx=(0, 1)
-    )
+    Dirac = SpinorDiffOp.from_items(E2, [(((1,), (1, 0)), P2("h")), (((2,), (0, 1)), P2("h"))])
     for X in conformal_generators(E2):
         assert act_D_direct(X, Fraction(1, 4), Fraction(3, 4), Dirac, E2).is_zero()
     # identity is invariant at equal weights
+    identity = SpinorDiffOp.from_items(E2, [(((), ()), SuperPolynomial.one(2))])
     for X in conformal_generators(E2):
-        assert act_D_direct(X, Fraction(1, 3), Fraction(1, 3), SpinorDiffOp.identity(E2), E2).is_zero()
+        assert act_D_direct(X, Fraction(1, 3), Fraction(1, 3), identity, E2).is_zero()
 
 
 def test_principal_symbol():
@@ -245,10 +238,8 @@ def test_principal_symbol():
 def test_apply_spinor_matches_composition():
     rng = random.Random(23)
     rep = build_spin_rep(E2)
-    A = SpinorDiffOp.term(E2, P2("x2"), cliff=(1,), dx=(1, 0)) + SpinorDiffOp.term(
-        E2, P2("1"), cliff=(1, 2)
-    )
-    B = SpinorDiffOp.term(E2, P2("x1"), cliff=(2,)) + SpinorDiffOp.term(E2, P2("1"), dx=(0, 1))
+    A = SpinorDiffOp.from_items(E2, [(((1,), (1, 0)), P2("x2")), (((1, 2), ()), P2("1"))])
+    B = SpinorDiffOp.from_items(E2, [(((2,), ()), P2("x1")), (((), (0, 1)), P2("1"))])
     psi = tuple(
         SuperPolynomial.monomial(2, xexp=(rng.randint(0, 2), rng.randint(0, 2)), coeff=rng.randint(-3, 3))
         for _ in range(rep.size)
@@ -261,14 +252,10 @@ def test_apply_spinor_matches_composition():
 def test_dirac_invariance_direct_n4():
     sig = Signature(4, 0)
     n = 4
-    Dirac = SpinorDiffOp.zero(sig)
+    Dirac = SpinorDiffOp(sig)
     for i in range(1, n + 1):
-        Dirac = Dirac + SpinorDiffOp.term(
-            sig,
-            SuperPolynomial.constant(n, Scalar.h()),
-            cliff=(i,),
-            dx=tuple(1 if k == i - 1 else 0 for k in range(n)),
-        )
+        dx = tuple(1 if k == i - 1 else 0 for k in range(n))
+        Dirac = Dirac + SpinorDiffOp.from_items(sig, [(((i,), dx), SuperPolynomial.constant(n, Scalar.h()))])
     lam, mu = Fraction(3, 8), Fraction(5, 8)
     for X in conformal_generators(sig):
         assert act_D_direct(X, lam, mu, Dirac, sig).is_zero(), X.name

@@ -147,10 +147,10 @@ def ref_poisson(F, G, sig):
 
 
 def ref_normal_order(F, sig):
-    op = SpinorDiffOp.zero(sig)
+    op = SpinorDiffOp(sig)
     for (xexp, pexp, word), coeff in F.items():
         xcoeff = SuperPolynomial.monomial(sig.n, xexp=xexp, coeff=coeff.mul_hpow(sum(pexp)))
-        op = op + SpinorDiffOp.term(sig, xcoeff, cliff=word, dx=pexp)
+        op = op + SpinorDiffOp.from_items(sig, [((word, pexp), xcoeff)])
     return op
 
 
@@ -539,8 +539,8 @@ def test_spinor_compose_matches_star_reference_and_action(data):
 def test_spinor_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     sig = Signature(2, 0)
     n = sig.n
-    A = SpinorDiffOp.term(sig, SuperPolynomial.one(n), cliff=(1,), dx=(2, 1))
-    B = SpinorDiffOp.term(sig, SuperPolynomial.monomial(n, xexp=(1, 1)), cliff=(1, 2))
+    A = SpinorDiffOp.from_items(sig, [(((1,), (2, 1)), SuperPolynomial.one(n))])
+    B = SpinorDiffOp.from_items(sig, [(((1, 2), ()), SuperPolynomial.monomial(n, xexp=(1, 1)))])
     tables = []
     original = star._contractions
 

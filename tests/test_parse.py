@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supercot.coeff import Scalar
 from supercot.parse import MAX_DEPTH, ParseError, sp_parse
@@ -90,3 +91,25 @@ def test_nesting_depth_is_bounded(nest, value, offending):
         sp_parse(nest(MAX_DEPTH + 1), 2)
     assert f"nested deeper than the maximum {MAX_DEPTH}" in str(err.value)
     assert err.value.position == offending(MAX_DEPTH + 1)
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(
+        [f"{name}{k}" for name in ("x", "p", "xi") for k in (1, 2, 3, 4)]
+        + ["y", "h", "i", "s", "+", "-", "*", "/", "^", "(", ")", "^-1", " "]
+    ),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda ab: f"{ab[0]}/{ab[1]}"),
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.integers(1, 3), st.lists(_TOKENS, max_size=12))
+def test_token_strings_are_refused_or_round_trip(n, tokens):
+    """Any string of grammar tokens either raises ParseError alone or parses to F with parse(str(F)) == F."""
+    text = "".join(tokens)
+    try:
+        F = sp_parse(text, n)
+    except ParseError:
+        return
+    assert sp_parse(str(F), n) == F

@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from supercot import verify
-from supercot.clifford import kosmann_lie, prequant_op
+from supercot.clifford import SpinorRep, build_spin_rep, kosmann_lie, prequant_op
 from supercot.coeff import Scalar
 from supercot.diffop import SuperDiffOp
-from supercot.matutil import anticommutator, identity, mat_add
+from supercot.matutil import anticommutator, identity, mat_add, mat_scale
 from supercot.star import star_mul
 from supercot.superpoly import Signature, SuperPolynomial
 from supercot.symplectic import (
@@ -165,3 +165,29 @@ def test_star_clifford_relations_give_the_naive_failures_in_order(monkeypatch):
         "xi1*xi1+xi1*xi1", "xi2*xi3+xi3*xi2", "xi3*xi2+xi2*xi3",
     ]
     assert recorded["star.clifford-relations"] == (n * n, want)
+
+
+def test_spin_clifford_relations_name_the_failing_pairs_in_order(monkeypatch):
+    sig = Signature(2, 0)
+    n = sig.n
+
+    def doubled(sig):
+        # 2 c^1: its square is off by a factor 4, and it still anticommutes with c^2
+        rep = build_spin_rep(sig)
+        return SpinorRep(sig, (mat_scale(rep.matrices[0], 2),) + rep.matrices[1:])
+
+    monkeypatch.setattr(verify, "build_spin_rep", doubled)
+    recorded = _recorded_rows(monkeypatch)
+    rows = {r.name: r for r in verify.suite_spinrep(sig, 0)}
+
+    rep = doubled(sig)
+    want = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            anti = anticommutator(rep.c_matrix(i), rep.c_matrix(j))
+            if anti != identity(rep.size, Scalar.rational(-sig.eta(i, j))):
+                want.append(f"c{i}c{j}+c{j}c{i} differs from -eta")
+    assert want == ["c1c1+c1c1 differs from -eta"]
+    assert recorded["spinrep.clifford-relations"] == (n * n, want)
+    row = rows["spinrep.clifford-relations"]
+    assert not row.ok and row.detail == want[0]
