@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success (or verified invariance), 1 when a verification
 or invariance check fails, 2 on usage, parse or consistency errors, 141
-(128 + SIGPIPE) when the reader closes stdout before the output ends.  All
+(128 + SIGPIPE) when the reader closes stdout before the output ends.  A
+refusal is a ValueError (ParseError among them) or ZeroDivisionError,
+raised by the library or by this module, and one handler in ``main`` maps
+it to an ``error:`` line on stderr and exit code 2.  All
 numeric output is exact; rationals print as num/den.  The randomised
 suites of verify take --seed (default 0), which no other subcommand
 accepts, and identical invocations produce byte-identical output.
@@ -44,34 +47,27 @@ with it, every --dim above 282 exits 2 at once.
 """
 
 
-class CliError(Exception):
-    """Usage-level error: reported on stderr with exit code 2."""
-
-
 def _signature(args) -> Signature:
     dim = args.dim
     if dim > MAX_DIM:
-        raise CliError(f"dimension {dim} exceeds the limit MAX_DIM = {MAX_DIM}")
+        raise ValueError(f"dimension {dim} exceeds the limit MAX_DIM = {MAX_DIM}")
     if args.signature:
         try:
             p, q = (int(part) for part in args.signature.split(","))
         except ValueError:
-            raise CliError(f"cannot parse signature {args.signature!r}, expected p,q")
+            raise ValueError(f"cannot parse signature {args.signature!r}, expected p,q") from None
         if p + q != dim:
-            raise CliError(f"signature {p},{q} does not sum to dimension {dim}")
+            raise ValueError(f"signature {p},{q} does not sum to dimension {dim}")
     else:
         p, q = dim, 0
-    try:
-        return Signature(p, q)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return Signature(p, q)
 
 
 def _fraction(text: str, label: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"cannot parse {label} {text!r} as a rational")
+        raise ValueError(f"cannot parse {label} {text!r} as a rational") from None
 
 
 def _weights(args, module: str) -> Weights:
@@ -80,15 +76,12 @@ def _weights(args, module: str) -> Weights:
     mu = _fraction(args.mu, "--mu") if args.mu is not None else None
     if module == "D":
         if lam is None or mu is None:
-            raise CliError("module D requires --lambda and --mu")
+            raise ValueError("module D requires --lambda and --mu")
     elif lam is not None or mu is not None:
-        raise CliError(f"module {module} takes --delta only: --lambda and --mu weigh module D")
+        raise ValueError(f"module {module} takes --delta only: --lambda and --mu weigh module D")
     elif delta is None:
-        raise CliError(f"module {module} requires --delta")
-    try:
-        return Weights(delta=delta, lam=lam, mu=mu)  # checks delta = mu - lambda
-    except ValueError as exc:
-        raise CliError(str(exc))
+        raise ValueError(f"module {module} requires --delta")
+    return Weights(delta=delta, lam=lam, mu=mu)  # checks delta = mu - lambda
 
 
 def _read_expression(raw: str) -> str:
@@ -97,7 +90,7 @@ def _read_expression(raw: str) -> str:
             with open(raw[1:], "r", encoding="utf-8") as handle:
                 return handle.read()
         except OSError as exc:
-            raise CliError(f"cannot read {raw[1:]!r}: {exc.strerror or exc}")
+            raise ValueError(f"cannot read {raw[1:]!r}: {exc.strerror or exc}") from None
     return raw
 
 
@@ -130,14 +123,11 @@ def cmd_verify(args) -> int:
         names = [name for name, (_f, needs_even) in SUITES.items() if not (needs_even and sig.n % 2)]
     else:
         if args.suite not in SUITES:
-            raise CliError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all")
+            raise ValueError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all")
         names = [args.suite]
-    try:
-        for name in names:  # every limit is checked before any suite runs
-            check_suite(name, sig)
-        results = [(name, run_suite(name, sig, args.seed)) for name in names]
-    except ValueError as exc:
-        raise CliError(str(exc))
+    for name in names:  # every limit is checked before any suite runs
+        check_suite(name, sig)
+    results = [(name, run_suite(name, sig, args.seed)) for name in names]
     all_ok = all(row.ok for _name, rows in results for row in rows)
     if args.format == "json":
         payload = {
@@ -166,14 +156,8 @@ def cmd_verify(args) -> int:
 def cmd_check(args) -> int:
     sig = _signature(args)
     weights = _weights(args, args.module)
-    try:
-        poly = sp_parse(_read_expression(args.expr), sig.n)
-    except ParseError as exc:
-        raise CliError(f"parse error: {exc}")
-    try:
-        report = check_invariance(poly, args.module, weights, sig)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    poly = sp_parse(_read_expression(args.expr), sig.n)
+    report = check_invariance(poly, args.module, weights, sig)
     if args.format == "json":
         payload = {
             "candidate": poly.to_json(),
@@ -200,14 +184,10 @@ def cmd_search(args) -> int:
         k_str, kappa_str = args.bidegree.split(",")
         k, kappa = int(k_str), int(kappa_str)
     except ValueError:
-        raise CliError(f"cannot parse bidegree {args.bidegree!r}, expected k,kappa")
-    try:
-        result = search_invariants(
-            sig, k, kappa, args.module, weights,
-            x_degree=args.x_degree, h_degree=args.h_degree,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+        raise ValueError(f"cannot parse bidegree {args.bidegree!r}, expected k,kappa") from None
+    result = search_invariants(
+        sig, k, kappa, args.module, weights, x_degree=args.x_degree, h_degree=args.h_degree,
+    )
     basis = list(result.basis)
     if args.specialize_h is not None:
         value = _fraction(args.specialize_h, "--specialize-h")
@@ -229,10 +209,7 @@ def cmd_search(args) -> int:
 
 def cmd_dirac_power(args) -> int:
     sig = _signature(args)
-    try:
-        power = dirac_power(args.s, sig)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    power = dirac_power(args.s, sig)
     op = power.operator
     if args.format == "json":
         payload = {
@@ -251,10 +228,7 @@ def cmd_dirac_power(args) -> int:
 
 def cmd_spin_rep(args) -> int:
     sig = _signature(args)
-    try:
-        rep = build_spin_rep(sig)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    rep = build_spin_rep(sig)
     matrix = rep.gamma_matrix if args.normalization == "gamma" else rep.c_matrix
     mats = [matrix(i) for i in range(1, sig.n + 1)]
     if args.format == "json":
@@ -277,16 +251,9 @@ def cmd_spin_rep(args) -> int:
 def cmd_parse(args) -> int:
     """Print the canonical form; exponents above parse.MAX_EXPONENT exit 2."""
     sig = _signature(args)
-    try:
-        poly = sp_parse(_read_expression(args.expr), sig.n)
-    except ParseError as exc:
-        raise CliError(f"parse error: {exc}")
+    poly = sp_parse(_read_expression(args.expr), sig.n)
     if args.specialize_h is not None:
-        value = _fraction(args.specialize_h, "--specialize-h")
-        try:
-            poly = _specialize_poly(poly, value)
-        except ZeroDivisionError as exc:
-            raise CliError(str(exc))
+        poly = _specialize_poly(poly, _fraction(args.specialize_h, "--specialize-h"))
     if args.format == "json":
         _print_json(poly.to_json())
     else:
@@ -377,7 +344,10 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
         return code
-    except CliError as exc:
+    except ParseError as exc:
+        print(f"error: parse error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (ValueError, ZeroDivisionError) as exc:  # every refusal, the library's and our own
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:

@@ -75,8 +75,7 @@ def _odd_leibniz(dmask: int, mask: int) -> tuple:
     out, common, derived = [], dmask & mask, dmask & mask
     while True:
         passed = dmask ^ derived
-        below = _derivative_plan(derived, 0, 0)[5] if derived else 0
-        odd = (mask & below).bit_count() + (derived & _odd_above(passed)).bit_count()
+        odd = (mask & _odd_above(derived)).bit_count() + (derived & _odd_above(passed)).bit_count()
         odd += (passed.bit_count() & 1) * (mask ^ derived).bit_count()
         out.append((mask ^ derived, passed, -1 if odd & 1 else 1))
         if not derived:
@@ -203,10 +202,6 @@ class SuperDiffOp:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(n: int) -> "SuperDiffOp":
-        return SuperDiffOp(n)
-
-    @staticmethod
     def term(
         coeff: SuperPolynomial,
         dxi: Iterable[int] = (),
@@ -245,7 +240,7 @@ class SuperDiffOp:
     def scale(self, factor: Scalar | int | Fraction) -> "SuperDiffOp":
         # the scalar ring has no zero divisors: a nonzero factor keeps every term
         if not factor:
-            return SuperDiffOp.zero(self.n)
+            return SuperDiffOp(self.n)
         return SuperDiffOp._wrap(self.n, {k: c.scale(factor) for k, c in self._terms.items()})
 
     # -- action and composition ----------------------------------------------

@@ -4,30 +4,35 @@ Grammar (whitespace insignificant)::
 
     expr     := ['-'] term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
-    factor   := rational | const ('^' sint)? | var ('^' uint)? | '(' expr ')'
+    factor   := uint | const ('^' sint)? | var ('^' uint)? | '(' expr ')'
     const    := 'h' | 'i' | 's'
     var      := ('x'|'p'|'xi') uint
-    rational := uint ('/' uint)?
 
-A '/' divisor must be an invertible constant (rational, i, s or a power
-of h), which covers inputs like ``h/2 * xi1*xi2``.  Exponents on h may
-be negative, matching the Laurent scalar ring.  No exponent may exceed
-MAX_EXPONENT (1000) in absolute value: a larger one is a ParseError, so
-that an input like ``p1^99999999999`` is rejected instead of expanded.
-Parentheses nest at most MAX_DEPTH (100) deep, since each level recurses
-through ``expr``: a deeper input is a ParseError, not a RecursionError.
+'/' divides by any invertible constant (a nonzero rational, i, s, a power
+of h or a product of these), so ``2/3``, ``2/h`` and ``h/2 * xi1*xi2``
+all parse.  Exponents on h may be negative, matching the Laurent scalar
+ring.  No exponent may exceed MAX_EXPONENT (1000) in absolute value: a
+larger one is a ParseError, so that an input like ``p1^99999999999`` is
+rejected instead of expanded.  Parentheses nest at most MAX_DEPTH (100)
+deep, since each level recurses through ``expr``: a deeper input is a
+ParseError, not a RecursionError.  A product is a ParseError, before
+any of it is built, when len(left) * len(right), a bound on its size,
+exceeds MAX_PRODUCT_TERMS (30,000): otherwise ten factors
+``(x1+...+x20)`` at n = 20, 729 characters, would expand to 20 million
+terms.  The worst admitted product, 173 by 173 distinct terms in indices
+near 282 (packed keys of about 1 KB), takes 0.6 s and 87 MB peak RSS
+(2-core x86-64, Python 3.11).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeff import Scalar
-from .superpoly import SuperPolynomial
+from .superpoly import SuperPolynomial, add_term
 
 
 MAX_EXPONENT = 1000
 MAX_DEPTH = 100
+MAX_PRODUCT_TERMS = 30_000
 
 
 class ParseError(ValueError):
@@ -110,23 +115,31 @@ class _Parser:
         return value
 
     def expr(self) -> SuperPolynomial:
+        """The sum, accumulated in one flat table so that N terms cost O(N)."""
+        terms: dict = {}
         negate = self.tok.accept("-")
-        value = self.term()
-        if negate:
-            value = -value
         while True:
+            for key, c in self.term()._terms.items():
+                add_term(terms, key, -c if negate else c)
             if self.tok.accept("+"):
-                value = value + self.term()
+                negate = False
             elif self.tok.accept("-"):
-                value = value - self.term()
+                negate = True
             else:
-                return value
+                return SuperPolynomial._wrap(self.n, terms)
 
     def term(self) -> SuperPolynomial:
         value = self.factor()
         while True:
             if self.tok.accept("*"):
-                value = value * self.factor()
+                at = self.tok.pos
+                right = self.factor()
+                if len(value._terms) * len(right._terms) > MAX_PRODUCT_TERMS:
+                    raise ParseError(
+                        f"product of {len(value._terms)} by {len(right._terms)} terms exceeds "
+                        f"the maximum {MAX_PRODUCT_TERMS}", at,
+                    )
+                value = value * right
             elif self.tok.accept("/"):
                 at = self.tok.pos
                 divisor = self.factor()
@@ -147,13 +160,7 @@ class _Parser:
             self.depth -= 1
             return inner
         if char.isdigit():
-            num = tok.take_uint()
-            if tok.accept("/"):
-                den = tok.take_uint()
-                if den == 0:
-                    raise ParseError("zero denominator", tok.pos)
-                return SuperPolynomial.constant(self.n, Fraction(num, den))
-            return SuperPolynomial.constant(self.n, num)
+            return SuperPolynomial.constant(self.n, tok.take_uint())
         if char.isalpha():
             name, start = tok.take_name()
             if name in _CONSTS:
@@ -216,6 +223,7 @@ def sp_parse(text: str, n: int) -> SuperPolynomial:
     """Parse an expression into canonical form in dimension n.
 
     Raises ParseError on a syntax error, an out-of-range index, an
-    exponent above MAX_EXPONENT or parentheses nested deeper than MAX_DEPTH.
+    exponent above MAX_EXPONENT, parentheses nested deeper than MAX_DEPTH
+    or a product past MAX_PRODUCT_TERMS.
     """
     return _Parser(text, n).parse()

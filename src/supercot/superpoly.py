@@ -565,15 +565,11 @@ def _derivative_plan(dmask: int, dxp: int, dpp: int):
     """
     if not (dxp or dpp or dmask):
         return None
-    below = 0
-    for i in range(dmask.bit_length()):
-        if dmask >> i & 1:
-            below ^= (1 << i) - 1
     xs, ps = (
         tuple((s, e) for s in range(0, v.bit_length(), SLOT_BITS) if (e := v >> s & _SLOT_MASK))
         for v in (dxp, dpp)
     )
-    return xs, dxp, ps, dpp, dmask, below
+    return xs, dxp, ps, dpp, dmask, _odd_above(dmask)
 
 
 def derive_table(table: dict, plan: tuple) -> dict:

@@ -9,7 +9,7 @@ which is the unique choice making pair_alpha(lift(X)) equal to the even
 comoment identically.
 
 Objects derived from a conformal field (its bracket with another field,
-its Killing factor, lift and comoments) are built once per (field,
+its Killing factor, lift and even comoment) are built once per (field,
 signature) and cached for the life of the process; every caller shares
 the result, and no code changes an operator or polynomial after it is
 built.  The callers ask for the (n+1)(n+2)/2 generators and their
@@ -403,7 +403,6 @@ def comoment_even(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     return SuperPolynomial._wrap(n, terms)
 
 
-@lru_cache(maxsize=None)
 def comoment_odd(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     """J^beta_X = xi_i X^i (flat chart: the density factor is 1)."""
     if conformal_killing_factor(X, sig) is None:

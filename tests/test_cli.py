@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -433,6 +434,24 @@ def test_parse_rejects_deep_nesting(capsys, expr):
     assert err.startswith("error: parse error: parentheses nested deeper") and "Traceback" not in err
     code, _, err = run_cli(capsys, "check", expr, "--module", "S", "--delta", "1", "--dim", "2")
     assert code == 2 and err.startswith("error: parse error: ") and "Traceback" not in err
+
+
+def test_parse_and_check_refuse_a_product_past_the_limit(capsys):
+    from supercot.parse import MAX_PRODUCT_TERMS
+
+    def linear(k):
+        return "(" + "+".join(f"x{i}" for i in range(1, k + 1)) + ")"
+
+    cube = "*".join([linear(20)] * 3)  # 1,540 terms at n = 20
+    assert 1540 * 20 > MAX_PRODUCT_TERMS >= 1540 * 19
+    for argv in (("parse",), ("check", "--module", "S", "--delta", "1")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, f"{cube}*{linear(20)}", "--dim", "20")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: parse error: product of 1540 by 20 terms exceeds the maximum")
+    code, out, _ = run_cli(capsys, "parse", f"{cube}*{linear(19)}", "--dim", "20")
+    assert code == 0 and out.startswith("x1^4 + ")
 
 
 def test_parse_index_zero_exits_2(capsys):

@@ -60,7 +60,7 @@ def _seeded_poly(rng, n, terms=4):
 
 
 def _seeded_op(rng, n):
-    op = SuperDiffOp.zero(n)
+    op = SuperDiffOp(n)
     for _ in range(rng.randint(1, 4)):
         op = op + SuperDiffOp.term(
             _seeded_poly(rng, n, terms=3),

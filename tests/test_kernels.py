@@ -293,7 +293,7 @@ def test_apply_all_edge_cases():
     assert diffop.apply_all([A, B, A], F) == [ref_apply(A, F), ref_apply(B, F), ref_apply(A, F)]
     assert diffop.apply_all([], F) == []
     assert diffop.apply_all([A, B], SuperPolynomial.zero(n)) == [SuperPolynomial.zero(n)] * 2
-    for ops in ([SuperDiffOp.term(SuperPolynomial.var_x(3, 1))], [A, SuperDiffOp.zero(3)]):
+    for ops in ([SuperDiffOp.term(SuperPolynomial.var_x(3, 1))], [A, SuperDiffOp(3)]):
         with pytest.raises(ValueError, match="dimension mismatch"):
             diffop.apply_all(ops, F)
 

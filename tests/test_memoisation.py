@@ -19,7 +19,6 @@ from supercot.symplectic import (
     NotConformalError,
     VectorFieldOnM,
     comoment_even,
-    comoment_odd,
     conformal_generators,
     conformal_killing_factor,
     hamiltonian_lift,
@@ -42,7 +41,6 @@ def test_memoised_builders_equal_a_fresh_build(sig):
         (conformal_killing_factor, ()),
         (hamiltonian_lift, ()),
         (comoment_even, ()),
-        (comoment_odd, ()),
         (kosmann_lie, ()),
         (kosmann_lie, (Fraction(1, 3),)),
     ]

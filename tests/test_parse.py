@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercot.coeff import Scalar
-from supercot.parse import MAX_DEPTH, ParseError, sp_parse
+from supercot.parse import MAX_DEPTH, MAX_PRODUCT_TERMS, ParseError, sp_parse
 from supercot.superpoly import SuperPolynomial
 
 
@@ -75,6 +75,54 @@ def test_division_restricted_to_constants():
         sp_parse("x1/p1", 2)
     with pytest.raises(ParseError):
         sp_parse("x1/(1+h)", 2)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("2/h", Scalar.h(-1, 2)),
+        ("2/s", Scalar.sqrt2()),
+        ("2/(3)", Fraction(2, 3)),
+        ("2 / h", Scalar.h(-1, 2)),
+        ("3/4/h", Scalar.h(-1, Fraction(3, 4))),
+        ("1/2/3", Fraction(1, 6)),
+    ],
+)
+def test_a_number_divides_like_any_factor(text, value):
+    assert sp_parse(text, 2) == SuperPolynomial.constant(2, value)
+
+
+def test_division_is_left_associative():
+    assert sp_parse("x1/2/3", 2) == SuperPolynomial.monomial(2, xexp=(1, 0), coeff=Fraction(1, 6))
+
+
+def test_division_by_zero_is_refused():
+    with pytest.raises(ParseError) as err:
+        sp_parse("1/0", 2)
+    assert "divisor must be an invertible constant" in str(err.value)
+
+
+def test_sums_cancel_and_negate_term_by_term():
+    assert sp_parse("x1 - x1 + x2 - (x2 - x1)", 2) == sp_parse("x1", 2)
+    assert sp_parse("-x1 - x2 + 2*x2", 2) == sp_parse("x2 - x1", 2)
+
+
+def _distinct_sum(var: str, count: int) -> str:
+    """A sum of count distinct quadratic monomials in var1..var20."""
+    words = [f"{var}{i}*{var}{j}" for i in range(1, 21) for j in range(i, 21)]
+    assert count <= len(words)
+    return "(" + "+".join(words[:count]) + ")"
+
+
+def test_product_size_is_bounded():
+    rows = 150
+    cols = MAX_PRODUCT_TERMS // rows
+    assert len(sp_parse(f"{_distinct_sum('x', rows)}*{_distinct_sum('p', cols)}", 20)) == rows * cols
+    text = f"{_distinct_sum('x', rows)}*{_distinct_sum('p', cols + 1)}"
+    with pytest.raises(ParseError) as err:
+        sp_parse(text, 20)
+    assert f"exceeds the maximum {MAX_PRODUCT_TERMS}" in str(err.value)
+    assert err.value.position == text.index("*(") + 1
 
 
 @pytest.mark.parametrize(
