@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import isqrt
 
@@ -287,7 +288,9 @@ def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", default=None, help="operator target weight")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: ``main`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="supercot",
         description="Exact symbolic calculus on the flat supercotangent chart",

@@ -1,29 +1,69 @@
-"""Seeded random elements for the property suites, each built as one flat term table."""
+"""Seeded random elements for the property suites, each built as one flat term table.
+
+The draws go through ``rng.getrandbits`` and replay, call for call, CPython's
+``randint``, ``randrange``, ``choice`` and ``sample`` (3.10-3.13): a draw below m
+is getrandbits(m.bit_length()) until the result is below m, and a xi word is
+``sample``'s pool algorithm, which CPython takes for n <= 21 (a larger n calls
+``rng.sample``).  So a seed gives the elements, and leaves the generator in the
+state, that those methods would; an empty range raises ValueError, as they do.
+"""
 
 from __future__ import annotations
 
 import random
 
-from .superpoly import SLOT_BITS, SuperPolynomial, add_term, xi_mask
+from .superpoly import SLOT_BITS, SuperPolynomial, add_term
+
+_POOL_MAX = 21  # sample() keeps a pool list, rather than a set of picks, for any n up to this
+
+
+def _below(bits, m: int) -> int:
+    """A draw in 0..m-1 from the getrandbits method ``bits``."""
+    if m <= 0:
+        raise ValueError("empty range for a random draw")
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return r
+
+
+def _word(rng: random.Random, n: int, k: int) -> int:
+    """The mask of k distinct xi indices out of 1..n, drawn as rng.sample(range(1, n + 1), k)."""
+    if n > _POOL_MAX:
+        return sum(1 << (i - 1) for i in rng.sample(range(1, n + 1), k))
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    bits, pool, mask = rng.getrandbits, list(range(n)), 0
+    for i in range(n - 1, n - 1 - k, -1):
+        j = _below(bits, i + 1)
+        mask |= 1 << pool[j]
+        pool[j] = pool[i]
+    return mask
 
 
 def _table(n: int, draws) -> SuperPolynomial:
-    """The sum of the drawn (packed x, packed p, xi word, h power, integer) terms."""
+    """The sum of the drawn (packed x, packed p, xi mask, h power, integer) terms."""
     table: dict = {}
     for xp, pp, xi, hpow, coeff in draws:
         if coeff:
-            add_term(table, (xp, pp, xi_mask(xi), hpow, 0), coeff)
+            add_term(table, (xp, pp, xi, hpow, 0), coeff)
     return SuperPolynomial._wrap(n, table)
 
 
-def _exponents(rng: random.Random, n: int, top: int) -> int:
+def _exponents(bits, n: int, top: int) -> int:
     """n exponents drawn in 0..top, packed."""
-    return sum(rng.randint(0, top) << (SLOT_BITS * k) for k in range(n))
+    return sum(_below(bits, top + 1) << (SLOT_BITS * k) for k in range(n))
 
 
-def _scattered(rng: random.Random, n: int, count: int) -> int:
+def _scattered(bits, n: int, count: int) -> int:
     """count units dropped into random slots, packed."""
-    return sum(1 << (SLOT_BITS * rng.randrange(n)) for _ in range(count))
+    return sum(1 << (SLOT_BITS * _below(bits, n)) for _ in range(count))
+
+
+def _coeff(bits) -> int:
+    """An integer coefficient drawn in -3..3."""
+    return _below(bits, 7) - 3
 
 
 def random_superpoly(
@@ -38,10 +78,10 @@ def random_superpoly(
     """Random sparse polynomial with small integer coefficients."""
     if max_xi is None:
         max_xi = min(2, n)
+    bits = rng.getrandbits
     return _table(n, (
-        (_exponents(rng, n, max_x), _scattered(rng, n, rng.randint(0, max_p)),
-         rng.sample(range(1, n + 1), rng.randint(0, max_xi)), rng.randint(0, h_max) if h_max else 0,
-         rng.randint(-3, 3))
+        (_exponents(bits, n, max_x), _scattered(bits, n, _below(bits, max_p + 1)),
+         _word(rng, n, _below(bits, max_xi + 1)), _below(bits, h_max + 1) if h_max else 0, _coeff(bits))
         for _ in range(terms)
     ))
 
@@ -51,31 +91,31 @@ def random_parity_homogeneous(
 ) -> SuperPolynomial:
     """Random polynomial whose every term has Grassmann parity `parity`."""
     sizes = range(parity, n + 1, 2)
+    bits = rng.getrandbits
     return _table(n, (
-        (_exponents(rng, n, 1), _scattered(rng, n, rng.randint(0, max_p)),
-         rng.sample(range(1, n + 1), rng.choice(sizes)), 0, rng.randint(-3, 3))
+        (_exponents(bits, n, 1), _scattered(bits, n, _below(bits, max_p + 1)),
+         _word(rng, n, sizes[_below(bits, len(sizes))]), 0, _coeff(bits))
         for _ in range(terms)
     ))
 
 
 def random_xi_poly(rng: random.Random, n: int, terms: int = 5) -> SuperPolynomial:
     """Random polynomial in the Grassmann variables only."""
-    return _table(n, (
-        (0, 0, rng.sample(range(1, n + 1), rng.randint(0, n)), 0, rng.randint(-3, 3))
-        for _ in range(terms)
-    ))
+    bits = rng.getrandbits
+    return _table(n, ((0, 0, _word(rng, n, _below(bits, n + 1)), 0, _coeff(bits)) for _ in range(terms)))
 
 
 def random_xi_homogeneous(rng: random.Random, n: int, degree: int, terms: int = 4) -> SuperPolynomial:
-    return _table(n, ((0, 0, rng.sample(range(1, n + 1), degree), 0, rng.randint(-3, 3)) for _ in range(terms)))
+    bits = rng.getrandbits
+    return _table(n, ((0, 0, _word(rng, n, degree), 0, _coeff(bits)) for _ in range(terms)))
 
 
 def random_bidegree(
     rng: random.Random, n: int, k: int, kappa: int, terms: int = 4, max_x: int = 1
 ) -> SuperPolynomial:
     """Random polynomial homogeneous of bidegree (k in p, kappa in xi)."""
+    bits = rng.getrandbits
     return _table(n, (
-        (_exponents(rng, n, max_x), _scattered(rng, n, k), rng.sample(range(1, n + 1), kappa), 0,
-         rng.randint(-3, 3))
+        (_exponents(bits, n, max_x), _scattered(bits, n, k), _word(rng, n, kappa), 0, _coeff(bits))
         for _ in range(terms)
     ))

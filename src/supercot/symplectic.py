@@ -46,10 +46,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import Scalar
+from .coeff import _PART_MUL, Scalar, _rational
 from .diffop import SuperDiffOp
 from .superpoly import (
-    Signature, SuperPolynomial, accumulate, add_product, gradient, guard_mask, pack, product_rows,
+    _SLOT_MASK, SLOT_BITS, Signature, SuperPolynomial, _odd_above, _overflow, add_product, add_term, gradient,
+    guard_mask, pack, unpack,
 )
 
 
@@ -93,23 +94,72 @@ class VectorFieldOnM:
 _INV_H = {1: Scalar.h(-1, 1), -1: Scalar.h(-1, -1)}
 
 
+@lru_cache(maxsize=256)
+def _slots(packed: int, n: int) -> int:
+    """The set of nonzero slots of a packed exponent vector, bit k for slot k."""
+    return sum(1 << k for k, e in enumerate(unpack(packed, n)) if e)
+
+
+def _bracket_terms(table: dict, n: int) -> list[tuple]:
+    """The terms of a bracket operand, one pass: (xp, pp, mask, hpow, part, value,
+    nonzero x slots, nonzero p slots, odd-above mask)."""
+    return [(xp, pp, m, h, q, c, _slots(xp, n), _slots(pp, n), _odd_above(m)) for (xp, pp, m, h, q), c in table.items()]
+
+
 def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPolynomial:
-    """Graded Poisson bracket {F, G}; F must be parity-homogeneous."""
+    """Graded Poisson bracket {F, G}; F must be parity-homogeneous.
+
+    One loop over the term pairs of F and G.  A pair whose xi words m1, m2
+    are disjoint gives the even part (d_p_i F)(d_x_i G) - (d_x_i F)(d_p_i G)
+    at the slots i where either product is nonzero.  A pair that shares
+    exactly xi^i gives the odd part (eta^ii / h)(-1)^|F| (d_xi_i F)(d_xi_i G),
+    whose sign, as F is homogeneous, is -eta^ii times the reorder sign
+    (-1)^popcount(m2 & _odd_above(m1)) of the even part.  A pair that shares
+    more gives nothing: every product repeats a xi.
+    """
     if F.n != G.n or F.n != sig.n:
         raise ValueError("dimension mismatch")
-    sign = -1 if F.parity() else 1
-    n = sig.n
+    F.parity()  # refuses an inhomogeneous F
     terms: dict = {}
     if F._terms and G._terms:
-        dF, dG = gradient(F._terms), gradient(G._terms)
-        guard = guard_mask(n)
-        inv_h = (_INV_H[sign], _INV_H[-sign])  # times eta^ii = +1, -1
-        for i in range(n):  # the gradient codes of x^i+1, p_i+1 and xi^i+1
-            x, p, xi = 3 * i, 3 * i + 1, 3 * i + 2
-            for left, right, factor in ((p, x, 1), (x, p, -1), (xi, xi, inv_h[i >= sig.p])):
-                if left in dF and right in dG:
-                    accumulate(terms, product_rows(dF[left], factor), dG[right].items(), guard)
-    return SuperPolynomial._wrap(n, terms)
+        guard = guard_mask(sig.n)
+        negative = -1 << sig.p  # the xi indices with eta^ii = -1
+        products = []
+        right = _bracket_terms(G._terms, sig.n)
+        for x1, p1, m1, h1, q1, c1, xs1, ps1, odd1 in _bracket_terms(F._terms, sig.n):
+            row = _PART_MUL[q1]
+            for x2, p2, m2, h2, q2, c2, xs2, ps2, _odd2 in right:
+                shared = m1 & m2
+                if not shared:
+                    both = ps1 & xs2 | xs1 & ps2
+                    if not both:
+                        continue
+                elif shared & (shared - 1):
+                    continue
+                f, part = row[q2]
+                c = c1 * c2 * f
+                if (m2 & odd1).bit_count() & 1:  # xi^m1 xi^m2 = -xi^(m1 | m2)
+                    c = -c
+                xp, pp = x1 + x2, p1 + p2
+                if shared:  # the odd part
+                    if (xp | pp) & guard:
+                        raise _overflow()
+                    products.append(((xp, pp, m1 ^ m2, h1 + h2 - 1, part), c if shared & negative else -c))
+                    continue
+                while both:  # the even part, at each slot i where a product is nonzero
+                    low = both & -both
+                    both ^= low
+                    s = SLOT_BITS * (low.bit_length() - 1)
+                    u = 1 << s
+                    if (xp - u | pp - u) & guard:
+                        raise _overflow()
+                    e = ((p1 >> s & _SLOT_MASK) * (x2 >> s & _SLOT_MASK)
+                         - (x1 >> s & _SLOT_MASK) * (p2 >> s & _SLOT_MASK))
+                    if e:
+                        products.append(((xp - u, pp - u, m1 | m2, h1 + h2, part), c * e))
+        for key, v in products:
+            add_term(terms, key, _rational(v))
+    return SuperPolynomial._wrap(sig.n, terms)
 
 
 def hamiltonian_vector_field(F: SuperPolynomial, sig: Signature) -> SuperDiffOp:

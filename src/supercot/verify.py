@@ -437,11 +437,11 @@ MAX_SUITE_DIM = 10
 """Largest dimension n at which any suite runs.
 
 On a 2-core x86-64 machine with Python 3.11, in one process, every suite
-took at most 4.4 s at (5,5) (modules 4.3-4.4 s, spinrep 3.6-3.9 s, lift
-1.8 s, comoment 0.2-0.3 s, the others 0.5 s or less).  As commands,
-verify --suite all --dim 10 --signature 5,5 took 13.6-14.9 s and 36 MB,
-comoment alone 1.0-1.2 s and modules alone 5.6-7.5 s; other tenants'
-load moved such times up to 1.3x between runs.  spinrep multiplies prequantisation matrices of side 2^n, but their
+took at most 3.5 s at (5,5) (modules 3.1-3.4 s, spinrep 2.7-3.5 s, lift
+1.3-1.5 s, the others 0.4 s or less: poisson 0.10-0.13 s, comoment 0.1 s).
+As a command, verify --suite all --dim 10 --signature 5,5 took 8.2-8.4 s
+and 36 MB; other tenants' load moved such times up to 1.3x between runs.
+spinrep multiplies prequantisation matrices of side 2^n, but their
 sparse rows hold one entry each, so a product costs one step per row.
 """
 

@@ -329,6 +329,42 @@ def test_verify_passes_its_seed_to_every_suite(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["seed"] == 0 and seeds == [5, 0]
 
 
+_ONE_PROCESS = [
+    ("verify", "--suite", "poisson", "--dim", "2", "--seed", "3"),
+    ("parse", "p1*xi1", "--dim", "2"),
+    ("check", "p1^2+p2^2", "--module", "S", "--delta", "1", "--dim", "2"),
+    ("parse", "x1", "--dim", "2", "--seed", "5"),
+    ("dirac-power", "--s", "1", "--dim", "2", "--format", "json"),
+    ("verify", "--suite", "poisson", "--dim", "2", "--format", "json"),
+    ("search", "--bidegree", "1,0", "--dim", "2", "--module", "T", "--delta", "1/2"),
+    ("parse", "p1*(", "--dim", "2"),
+    ("spin-rep", "--dim", "2"),
+    ("check", "p1", "--module", "D", "--delta", "1", "--dim", "2"),
+]
+
+
+def _outcomes(capsys, argvs):
+    outcomes = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own refusals
+            code = f"exit {exc.code}"
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    from supercot import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = _outcomes(capsys, _ONE_PROCESS)
+    assert {code for code, _out, _err in shared} == {0, 1, 2, "exit 2"}
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
+    assert _outcomes(capsys, _ONE_PROCESS) == shared
+
+
 def test_dirac_power_output(capsys):
     code, out, _ = run_cli(capsys, "dirac-power", "--s", "1", "--dim", "4")
     assert code == 0

@@ -1,9 +1,9 @@
 """The operator kernels against the loops they replaced.
 
 ``SuperPolynomial.partial`` and the product loop carry
-``SuperDiffOp.apply``, ``SpinorDiffOp.apply_spinor`` and ``poisson``
-(through ``superpoly.gradient``); ``SuperDiffOp.compose`` reads the cached
-Leibniz tables of ``diffop``, and ``star.standard_mul`` carries
+``SuperDiffOp.apply`` and ``SpinorDiffOp.apply_spinor``, and ``poisson``
+loops over the term pairs of its operands; ``SuperDiffOp.compose`` reads
+the cached Leibniz tables of ``diffop``, and ``star.standard_mul`` carries
 ``SpinorDiffOp.compose``.  The ``ref_*`` functions below are earlier
 implementations, built from single ``derive`` calls, ``+``, and
 ``star_mul`` on monomials with the Leibniz rule; every property compares
@@ -593,6 +593,44 @@ def test_poisson_matches_reference_in_high_dimension(p, q):
         G = random_superpoly(rng, n, terms=4, max_x=2, h_max=1) + SuperPolynomial.monomial(
             n, xexp=top + (1,), pexp=top + (3,), xi=(n,), coeff=-2)
         assert poisson(F, G, sig) == ref_poisson(F, G, sig)
+
+
+@pytest.mark.parametrize("p,q", [(0, 2), (0, 3), (1, 0)])
+def test_poisson_matches_reference_at_p_zero_and_n_one(p, q):
+    """Every eta^ii = -1 at p = 0, and a single xi at n = 1; the coefficients carry i, s,
+    h^-1 and Fraction parts, and every stored value of the bracket is canonical."""
+    sig = Signature(p, q)
+    n = sig.n
+    rng = random.Random(10 * p + q)
+    factors = [Scalar({(-1, 1): Fraction(1, 2), (0, 2): -3}), Scalar({(1, 3): Fraction(-2, 3)}), Scalar.h(-1, 2)]
+    for _ in range(40):
+        parity = rng.randint(0, 1)
+        F = (random_parity_homogeneous(rng, n, parity, terms=3).scale(rng.choice(factors))
+             + random_parity_homogeneous(rng, n, parity, terms=2))
+        G = random_superpoly(rng, n, terms=4, max_x=2, max_xi=n, h_max=1).scale(rng.choice(factors))
+        got = poisson(F, G, sig)
+        assert got == ref_poisson(F, G, sig)
+        assert poisson(G.bidegree_component(0, 0), F, sig) == ref_poisson(G.bidegree_component(0, 0), F, sig)
+        for value in got._terms.values():
+            assert value and (type(value) is int or (type(value) is Fraction and value.denominator != 1))
+
+
+def test_poisson_refuses_a_bracket_that_would_reach_the_slot_limit():
+    n, sig = 2, Signature(1, 1)
+    half = SLOT_LIMIT // 2
+
+    def mono(x1, p1=0, xi=()):
+        return SuperPolynomial.monomial(n, xexp=(x1, 0), pexp=(p1, 0), xi=xi)
+
+    # one below the limit the bracket stays exact
+    assert poisson(mono(half, 1), mono(half), sig) == mono(SLOT_LIMIT - 1).scale(half)
+    for F, G in (
+        (mono(half, 1), mono(half + 1)),  # the even part reaches x1^SLOT_LIMIT
+        (mono(half + 1, 1), mono(half + 1, 1)),  # even when its two products cancel
+        (mono(half, xi=(1,)), mono(half, xi=(1,))),  # the odd part
+    ):
+        with pytest.raises(ValueError, match="slot limit"):
+            poisson(F, G, sig)
 
 
 
