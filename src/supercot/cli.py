@@ -290,7 +290,8 @@ def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process: ``main`` only reads it."""
+    """The parser of every subcommand, built once per process.  It holds no command
+    function: ``main`` looks ``cmd_<command>`` up when it runs one."""
     parser = argparse.ArgumentParser(
         prog="supercot",
         description="Exact symbolic calculus on the flat supercotangent chart",
@@ -301,13 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, help=f"one of {', '.join(SUITES)}, or all")
     p.add_argument("--seed", type=int, default=0, help="seed for randomised suites")
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check", help="check conformal invariance of an expression")
     p.add_argument("expr", help="expression, or @path to read from a file")
     _add_weight_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("search", help="search invariants in a fixed bidegree")
     p.add_argument("--bidegree", required=True, help="k,kappa")
@@ -316,12 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(p)
     _add_common(p)
     _add_specialize_h(p)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("dirac-power", help="emit the conformal odd power N(Delta R^s)")
     p.add_argument("--s", type=int, default=0, help="power of the free Hamiltonian R")
     _add_common(p)
-    p.set_defaults(func=cmd_dirac_power)
 
     p = sub.add_parser("spin-rep", help="emit the spinor representation matrices")
     p.add_argument(
@@ -329,13 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix normalisation: c (stars of xi) or gamma = sqrt2 c",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_spin_rep)
 
     p = sub.add_parser("parse", help="parse an expression to canonical form")
     p.add_argument("expr", help="expression, or @path to read from a file")
     _add_common(p)
     _add_specialize_h(p)
-    p.set_defaults(func=cmd_parse)
 
     return parser
 
@@ -344,7 +339,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
         return code
     except ParseError as exc:

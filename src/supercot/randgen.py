@@ -3,9 +3,11 @@
 The draws go through ``rng.getrandbits`` and replay, call for call, CPython's
 ``randint``, ``randrange``, ``choice`` and ``sample`` (3.10-3.13): a draw below m
 is getrandbits(m.bit_length()) until the result is below m, and a xi word is
-``sample``'s pool algorithm, which CPython takes for n <= 21 (a larger n calls
-``rng.sample``).  So a seed gives the elements, and leaves the generator in the
-state, that those methods would; an empty range raises ValueError, as they do.
+``sample``'s pool algorithm, which CPython takes whenever n <= 21.  So for n up
+to 21, which covers ``verify.MAX_SUITE_DIM``, a seed gives the elements, and
+leaves the generator in the state, that those methods would; a larger n still
+draws a uniform seeded word, but not ``sample``'s.  An empty range raises
+ValueError, as those methods do.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import random
 
 from .superpoly import SLOT_BITS, SuperPolynomial, add_term
-
-_POOL_MAX = 21  # sample() keeps a pool list, rather than a set of picks, for any n up to this
 
 
 def _below(bits, m: int) -> int:
@@ -28,15 +28,16 @@ def _below(bits, m: int) -> int:
     return r
 
 
-def _word(rng: random.Random, n: int, k: int) -> int:
-    """The mask of k distinct xi indices out of 1..n, drawn as rng.sample(range(1, n + 1), k)."""
-    if n > _POOL_MAX:
-        return sum(1 << (i - 1) for i in rng.sample(range(1, n + 1), k))
+def _word(bits, n: int, k: int) -> int:
+    """The mask of k distinct xi indices out of 1..n, as rng.sample(range(1, n + 1), k) draws it for n <= 21."""
     if not 0 <= k <= n:
         raise ValueError("sample larger than population or is negative")
-    bits, pool, mask = rng.getrandbits, list(range(n)), 0
+    pool, mask = list(range(n)), 0
     for i in range(n - 1, n - 1 - k, -1):
-        j = _below(bits, i + 1)
+        size = (i + 1).bit_length()
+        j = bits(size)
+        while j > i:  # _below(bits, i + 1), inlined
+            j = bits(size)
         mask |= 1 << pool[j]
         pool[j] = pool[i]
     return mask
@@ -52,13 +53,25 @@ def _table(n: int, draws) -> SuperPolynomial:
 
 
 def _exponents(bits, n: int, top: int) -> int:
-    """n exponents drawn in 0..top, packed."""
-    return sum(_below(bits, top + 1) << (SLOT_BITS * k) for k in range(n))
+    """n exponents drawn in 0..top, packed; each is _below(bits, top + 1), inlined."""
+    m, packed = top + 1, 0
+    if m <= 0 and n:
+        raise ValueError("empty range for a random draw")
+    k = m.bit_length()
+    for s in range(0, SLOT_BITS * n, SLOT_BITS):
+        r = bits(k)
+        while r >= m:
+            r = bits(k)
+        packed |= r << s
+    return packed
 
 
 def _scattered(bits, n: int, count: int) -> int:
     """count units dropped into random slots, packed."""
-    return sum(1 << (SLOT_BITS * _below(bits, n)) for _ in range(count))
+    packed = 0
+    for _ in range(count):
+        packed += 1 << SLOT_BITS * _below(bits, n)
+    return packed
 
 
 def _coeff(bits) -> int:
@@ -81,7 +94,7 @@ def random_superpoly(
     bits = rng.getrandbits
     return _table(n, (
         (_exponents(bits, n, max_x), _scattered(bits, n, _below(bits, max_p + 1)),
-         _word(rng, n, _below(bits, max_xi + 1)), _below(bits, h_max + 1) if h_max else 0, _coeff(bits))
+         _word(bits, n, _below(bits, max_xi + 1)), _below(bits, h_max + 1) if h_max else 0, _coeff(bits))
         for _ in range(terms)
     ))
 
@@ -94,7 +107,7 @@ def random_parity_homogeneous(
     bits = rng.getrandbits
     return _table(n, (
         (_exponents(bits, n, 1), _scattered(bits, n, _below(bits, max_p + 1)),
-         _word(rng, n, sizes[_below(bits, len(sizes))]), 0, _coeff(bits))
+         _word(bits, n, sizes[_below(bits, len(sizes))]), 0, _coeff(bits))
         for _ in range(terms)
     ))
 
@@ -102,12 +115,12 @@ def random_parity_homogeneous(
 def random_xi_poly(rng: random.Random, n: int, terms: int = 5) -> SuperPolynomial:
     """Random polynomial in the Grassmann variables only."""
     bits = rng.getrandbits
-    return _table(n, ((0, 0, _word(rng, n, _below(bits, n + 1)), 0, _coeff(bits)) for _ in range(terms)))
+    return _table(n, ((0, 0, _word(bits, n, _below(bits, n + 1)), 0, _coeff(bits)) for _ in range(terms)))
 
 
 def random_xi_homogeneous(rng: random.Random, n: int, degree: int, terms: int = 4) -> SuperPolynomial:
     bits = rng.getrandbits
-    return _table(n, ((0, 0, _word(rng, n, degree), 0, _coeff(bits)) for _ in range(terms)))
+    return _table(n, ((0, 0, _word(bits, n, degree), 0, _coeff(bits)) for _ in range(terms)))
 
 
 def random_bidegree(
@@ -116,6 +129,6 @@ def random_bidegree(
     """Random polynomial homogeneous of bidegree (k in p, kappa in xi)."""
     bits = rng.getrandbits
     return _table(n, (
-        (_exponents(bits, n, max_x), _scattered(bits, n, k), _word(rng, n, kappa), 0, _coeff(bits))
+        (_exponents(bits, n, max_x), _scattered(bits, n, k), _word(bits, n, kappa), 0, _coeff(bits))
         for _ in range(terms)
     ))

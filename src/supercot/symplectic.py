@@ -102,8 +102,8 @@ def _slots(packed: int, n: int) -> int:
 
 def _bracket_terms(table: dict, n: int) -> list[tuple]:
     """The terms of a bracket operand, one pass: (xp, pp, mask, hpow, part, value,
-    nonzero x slots, nonzero p slots, odd-above mask)."""
-    return [(xp, pp, m, h, q, c, _slots(xp, n), _slots(pp, n), _odd_above(m)) for (xp, pp, m, h, q), c in table.items()]
+    nonzero x slots, nonzero p slots)."""
+    return [(xp, pp, m, h, q, c, _slots(xp, n), _slots(pp, n)) for (xp, pp, m, h, q), c in table.items()]
 
 
 def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPolynomial:
@@ -124,11 +124,10 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
     if F._terms and G._terms:
         guard = guard_mask(sig.n)
         negative = -1 << sig.p  # the xi indices with eta^ii = -1
-        products = []
         right = _bracket_terms(G._terms, sig.n)
-        for x1, p1, m1, h1, q1, c1, xs1, ps1, odd1 in _bracket_terms(F._terms, sig.n):
-            row = _PART_MUL[q1]
-            for x2, p2, m2, h2, q2, c2, xs2, ps2, _odd2 in right:
+        for x1, p1, m1, h1, q1, c1, xs1, ps1 in _bracket_terms(F._terms, sig.n):
+            row, odd1 = _PART_MUL[q1], _odd_above(m1)
+            for x2, p2, m2, h2, q2, c2, xs2, ps2 in right:
                 shared = m1 & m2
                 if not shared:
                     both = ps1 & xs2 | xs1 & ps2
@@ -144,7 +143,7 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
                 if shared:  # the odd part
                     if (xp | pp) & guard:
                         raise _overflow()
-                    products.append(((xp, pp, m1 ^ m2, h1 + h2 - 1, part), c if shared & negative else -c))
+                    add_term(terms, (xp, pp, m1 ^ m2, h1 + h2 - 1, part), _rational(c if shared & negative else -c))
                     continue
                 while both:  # the even part, at each slot i where a product is nonzero
                     low = both & -both
@@ -156,9 +155,7 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
                     e = ((p1 >> s & _SLOT_MASK) * (x2 >> s & _SLOT_MASK)
                          - (x1 >> s & _SLOT_MASK) * (p2 >> s & _SLOT_MASK))
                     if e:
-                        products.append(((xp - u, pp - u, m1 | m2, h1 + h2, part), c * e))
-        for key, v in products:
-            add_term(terms, key, _rational(v))
+                        add_term(terms, (xp - u, pp - u, m1 | m2, h1 + h2, part), _rational(c * e))
     return SuperPolynomial._wrap(sig.n, terms)
 
 

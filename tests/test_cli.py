@@ -365,6 +365,15 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
     assert _outcomes(capsys, _ONE_PROCESS) == shared
 
 
+def test_a_command_is_looked_up_when_it_runs(monkeypatch):
+    """The parser is built once, but a command patched after that build still runs."""
+    from supercot import cli
+
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_parse", lambda args: 7)
+    assert main(["parse", "x1", "--dim", "2"]) == 7
+
+
 def test_dirac_power_output(capsys):
     code, out, _ = run_cli(capsys, "dirac-power", "--s", "1", "--dim", "4")
     assert code == 0

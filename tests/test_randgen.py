@@ -93,10 +93,9 @@ def _calls(n):
     return calls
 
 
-@pytest.mark.parametrize("n", [*range(1, 11), 22])
+@pytest.mark.parametrize("n", range(1, 11))
 def test_draws_replay_cpython_random(n):
-    """Equal elements and an equal next getrandbits(64) as randint, choice and sample give;
-    n = 22 draws its xi words through rng.sample itself."""
+    """Equal elements and an equal next getrandbits(64) as randint, choice and sample give."""
     for seed in range(50):
         ours, theirs = random.Random(seed), random.Random(seed)
         for name, args, kwargs in _calls(n):
