@@ -18,9 +18,9 @@ Each action is materialised once per (generator, weights) as a
 SuperDiffOp and cached for the life of the process, so sweeping a large
 monomial ansatz stays cheap; n and the weights asked for bound the caches.
 Each builder below lists its terms from the field's sparse Jacobian or
-Hessian, in the order symplectic describes, and makes one SuperDiffOp
-constructor call, which sums repeated keys and drops zero coefficients;
-the symbol core is the lift plus one such operator.
+Hessian and makes one SuperDiffOp constructor call, which sums repeated
+keys and drops zero coefficients; the symbol core is the lift plus one
+such operator.
 The weight-free cores (the tensorial operator without its delta (div X)
 term, and the lift plus Hessian terms of operator_symbol_action) and the
 two weight terms, div X and -h d_j(div X) dp_j, are cached separately per
@@ -58,11 +58,10 @@ def _tensorial_core(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     """The weight-free part of tensorial_operator: all but its delta (div X) term."""
     n = sig.n
     jac = jacobian(X)
-    transport, momentum = _cotangent_terms(X, jac)
     rotation = [(((j,), (), ()), SuperPolynomial.var_xi(n, i) * d) for (j, i), d in jac.items()]
     damped = _divergence_of(jac, n).scale(Fraction(-1, n))
     euler = [(((i,), (), ()), damped * SuperPolynomial.var_xi(n, i)) for i in range(1, n + 1) if damped]
-    return SuperDiffOp(n, transport + momentum + rotation + euler)
+    return SuperDiffOp(n, _cotangent_terms(X, jac) + rotation + euler)
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +74,8 @@ def _density(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
 def _lambda_term(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     """-h d_j(div X) dp_j, the lambda term of operator_symbol_action; d_j(div X) = d_j d_i X^i."""
     minus_h, unit = Scalar.h(1, -1), units(sig.n)
-    by_j = sorted(hessian(X).items(), key=lambda item: item[0][::-1])  # d_j d_i X^i by j, then i
-    return SuperDiffOp(sig.n, [(((), (), unit[j - 1]), d.scale(minus_h)) for (i, k, j), d in by_j if i == k])
+    terms = [(((), (), unit[j - 1]), d.scale(minus_h)) for (i, k, j), d in hessian(X).items() if i == k]
+    return SuperDiffOp(sig.n, terms)
 
 
 def _plus_scaled(op: SuperDiffOp, term: SuperDiffOp, weight: Fraction) -> SuperDiffOp:

@@ -47,13 +47,13 @@ MAX_ANSATZ = 20_000
 """Largest ansatz search_invariants accepts, in monomials.
 
 The cost of a search grows about linearly in the ansatz size, at
-0.03-0.05 ms and 3.5-5 KB of peak memory per monomial.  On a 2-core x86-64
-machine with Python 3.11, a CLI search near the limit takes 0.6-1.1 s
-and stays within 120 MB: (3,1) D at bidegree (3,1) with x-degree 6 has
-16,800 monomials and takes 0.67 s and 76 MB, (5,1) D at (2,2) with
-x-degree 2 and h-degree 1 has 17,640 and takes 0.59 s and 83 MB, and
-(14,0) D at (2,2) with h-degree 1 has 19,110 and takes 0.85 s and
-112 MB.  Memory, not time, now sets the limit: one generator's image of
+0.03-0.05 ms and 3-5.5 KB of peak memory per monomial.  On a 2-core x86-64
+machine with Python 3.11, a CLI search near the limit takes 0.7-1.1 s
+and stays within 121 MB: (3,1) D at bidegree (3,1) with x-degree 6 has
+16,800 monomials and takes 0.86-0.92 s and 68 MB, (5,1) D at (2,2) with
+x-degree 2 and h-degree 1 has 17,640 and takes 0.68-0.71 s and 80 MB, and
+(14,0) D at (2,2) with h-degree 1 has 19,110 and takes 0.97-1.11 s and
+121 MB.  Memory, not time, sets the limit: one generator's image of
 the whole ansatz is held while the rows are built.  The n = 6 D(3,1)
 search (336 monomials) takes 0.1 s, mostly interpreter start-up.
 """
@@ -91,7 +91,9 @@ class Weights:
     mu: Fraction | None = None
 
     def __post_init__(self):
-        if self.lam is not None and self.mu is not None:
+        if (self.lam is None) != (self.mu is None):
+            raise ValueError("operator weights need both lambda and mu")
+        if self.lam is not None:
             delta = self.mu - self.lam
             if self.delta is not None and self.delta != delta:
                 raise ValueError("inconsistent weights: delta must equal mu - lambda")
@@ -305,7 +307,8 @@ def _linear_system(
     table = SuperPolynomial._wrap(n, tagged)
     cols = list(range(len(monomials)))  # one shared int per column, not one per entry
     system: list[dict[int, int | Fraction]] = []
-    for gen in conformal_generating_set(sig):
+    # K1 first: its image is the largest, and no earlier block's rows are held beside it
+    for gen in reversed(conformal_generating_set(sig)):
         terms = _action_operator(module_tag, gen, weights, sig).apply(table)._terms
         rows: dict[tuple, dict[int, int | Fraction]] = {}
         # popping frees each image term as its row entry is stored, so the

@@ -15,6 +15,8 @@ eliminated exactly, and their kernel basis is returned once every other
 row annihilates it exactly.  When PRIME divides a denominator, or a row
 fails that check, every row is eliminated exactly.  The basis is the
 unique reduced one in every case, so which path ran never shows in it.
+``kernel`` takes its rows sparsest first, so its fill-in does not depend
+on the order in which the caller lists them.
 """
 
 from __future__ import annotations
@@ -185,9 +187,11 @@ def kernel(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) -> list[dic
     annihilates every other row exactly, the two kernels are equal and
     the subset's reduced basis is the answer.  When PRIME divides a
     denominator, or a vector fails its check (the rank over Q exceeds
-    the rank modulo PRIME), all rows are eliminated exactly.
+    the rank modulo PRIME), all rows are eliminated exactly.  Rows are
+    taken sparsest first, so the fill-in does not depend on their order
+    in `rows`.
     """
-    rows = list(rows)  # consumed twice
+    rows = sorted(rows, key=len)  # consumed twice
     try:
         pivots, used = _row_echelon(rows, ncols, PRIME)
     except ValueError:

@@ -28,12 +28,9 @@ of their own would keep every field's derivatives for the process.
 
 An operator builder lists its terms as ``((dxi, dx, dp), coeff)`` pairs,
 repeated keys and zero coefficients allowed, and makes one ``SuperDiffOp``
-constructor call, which sums them in list order; ``units(n)`` holds the
-unit multi-indices of the keys.  The lists keep the term order of the
-loops that added one term at a time: a search's rows follow it, and row
-order steers the fill-in of exact elimination.  ``hamiltonian_lift``
-shares the terms X^i dx_i and -p_j (d_i X^j) dp_i with ``confmod``'s
-tensorial action.
+constructor call, which sums them; ``units(n)`` holds the unit
+multi-indices of the keys.  ``hamiltonian_lift`` shares the terms
+X^i dx_i and -p_j (d_i X^j) dp_i with ``confmod``'s tensorial action.
 
 ``hamiltonian_vector_field(F)`` is the operator {F, .}; the lift of a
 conformal field, built by its own Darboux formula, equals the one of its
@@ -399,14 +396,12 @@ def _skew_gradient(jac: dict, sig: Signature) -> dict[tuple[int, int], SuperPoly
     return table
 
 
-def _cotangent_terms(X: VectorFieldOnM, jac: dict) -> tuple[list, list]:
-    """The terms X^i dx_i and -p_j (d_i X^j) dp_i, by i and then j, of the lift and the tensorial action."""
+def _cotangent_terms(X: VectorFieldOnM, jac: dict) -> list:
+    """The terms X^i dx_i and -p_j (d_i X^j) dp_i of the lift and the tensorial action."""
     n, unit = X.n, units(X.n)
-    by_column = sorted(jac.items(), key=lambda item: item[0][::-1])  # d_i X^j by i, then j
-    return (
-        [(((), unit[i], ()), comp) for i, comp in enumerate(X.components)],
-        [(((), (), unit[i - 1]), -(SuperPolynomial.var_p(n, j) * d)) for (j, i), d in by_column],
-    )
+    return [(((), unit[i], ()), comp) for i, comp in enumerate(X.components)] + [
+        (((), (), unit[i - 1]), -(SuperPolynomial.var_p(n, j) * d)) for (j, i), d in jac.items()
+    ]
 
 
 _MINUS_HALF_H = {1: Scalar.h(1, Fraction(-1, 2)), -1: Scalar.h(1, Fraction(1, 2))}  # -h/2 times eta_jj
@@ -421,18 +416,17 @@ def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
     n = sig.n
     jac = jacobian(X)
-    transport, momentum = _cotangent_terms(X, jac)
     rotation = [
         (((k,), (), ()), (entry * SuperPolynomial.var_xi(n, l)).scale(sig.eta(k)))
         for (l, k), entry in _skew_gradient(jac, sig).items()
     ]
     unit = units(n)
-    spin = [  # d_k d_i X^j by i, then j and k
+    spin = [
         (((), (), unit[i - 1]), d * SuperPolynomial.monomial(n, xi=(j, k), coeff=_MINUS_HALF_H[sig.eta(j)]))
-        for (j, i, k), d in sorted(_hessian_of(jac).items(), key=lambda item: (item[0][1], item[0][0], item[0][2]))
+        for (j, i, k), d in _hessian_of(jac).items()
         if j != k
     ]
-    return SuperDiffOp(n, transport + rotation + momentum + spin)
+    return SuperDiffOp(n, _cotangent_terms(X, jac) + rotation + spin)
 
 
 @lru_cache(maxsize=None)

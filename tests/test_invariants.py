@@ -52,6 +52,13 @@ def test_weights_consistency():
         Weights()
 
 
+@pytest.mark.parametrize("half", [{"lam": Fraction(0)}, {"mu": Fraction(1, 2)}])
+def test_half_a_pair_of_operator_weights_is_refused(half):
+    # module D would otherwise fail with a TypeError on the missing weight
+    with pytest.raises(ValueError, match="both lambda and mu"):
+        Weights(delta=Fraction(1, 2), **half)
+
+
 def test_check_invariance_examples():
     delta = canonical_symbol("Delta", E2).poly
     assert check_invariance(delta, "S", Weights.symbol(Fraction(1, 2)), E2).invariant

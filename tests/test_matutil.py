@@ -255,3 +255,35 @@ def test_a_search_at_weight_one_over_the_prime_takes_the_exact_path(exact_runs):
     exact_runs.clear()
     assert search_invariants(sig, 1, 1, "T", w).dimension == 0
     assert len(exact_runs) == 1
+
+
+@pytest.mark.parametrize(
+    "sig,k,kappa,tag,w,x_degree,h_degree",
+    [
+        (Signature(3, 1), 3, 1, "D", Weights.operator(Fraction(1, 8), Fraction(7, 8)), 3, 0),
+        (Signature(5, 1), 2, 2, "D", Weights.operator(Fraction(1, 3), Fraction(2, 3)), 1, 1),
+        (Signature(4, 0), 3, 1, "T", Weights.symbol(Fraction(3, 4)), 2, 0),
+    ],
+)
+def test_the_fill_in_does_not_depend_on_the_row_order(monkeypatch, sig, k, kappa, tag, w, x_degree, h_degree):
+    # fill-in: the entry count of the pivot rows of the modular pass
+    fill = []
+    row_echelon = matutil._row_echelon
+
+    def spy(rows, ncols, modulus=0):
+        pivots, used = row_echelon(rows, ncols, modulus)
+        if modulus:
+            fill.append(sum(map(len, pivots.values())))
+        return pivots, used
+
+    monkeypatch.setattr(matutil, "_row_echelon", spy)
+    monomials = _ansatz_monomials(sig, k, kappa, x_degree, h_degree)
+    system = _linear_system(sig, tag, w, monomials)
+    orders = [system, system[::-1]]
+    for seed in range(3):
+        shuffled = list(system)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    bases = [kernel(rows, len(monomials)) for rows in orders]
+    assert all(basis == bases[0] for basis in bases)
+    assert len(fill) == len(orders) and max(fill) <= 1.01 * min(fill)
