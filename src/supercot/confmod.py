@@ -10,9 +10,10 @@ exactly; that equality is the sharpest consistency check of the sign
 conventions used throughout.
 
 A SpinorDiffOp is stored as its normal-order symbol, so normal ordering
-and its inverse do no arithmetic.  The direct route composes with the
-spinor Lie derivative by the standard-ordered product; the symbol route
-applies the closed form ``operator_symbol_action``.
+and its inverse do no arithmetic.  The direct route brackets with the
+spinor Lie derivative by the standard-ordered product
+(``star.standard_commutator``); the symbol route applies the closed form
+``operator_symbol_action``.
 
 Each action is materialised once per (generator, weights) as a
 SuperDiffOp and cached for the life of the process, so sweeping a large
@@ -188,9 +189,19 @@ def act_D_direct(
     A: SpinorDiffOp,
     sig: Signature,
 ) -> SpinorDiffOp:
-    """Adjoint action sL^mu_X A - A sL^lam_X of the spinor Lie derivative."""
-    if conformal_killing_factor(X, sig) is None:
+    """Adjoint action sL^mu_X A - A sL^lam_X of the spinor Lie derivative.
+
+    sL^mu_X is sL^lam_X + (mu - lam)(n/2) k_X, with k_X the conformal
+    Killing factor, so the action is the commutator [sL^lam_X, A] plus
+    (mu - lam)(n/2) k_X A: k_X is a function of x, and composing with it
+    on the left multiplies the symbol.  sL^lam_X is even, so the
+    commutator takes A of either parity.
+    """
+    factor = conformal_killing_factor(X, sig)
+    if factor is None:
         raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
-    left = kosmann_lie(X, sig, Fraction(mu))
-    right = kosmann_lie(X, sig, Fraction(lam))
-    return left.compose(A) - A.compose(right)
+    lam, mu = Fraction(lam), Fraction(mu)
+    bracket = kosmann_lie(X, sig, lam).graded_commutator(A)
+    if mu == lam:
+        return bracket
+    return bracket + SpinorDiffOp(sig, factor.scale((mu - lam) * Fraction(sig.n, 2)) * A.symbol)

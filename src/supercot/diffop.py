@@ -12,7 +12,9 @@ refuses a bad key, and adds the coefficients of keys that coincide once
 sorted (a repeated key, or two orders of one word), dropping a key whose
 sum cancels.  So an operator built term by term is one constructor call
 over its list of terms, and the list's order is the table's.  Inside, a
-key is packed as in superpoly: ``(mask of I, packed a, packed b)``.
+key is one int, superpoly's ``derivative_key`` of (mask of I, packed a,
+packed b): the term-key layout with an empty h slot and part, so that a
+derivative subtracts its key from a term key.
 
 ``apply_all`` applies a family of operators to one polynomial, taking
 each derivative of it once for every operator that reads it; ``apply``
@@ -43,25 +45,26 @@ from typing import Iterable, Mapping, Sequence
 
 from .coeff import Scalar
 from .superpoly import (
-    SuperPolynomial, _derivative_plan, _odd_above, _overflow, _slot_leibniz, accumulate, add_term,
-    derive_table, guard_mask, pack, product_rows, slot_sum, sort_xi_word, term_sort_key, unpack,
-    xi_mask, xi_word,
+    MASK_SHIFT, SuperPolynomial, _derivative_plan, _odd_above, _overflow, _slot_leibniz, accumulate,
+    add_term, denominator, derivative_fields, derivative_key, derive_table, divided, guard_mask, integral,
+    mask_field, pack, product_rows, reaches, slot_sum, sort_xi_word, term_sort_key, unpack, x_shift, xi_mask,
+    xi_word,
 )
 
 OpKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # (dxi, dx, dp)
 
 
 @lru_cache(maxsize=None)
-def _even_leibniz(dxp: int, dpp: int, xp: int, pp: int) -> tuple:
-    """dx^a dp^b past an entry x^xp p^pp: (x rest, p rest, x gain, p gain, factor), packed.
+def _even_leibniz(shift: int, d: int, e: int) -> tuple:
+    """dx^a dp^b past an entry x^xp p^pp: (loss, gain, factor) per surviving split.
 
-    dx^a o x^e = sum C(a, g) e!/(e - a + g)! x^(e - a + g) dx^g over the
-    surviving g <= a, those with a - g <= e, slot by slot; likewise in p.
+    d packs a then b, and e packs xp then pp, slot by slot as in a key's x
+    and p slots, which start at bit shift.  dx^a o x^xp = sum C(a, g)
+    xp!/(xp - a + g)! x^(xp - a + g) dx^g over the g <= a with a - g <= xp,
+    likewise in p: the entry loses a - g and the derivative keeps g, each
+    at its place in a key.  The last split keeps all of a and b.
     """
-    return tuple(
-        (xr, pr, xg, pg, xf * pf)
-        for xr, xg, xf in _slot_leibniz(dxp, xp) for pr, pg, pf in _slot_leibniz(dpp, pp)
-    )
+    return tuple(((e - rest) << shift, gain << shift, f) for rest, gain, f in _slot_leibniz(d, e))
 
 
 @lru_cache(maxsize=None)
@@ -93,32 +96,37 @@ def _leibniz_sum(n: int, products: tuple, skip_juxtaposition: bool) -> "SuperDif
     tables) is left out.
     """
     guard = guard_mask(n)
+    xs, nm = x_shift(n), (1 << n) - 1
     result: dict = {}
     for A, B, sign in products:
-        b_terms = [(key, cB._terms.items()) for key, cB in B._terms.items()]
-        for (dmaskA, dxpA, dppA), cA in A._terms.items():
+        b_terms = [  # each entry with its even exponents and its xi mask
+            (kB, kB >> MASK_SHIFT & nm, kB >> xs << xs,
+             [(k, c, k >> xs, k >> MASK_SHIFT & nm) for k, c in cB._terms.items()])
+            for kB, cB in B._terms.items()
+        ]
+        for kA, cA in A._terms.items():
+            dmaskA, dA = kA >> MASK_SHIFT & nm, kA >> xs
+            evenA = dA << xs
             moved: dict = {}
-            for (dmaskB, dxpB, dppB), entries in b_terms:
-                if (dxpA + dxpB | dppA + dppB) & guard:
+            for kB, dmaskB, evenB, entries in b_terms:
+                if (evenA + evenB) & guard:  # the even orders add, the xi masks may overlap
                     raise _overflow()
-                for (xp, pp, m, h, q), c in entries:
-                    even = _even_leibniz(dxpA, dppA, xp, pp)
-                    if not even:
-                        continue
+                for k, c, e, m in entries:
+                    even = _even_leibniz(xs, dA, e)
                     for rest, passed, odd_sign in _odd_leibniz(dmaskA, m):
                         if passed & dmaskB:
                             continue
                         if passed and (dmaskB & _odd_above(passed)).bit_count() & 1:
                             odd_sign = -odd_sign
-                        mask = passed | dmaskB
+                        head = kB + (passed << MASK_SHIFT) if passed else kB
+                        entry = k - ((m ^ rest) << MASK_SHIFT) if m != rest else k
                         splits = even[:-1] if skip_juxtaposition and passed == dmaskA else even
-                        for xr, pr, xg, pg, factor in splits:
-                            key = (mask, dxpB + xg, dppB + pg)
+                        for loss, gain, factor in splits:
                             v = c * (factor * odd_sign)
                             if type(v) is not int and v.denominator == 1:
                                 v = v.numerator
-                            add_term(moved.setdefault(key, {}), (xr, pr, rest, h, q), v)
-            rows = product_rows(cA._terms, sign) if moved else None
+                            add_term(moved.setdefault(head + gain, {}), entry - loss, v)
+            rows = product_rows(cA._terms, n, sign) if moved else None
             for key, table in moved.items():  # a cancelled table adds nothing
                 accumulate(result.setdefault(key, {}), rows, table.items(), guard)
     return SuperDiffOp._wrap(n, {k: SuperPolynomial._wrap(n, t) for k, t in result.items() if t})
@@ -130,37 +138,49 @@ def apply_all(ops: Sequence["SuperDiffOp"], poly: SuperPolynomial) -> list[Super
     The terms of all the operators are grouped by derivative key; each
     derivative is added into every image that reads it before the next
     is taken, so no derivative table is kept and the images are all that
-    grows.
+    grows.  A derivative that no term of poly survives, as the bitwise or
+    of poly's keys already shows, is not taken, and the coefficients that
+    read it are not expanded.  The products add up in int arithmetic:
+    poly and each operator's coefficients are scaled by the least common
+    multiple of their denominators, and each image is divided back once.
     """
     n = poly.n
-    images: list[dict] = []
+    source, scale = integral(poly._terms)
+    images: list[tuple[dict, int]] = []
     readers: dict = {}
     for op in ops:
         if op.n != n:
             raise ValueError("dimension mismatch")
         terms: dict = {}
-        images.append(terms)
+        d = op._denominator()
+        images.append((terms, d * scale))
         for key, coeff in op._terms.items():
-            rows = product_rows(coeff._terms)
             group = readers.get(key)
             if group is None:
-                readers[key] = (_derivative_plan(*key), [(terms, rows)])
+                readers[key] = (_derivative_plan(n, key), [(terms, coeff, d)])
             else:
-                group[1].append((terms, rows))
-    source = poly._terms
+                group[1].append((terms, coeff, d))
+    support = 0
+    for key in source:
+        support |= key
     guard = guard_mask(n)
     for derivative, targets in readers.values():
-        derived = source if derivative is None else derive_table(source, derivative)
+        if derivative is None:
+            derived = source
+        elif not reaches(derivative, support):
+            continue
+        else:
+            derived = derive_table(source, derivative)
         if derived:
-            for terms, rows in targets:
-                accumulate(terms, rows, derived.items(), guard)
-    return [SuperPolynomial._wrap(n, terms) for terms in images]
+            for terms, coeff, d in targets:
+                accumulate(terms, product_rows(coeff._terms, n, d), derived.items(), guard)
+    return [SuperPolynomial._wrap(n, divided(terms, d)) for terms, d in images]
 
 
 class SuperDiffOp:
     """Finite-order differential operator on the supercotangent chart."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_lcm")
 
     def __init__(
         self, n: int, terms: Mapping[OpKey, SuperPolynomial] | Iterable[tuple[OpKey, SuperPolynomial]] = (),
@@ -180,7 +200,7 @@ class SuperDiffOp:
             sorted_word = sort_xi_word(dxi)
             if sorted_word is None:
                 continue
-            key = (xi_mask(dxi), pack(dx), pack(dp))
+            key = derivative_key(n, xi_mask(dxi), pack(dx), pack(dp))
             if sorted_word[0] < 0:
                 coeff = -coeff
             acc = table.get(key)
@@ -267,26 +287,39 @@ class SuperDiffOp:
             raise ValueError("commutator needs even operators: a term's coefficient and xi word differ in parity")
         return _leibniz_sum(self.n, ((self, other, 1), (other, self, -1)), True)
 
+    def _denominator(self) -> int:
+        """The least common multiple of the coefficients' denominators, computed once."""
+        try:
+            return self._lcm
+        except AttributeError:
+            d = 1
+            for coeff in self._terms.values():
+                d = denominator(coeff._terms.values(), d)
+            self._lcm = d
+            return d
+
     def _is_even(self) -> bool:
         """Every term maps even to even: each coefficient entry has the parity of its xi word."""
+        field = mask_field(self.n)
         return all(
-            not (dmask.bit_count() + m.bit_count()) & 1
-            for (dmask, _dxp, _dpp), coeff in self._terms.items() for _xp, _pp, m, _h, _q in coeff._terms
+            not ((key & field).bit_count() + (entry & field).bit_count()) & 1
+            for key, coeff in self._terms.items() for entry in coeff._terms
         )
 
     # -- inspection ---------------------------------------------------------
 
     def order(self) -> int:
-        orders = (m.bit_count() + slot_sum(dxp) + slot_sum(dpp) for m, dxp, dpp in self._terms)
+        field, xs = mask_field(self.n), x_shift(self.n)
+        orders = ((key & field).bit_count() + slot_sum(key >> xs) for key in self._terms)
         return max(orders, default=0)
 
     def items(self):
         """((dxi, dx, dp), coeff) pairs in a deterministic order."""
         n = self.n
-        out = [
-            ((xi_word(m), unpack(dxp, n), unpack(dpp, n)), coeff)
-            for (m, dxp, dpp), coeff in self._terms.items()
-        ]
+        out = []
+        for key, coeff in self._terms.items():
+            m, dxp, dpp = derivative_fields(key, n)
+            out.append(((xi_word(m), unpack(dxp, n), unpack(dpp, n)), coeff))
         out.sort(key=lambda kv: (kv[0][0], term_sort_key((kv[0][1], kv[0][2], ()))))
         return iter(out)
 

@@ -38,7 +38,9 @@ from .diffop import SuperDiffOp, apply_all
 from .matutil import kernel
 from .spinop import SpinorDiffOp
 from .star import star_mul
-from .superpoly import SLOT_BITS, SLOT_LIMIT, Signature, SuperPolynomial, pack, xi_mask
+from .superpoly import (
+    SLOT_BITS, SLOT_LIMIT, Signature, SuperPolynomial, derivative_key, pack, pack_key, p_shift, xi_mask,
+)
 from .symplectic import conformal_generating_set, conformal_generators, units
 
 MODULE_TAGS = ("T", "S", "D")
@@ -47,13 +49,13 @@ MAX_ANSATZ = 20_000
 """Largest ansatz search_invariants accepts, in monomials.
 
 The cost of a search grows about linearly in the ansatz size, at
-0.03-0.05 ms and 3-5.5 KB of peak memory per monomial.  On a 2-core x86-64
-machine with Python 3.11, a CLI search near the limit takes 0.7-1.1 s
-and stays within 121 MB: (3,1) D at bidegree (3,1) with x-degree 6 has
-16,800 monomials and takes 0.86-0.92 s and 68 MB, (5,1) D at (2,2) with
-x-degree 2 and h-degree 1 has 17,640 and takes 0.68-0.71 s and 80 MB, and
-(14,0) D at (2,2) with h-degree 1 has 19,110 and takes 0.97-1.11 s and
-121 MB.  Memory, not time, sets the limit: one generator's image of
+0.04-0.07 ms and 3-5.2 KB of peak memory per monomial.  On a 2-core x86-64
+machine with Python 3.11, a search near the limit takes 0.7-1.2 s in
+process and stays within 100 MB: (3,1) D at bidegree (3,1) with x-degree
+6 has 16,800 monomials and takes 1.2 s and 53 MB, (5,1) D at (2,2) with
+x-degree 2 and h-degree 1 has 17,640 and takes 0.75 s and 64 MB, and
+(14,0) D at (2,2) with h-degree 1 has 19,110 and takes 1.0 s and
+100 MB.  Memory, not time, sets the limit: one generator's image of
 the whole ansatz is held while the rows are built.  The n = 6 D(3,1)
 search (336 monomials) takes 0.1 s, mostly interpreter start-up.
 """
@@ -63,12 +65,13 @@ MAX_CONFORMAL_DIM = 20
 
 Both act with conformal generators: check with all (n+1)(n+2)/2 of
 them, search with n + 1, each a field of n components.  On a 2-core
-x86-64 machine with Python 3.11, check p1 at n = 20 takes 0.7-0.9 s and
-23 MB in module D, 0.45-0.55 s and 21 MB in S and 0.3-0.45 s and 21 MB
-in T; building the 231 operators, not applying them, still takes most
-of that time (under cProfile, about 90 % in D and S and 80 % in T).
-Past the limit (measured in process), D takes 0.9 s and S 0.5 s at
-n = 24, and T 8 s and 76 MB at n = 80.
+x86-64 machine with Python 3.11, measured in process, check p1 at
+n = 20 takes 0.25 s and 21 MB in module D, 0.13 s and 19 MB in S and
+0.08 s and 18 MB in T; building the 231 operators, not applying them,
+takes most of that time (in D, 0.27 s of building against 0.015 s of
+applying), with each field's Jacobian and Hessian computed once.
+Past the limit, D takes 0.37 s and S 0.19 s at n = 24, and T 3.1 s and
+82 MB at n = 80.
 """
 
 MAX_DIRAC_TERMS = 80_000
@@ -264,16 +267,17 @@ def _ansatz_monomials(
     x_exps: list[tuple[int, ...]] = [(0,) * n]
     for deg in range(1, x_degree + 1):
         x_exps.extend(_compositions(deg, n))
+    h_keys = [pack_key(n, 0, 0, 0, hpow) for hpow in range(h_degree + 1)]
     monomials = []
     for xexp in x_exps:
         xp = pack(xexp)
         for pexp in p_exps:
             pp = pack(pexp)
             for xi in xi_sets:
-                mask = xi_mask(xi)
-                for hpow in range(h_degree + 1):
+                head = derivative_key(n, xi_mask(xi), xp, pp)
+                for h_key in h_keys:
                     # the flat table of h^hpow x^xexp p^pexp xi^xi; xi is increasing
-                    monomials.append(SuperPolynomial._wrap(n, {(xp, pp, mask, hpow, 0): 1}))
+                    monomials.append(SuperPolynomial._wrap(n, {head | h_key: 1}))
     return monomials
 
 
@@ -285,38 +289,38 @@ def _linear_system(
     There is one row per (generator, monomial key, h-power, scalar part)
     that some action reaches; the kernel of the system is the invariant
     subspace of the ansatz.  Each monomial's terms carry its column in
-    the spare packed slot n of xp: derivative plans and product rows
-    touch only slots 0..n-1, the ones guard_mask(n) guards, so one apply
-    of each generating-set operator to the tagged table acts on every
-    monomial at once, and the column of each result term is read back
-    from slot n.  Terms of different columns never share a key, so no
-    two monomials' images merge.
+    a slot above the p slots of their keys: derivative plans and product
+    rows touch only the fields below, so one apply of each
+    generating-set operator to the tagged table acts on every monomial
+    at once, and the column of each result term is read back from that
+    slot.  Terms of different columns never share a key, so no two
+    monomials' images merge.
     """
     n = sig.n
-    # Slot n must hold every column below SLOT_LIMIT = 2^31.  MAX_ANSATZ is
-    # far below that, so no search reaches this; it guards direct callers.
+    # Columns stay below SLOT_LIMIT = 2^31, the bound of every other slot.  MAX_ANSATZ
+    # is far below that, so no search reaches this; it guards direct callers.
     if len(monomials) >= SLOT_LIMIT:
         raise ValueError(f"{len(monomials)} columns do not fit the packed slot limit {SLOT_LIMIT}")
-    shift = SLOT_BITS * n
+    shift = p_shift(n) + SLOT_BITS * n
     low = (1 << shift) - 1
     tagged: dict = {}
     for col, mono in enumerate(monomials):
         tag = col << shift
-        for (xp, pp, mask, hpow, part), value in mono._terms.items():
-            tagged[(xp | tag, pp, mask, hpow, part)] = value
+        for key, value in mono._terms.items():
+            tagged[key | tag] = value
     table = SuperPolynomial._wrap(n, tagged)
     cols = list(range(len(monomials)))  # one shared int per column, not one per entry
     system: list[dict[int, int | Fraction]] = []
     # K1 first: its image is the largest, and no earlier block's rows are held beside it
     for gen in reversed(conformal_generating_set(sig)):
         terms = _action_operator(module_tag, gen, weights, sig).apply(table)._terms
-        rows: dict[tuple, dict[int, int | Fraction]] = {}
+        rows: dict[int, dict[int, int | Fraction]] = {}
         # popping frees each image term as its row entry is stored, so the
         # image and the rows built from it do not peak together
         while terms:
-            (xp, pp, mask, hpow, part), value = terms.popitem()
+            key, value = terms.popitem()
             # one row per untagged flat key (monomial, h-power, part); the value as is
-            rows.setdefault((xp & low, pp, mask, hpow, part), {})[cols[xp >> shift]] = value
+            rows.setdefault(key & low, {})[cols[key >> shift]] = value
         system.extend(rows.values())
     return system
 

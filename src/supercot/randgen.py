@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .superpoly import SLOT_BITS, SuperPolynomial, add_term
+from .superpoly import _BIASED, MASK_SHIFT, SLOT_BITS, SuperPolynomial, _h_field, add_term, x_shift
 
 
 def _below(bits, m: int) -> int:
@@ -46,9 +46,11 @@ def _word(bits, n: int, k: int) -> int:
 def _table(n: int, draws) -> SuperPolynomial:
     """The sum of the drawn (packed x, packed p, xi mask, h power, integer) terms."""
     table: dict = {}
+    xs = x_shift(n)
+    ps = xs + SLOT_BITS * n
     for xp, pp, xi, hpow, coeff in draws:
-        if coeff:
-            add_term(table, (xp, pp, xi, hpow, 0), coeff)
+        if coeff:  # the packed key of the term, as superpoly.pack_key builds it
+            add_term(table, xi << MASK_SHIFT | xp << xs | pp << ps | (_h_field(hpow) if hpow else _BIASED), coeff)
     return SuperPolynomial._wrap(n, table)
 
 

@@ -9,7 +9,8 @@ SuperPolynomial in which the monomial x^a p^b xi^I stands for
 x^a c^I (h dx)^b.  Normal ordering is therefore the identity on the
 stored data, the linear structure is the symbol's, and composition is
 the standard-ordered product of star.py, which is associative on the
-nose.  ``items()`` groups the symbol back into (c^I, dx^a) blocks, each
+nose; ``graded_commutator`` is star's one-table ``standard_commutator``.
+``items()`` groups the symbol back into (c^I, dx^a) blocks, each
 coefficient times h^|a|, for rendering and JSON; it and ``from_items``
 move entries between the flat term tables of the blocks and the symbol
 without building a Scalar.
@@ -22,10 +23,11 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .coeff import Scalar
-from .star import standard_mul
+from .star import standard_commutator, standard_mul
 from .superpoly import (
-    Signature, SuperPolynomial, add_product, add_term, pack, slot_sum, sort_xi_word, unpack,
-    xi_mask, xi_word,
+    H_SHIFT, MASK_SHIFT, SLOT_BITS, SLOT_LIMIT, Signature, SuperPolynomial, _overflow, add_product, add_term,
+    derivative_fields, derivative_key, guard_mask, pack, slot_sum, sort_xi_word, unpack, x_shift, xi_mask,
+    xi_word,
 )
 
 
@@ -55,6 +57,7 @@ class SpinorDiffOp:
         A cliff word may be in any order; its reordering sign is absorbed.
         """
         n = sig.n
+        guard = guard_mask(n)
         terms: dict = {}
         for (cliff, dx), xcoeff in items:
             dx = tuple(dx) or (0,) * n
@@ -70,9 +73,16 @@ class SpinorDiffOp:
             sign, word = sorted_word
             if word and not (1 <= word[0] and word[-1] <= n):
                 raise ValueError(f"Clifford word {word!r} must lie within 1..{n}")
-            dpp, mask, order = pack(dx), xi_mask(word), sum(dx)
-            for (xp, _p, _m, h, q), c in xcoeff._terms.items():
-                add_term(terms, (xp, dpp, mask, h - order, q), c if sign > 0 else -c)
+            order = sum(dx)
+            if order >= SLOT_LIMIT:
+                raise _overflow()
+            # h^-|dx| dx^dx c^word, as a key delta: the xcoeff entries hold no p and no xi
+            head = derivative_key(n, xi_mask(word), 0, pack(dx)) - (order << H_SHIFT)
+            for key, c in xcoeff._terms.items():
+                key += head
+                if key & guard:
+                    raise _overflow()
+                add_term(terms, key, c if sign > 0 else -c)
         return SpinorDiffOp(sig, SuperPolynomial._wrap(n, terms))
 
     # -- linear structure and composition ----------------------------------
@@ -95,8 +105,7 @@ class SpinorDiffOp:
 
         The Clifford parity of an operator is the xi-parity of its symbol.
         """
-        sign = -1 if (self.symbol.parity() and other.symbol.parity()) else 1
-        return self.compose(other) - other.compose(self).scale(sign)
+        return SpinorDiffOp(self.sig, standard_commutator(self.symbol, _same_sig(self, other).symbol, self.sig))
 
     # -- spinor action -----------------------------------------------------------
 
@@ -121,14 +130,26 @@ class SpinorDiffOp:
     def items(self):
         """((cliff, dx), xcoeff) blocks sorted by (cliff, dx); xcoeff carries h^|dx|."""
         n = self.n
+        guard = guard_mask(n)
+        xs = x_shift(n)
+        x_bits = ((1 << SLOT_BITS * n) - 1) << xs
         blocks: dict = {}
         heads: dict = {}
-        for (xp, pp, m, h, q), c in self.symbol._terms.items():
-            head = heads.get((pp, m))
+        for key, c in self.symbol._terms.items():
+            head_key = key >> MASK_SHIFT << MASK_SHIFT & ~x_bits  # the p slots and the mask
+            head = heads.get(head_key)
             if head is None:
-                head = heads[(pp, m)] = ((xi_word(m), unpack(pp, n)), slot_sum(pp))
-            block, order = head
-            blocks.setdefault(block, {})[(xp, 0, 0, h + order, q)] = c
+                m, _xp, pp = derivative_fields(head_key, n)
+                order = slot_sum(pp)
+                if order >= SLOT_LIMIT:
+                    raise _overflow()
+                table = blocks[(xi_word(m), unpack(pp, n))] = {}
+                head = heads[head_key] = (table, (order << H_SHIFT) - head_key)
+            table, delta = head
+            key += delta  # the x-polynomial entry times h^|dx|
+            if key & guard:
+                raise _overflow()
+            table[key] = c
         return iter(sorted(
             ((key, SuperPolynomial._wrap(n, table)) for key, table in blocks.items()),
             key=itemgetter(0),

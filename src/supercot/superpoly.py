@@ -11,20 +11,28 @@ factors is absorbed into the coefficient, so keys are canonical and
 equality is structural.
 
 Inside, the term table is flat: one entry per monomial and basis element
-of the scalar ring, ``(xp, pp, mask, hpow, part) -> rational``.
+h^hpow * {1, i, s, is} of the scalar ring, keyed by one packed int and
+holding a canonical rational (an int when integral, otherwise a
+Fraction, never zero).  From the low bits up, a key holds:
 
-* xp and pp pack the exponent tuples into one int each, slot k at bits
-  [SLOT_BITS*k, SLOT_BITS*(k+1)); adding two packed keys adds the
-  exponents slot by slot.
-* mask has bit i-1 set when xi^i is present.
-* (hpow, part) is the basis element h^hpow * {1, i, s, is} of the
-  Scalar ring, and the value is canonical as in coeff: an int when
-  integral, otherwise a Fraction, never zero.
+* part, the basis element of Q(i, s), in 2 bits;
+* hpow + H_BIAS in a slot of SLOT_BITS bits from bit H_SHIFT;
+* the xi mask, n bits from MASK_SHIFT, bit i-1 set when xi^i is present;
+* the n x exponents, then the n p exponents, each in a slot of
+  SLOT_BITS bits (``pack``), from ``x_shift(n)`` and ``p_shift(n)``.
 
-Every stored exponent is below SLOT_LIMIT = 2^(SLOT_BITS-1), so the sum
-of two packed keys never carries from one slot into the next; each
-product tests the top bit of every slot of its result (``guard_mask``)
-and raises ValueError before it would store an exponent at the limit.
+So the key of a product of two terms with disjoint words is the sum of
+their keys, less H_BIAS in the h slot and with the product's part; a
+derivative subtracts one packed key of the same layout, whose h slot and
+part are 0 (``derivative_key``), after checking the slot values.  Bits
+above the p slots are free: the kernel search keeps its column tag there.
+
+Every stored exponent is below SLOT_LIMIT = 2^(SLOT_BITS-1), and every h
+power lies in -H_BIAS..H_BIAS-1, so each slot of a sum of two keys stays
+in its slot, and any result past a limit sets the top bit of its slot:
+each product tests its result against ``guard_mask`` in one ``&`` and
+raises ValueError before it would store it.  ``pack_key``/``unpack_key``
+convert at the boundary.
 
 Two loops carry the operator layers.  ``derive_table`` (behind ``partial``
 and the single-index ``derive``) applies a whole derivative multi-index to
@@ -36,7 +44,10 @@ Hessians from it (``symplectic.jacobian``/``hessian``).
 ``accumulate`` (behind ``add_product``) adds the product of expanded
 ``product_rows`` and a table into a caller-owned term table, so a sum of
 many products is built in one table instead of one copy per summand;
-``__mul__`` is ``add_product`` into a fresh table.
+``__mul__`` is ``add_product`` into a fresh table.  A caller that sums
+many products may scale its operands to int values first (``integral``)
+and divide the sum back once (``divided``); ``reaches`` tells from the
+bitwise or of a table's keys that a derivative leaves nothing of it.
 """
 
 from __future__ import annotations
@@ -44,16 +55,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import comb, lcm, perm
 from typing import Iterable, Iterator, Mapping
 
 from .coeff import _PART_MUL, Scalar, _rational
 
 Key = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
+# _PART_ROWS[p][q] = (rational factor, product part - q) for part_p * part_q:
+# adding the second entry to a key with part q gives the product's part.
+_PART_ROWS = tuple(tuple((f, part - q) for q, (f, part) in enumerate(row)) for row in _PART_MUL)
+
 SLOT_BITS = 32
 SLOT_LIMIT = 1 << (SLOT_BITS - 1)  # every stored exponent is below this
 _SLOT_MASK = (1 << SLOT_BITS) - 1
+H_SHIFT = 2  # the part takes the two lowest bits of a key
+H_BIAS = 1 << (SLOT_BITS - 2)  # h^hpow is stored as hpow + H_BIAS
+MASK_SHIFT = H_SHIFT + SLOT_BITS
+_H_UNIT = 1 << H_SHIFT
+_BIASED = H_BIAS << H_SHIFT  # the h slot of h^0
 
 
 def term_sort_key(key: Key):
@@ -112,14 +132,65 @@ def slot_sum(packed: int) -> int:
     return total
 
 
+def x_shift(n: int) -> int:
+    """The bit at which the x slots of a packed key start."""
+    return MASK_SHIFT + n
+
+
+def p_shift(n: int) -> int:
+    """The bit at which the p slots of a packed key start."""
+    return MASK_SHIFT + n + SLOT_BITS * n
+
+
+@lru_cache(maxsize=None)
+def mask_field(n: int) -> int:
+    """The xi-mask bits of a packed key."""
+    return ((1 << n) - 1) << MASK_SHIFT
+
+
+def _h_field(hpow: int) -> int:
+    """The h slot of h^hpow; ValueError outside -H_BIAS..H_BIAS-1."""
+    if not -H_BIAS <= hpow < H_BIAS:
+        raise ValueError(f"h power {hpow} is outside {-H_BIAS}..{H_BIAS - 1}")
+    return (hpow + H_BIAS) << H_SHIFT
+
+
+def derivative_key(n: int, mask: int, xp: int, pp: int) -> int:
+    """A xi mask and packed x and p exponents at their places in a key; h slot and part 0."""
+    xs = MASK_SHIFT + n
+    return mask << MASK_SHIFT | xp << xs | pp << (xs + SLOT_BITS * n)
+
+
+def derivative_fields(key: int, n: int) -> tuple[int, int, int]:
+    """(mask, packed x, packed p) of a key; the inverse of ``derivative_key``."""
+    xs, slots = MASK_SHIFT + n, (1 << SLOT_BITS * n) - 1
+    return key >> MASK_SHIFT & ((1 << n) - 1), key >> xs & slots, key >> (xs + SLOT_BITS * n) & slots
+
+
+def pack_key(n: int, xp: int, pp: int, mask: int, hpow: int = 0, part: int = 0) -> int:
+    """The key of the term h^hpow part x^xp p^pp xi^mask, exponents packed."""
+    return derivative_key(n, mask, xp, pp) | _h_field(hpow) | part
+
+
+def unpack_key(key: int, n: int) -> tuple[int, int, int, int, int]:
+    """(packed x, packed p, mask, hpow, part) of a key; bits above the p slots are ignored."""
+    mask, xp, pp = derivative_fields(key, n)
+    return xp, pp, mask, (key >> H_SHIFT & _SLOT_MASK) - H_BIAS, key & 3
+
+
 @lru_cache(maxsize=None)
 def guard_mask(n: int) -> int:
-    """The top bit of each of the n slots: set in a sum only at or above SLOT_LIMIT."""
-    return sum(1 << (SLOT_BITS * k + SLOT_BITS - 1) for k in range(n))
+    """The top bit of the h slot and of each x and p slot: set in a sum only past a limit."""
+    top = SLOT_BITS - 1
+    xs = MASK_SHIFT + n
+    return 1 << (H_SHIFT + top) | sum(1 << (xs + SLOT_BITS * k + top) for k in range(2 * n))
 
 
 def _overflow() -> ValueError:
-    return ValueError(f"exponent reaches the slot limit {SLOT_LIMIT} of the packed term table")
+    return ValueError(
+        f"exponent reaches the slot limit {SLOT_LIMIT} of the packed term table,"
+        f" or an h power leaves {-H_BIAS}..{H_BIAS - 1}"
+    )
 
 
 def xi_mask(word: Iterable[int]) -> int:
@@ -166,11 +237,31 @@ def sort_xi_word(word: Iterable[int]) -> tuple[int, tuple[int, ...]] | None:
     return sign, tuple(word)
 
 
-def _factor_terms(factor: Scalar | int | Fraction) -> tuple:
-    """((hpow, part), rational) pairs of a nonzero factor, canonical rationals."""
-    if type(factor) is Scalar:
-        return tuple(factor._terms.items())
-    return (((0, 0), _rational(factor)),)
+def denominator(values, d: int = 1) -> int:
+    """The least common multiple of d and the denominators of canonical rationals."""
+    for v in values:
+        if type(v) is not int:
+            d = lcm(d, v.denominator)
+    return d
+
+
+def integral(table: dict) -> tuple[dict, int]:
+    """(d * table, d) with d the least common multiple of the table's denominators:
+    a table of int values.  Sums of such products run in int arithmetic, and
+    ``divided`` brings them back."""
+    d = denominator(table.values())
+    if d == 1:
+        return table, 1
+    return {key: v.numerator * (d // v.denominator) if type(v) is not int else v * d
+            for key, v in table.items()}, d
+
+
+def divided(terms: dict, d: int) -> dict:
+    """Divide every value of a table by d in place; values stay canonical."""
+    if d != 1:
+        for key, v in terms.items():
+            terms[key] = v // d if v % d == 0 else Fraction(v, d)
+    return terms
 
 
 def add_term(terms: dict, key: tuple, value) -> None:
@@ -202,9 +293,9 @@ class SuperPolynomial:
             for key, coeff in terms.items():
                 _check_key(key, n)
                 xexp, pexp, xi = key
-                head = (pack(xexp), pack(pexp), xi_mask(xi))
-                for basis, c in Scalar.coerce(coeff)._terms.items():
-                    table[head + basis] = c
+                head = derivative_key(n, xi_mask(xi), pack(xexp), pack(pexp))
+                for (hpow, part), c in Scalar.coerce(coeff)._terms.items():
+                    table[head | _h_field(hpow) | part] = c
         self._terms = table
 
     @staticmethod
@@ -243,36 +334,36 @@ class SuperPolynomial:
         pexp = tuple(pexp) or (0,) * n
         if len(xexp) != n or len(pexp) != n:
             raise ValueError("exponent tuples must have length n")
-        head = (pack(xexp), pack(pexp))
+        xp, pp = pack(xexp), pack(pexp)
         sorted_word = sort_xi_word(xi)
         if sorted_word is None:
             return SuperPolynomial.zero(n)
         sign, word = sorted_word
         if word and not (1 <= word[0] and word[-1] <= n):
             raise IndexError(f"xi index out of range 1..{n}")
-        head += (xi_mask(word),)
+        head = derivative_key(n, xi_mask(word), xp, pp)
         if type(coeff) is int:  # the common case: no Scalar to build
             terms = {(0, 0): coeff} if coeff else {}
         else:
             terms = Scalar.coerce(coeff)._terms
-        return SuperPolynomial._wrap(
-            n, {head + basis: (c if sign > 0 else -c) for basis, c in terms.items()}
-        )
+        return SuperPolynomial._wrap(n, {
+            head | _h_field(hpow) | part: (c if sign > 0 else -c) for (hpow, part), c in terms.items()
+        })
 
     @staticmethod
     def var_x(n: int, i: int) -> "SuperPolynomial":
         _check_index(i, n)
-        return SuperPolynomial._wrap(n, {(1 << SLOT_BITS * (i - 1), 0, 0, 0, 0): 1})
+        return SuperPolynomial._wrap(n, {_BIASED | 1 << (x_shift(n) + SLOT_BITS * (i - 1)): 1})
 
     @staticmethod
     def var_p(n: int, i: int) -> "SuperPolynomial":
         _check_index(i, n)
-        return SuperPolynomial._wrap(n, {(0, 1 << SLOT_BITS * (i - 1), 0, 0, 0): 1})
+        return SuperPolynomial._wrap(n, {_BIASED | 1 << (p_shift(n) + SLOT_BITS * (i - 1)): 1})
 
     @staticmethod
     def var_xi(n: int, i: int) -> "SuperPolynomial":
         _check_index(i, n)
-        return SuperPolynomial._wrap(n, {(0, 0, 1 << (i - 1), 0, 0): 1})
+        return SuperPolynomial._wrap(n, {_BIASED | 1 << (MASK_SHIFT + i - 1): 1})
 
     # -- linear structure ----------------------------------------------
 
@@ -345,17 +436,17 @@ class SuperPolynomial:
     def derive(self, kind: str, index: int) -> "SuperPolynomial":
         """Left partial derivative with respect to x^i, p_i or xi^i: ``derive_table``
         with a one-index plan."""
-        _check_index(index, self.n)
-        unit = 1 << SLOT_BITS * (index - 1)
+        n = self.n
+        _check_index(index, n)
         if kind == "x":
-            plan = _derivative_plan(0, unit, 0)
+            key = 1 << (x_shift(n) + SLOT_BITS * (index - 1))
         elif kind == "p":
-            plan = _derivative_plan(0, 0, unit)
+            key = 1 << (p_shift(n) + SLOT_BITS * (index - 1))
         elif kind == "xi":
-            plan = _derivative_plan(1 << index - 1, 0, 0)
+            key = 1 << (MASK_SHIFT + index - 1)
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
-        return SuperPolynomial._wrap(self.n, derive_table(self._terms, plan))
+        return SuperPolynomial._wrap(n, derive_table(self._terms, _derivative_plan(n, key)))
 
     def partial(
         self,
@@ -368,47 +459,63 @@ class SuperPolynomial:
         d_xi^(i1,..,ik) is d_{xi^i1} o ... o d_{xi^ik}.  Removing its
         indices from the largest down leaves the position of each smaller
         one unchanged, so the sign is (-1)^(sum of their slots in the
-        word).  An empty multi-index is no derivative.
+        word).  An empty multi-index is no derivative.  A multi-index of
+        another length, or an index outside 1..n, is refused: packed, it
+        would reach the slots of other variables.
         """
-        plan = _derivative_plan(xi_mask(dxi), pack(dx), pack(dp))
+        n = self.n
+        if len(dx) not in (0, n) or len(dp) not in (0, n):
+            raise ValueError("derivative multi-indices must have length n")
+        for i in dxi:
+            _check_index(i, n)
+        plan = _derivative_plan(n, derivative_key(n, xi_mask(dxi), pack(dx), pack(dp)))
         if plan is None:
             return self
-        return SuperPolynomial._wrap(self.n, derive_table(self._terms, plan))
+        return SuperPolynomial._wrap(n, derive_table(self._terms, plan))
 
     # -- grading ---------------------------------------------------------
 
     def parity(self) -> int:
         """Z2-parity; raises on a non-homogeneous polynomial."""
-        parities = {key[2].bit_count() & 1 for key in self._terms}
+        field = mask_field(self.n)
+        parities = {(key & field).bit_count() & 1 for key in self._terms}
         if not parities:
             return 0
         if len(parities) > 1:
             raise ValueError("polynomial is not parity-homogeneous")
         return parities.pop()
 
+    def _degrees(self):
+        """(key, degree in p, degree in xi) per term."""
+        n = self.n
+        ps, field, slots = p_shift(n), mask_field(n), (1 << SLOT_BITS * n) - 1
+        return ((key, slot_sum(key >> ps & slots), (key & field).bit_count()) for key in self._terms)
+
     def bidegrees(self) -> set[tuple[int, int]]:
         """Set of (degree in p, degree in xi) with nonzero components."""
-        return {(slot_sum(key[1]), key[2].bit_count()) for key in self._terms}
+        return {(k, kappa) for _key, k, kappa in self._degrees()}
 
     def bidegree_component(self, k: int, kappa: int) -> "SuperPolynomial":
+        terms = self._terms
         return SuperPolynomial._wrap(self.n, {
-            key: c for key, c in self._terms.items()
-            if slot_sum(key[1]) == k and key[2].bit_count() == kappa
+            key: terms[key] for key, kp, kap in self._degrees() if kp == k and kap == kappa
         })
 
     def hamiltonian_components(self) -> dict[int, "SuperPolynomial"]:
         """Split by Hamiltonian degree 2k + kappa (k in p, kappa in xi)."""
         buckets: dict[int, dict] = {}
-        for key, c in self._terms.items():
-            degree = 2 * slot_sum(key[1]) + key[2].bit_count()
-            buckets.setdefault(degree, {})[key] = c
+        terms = self._terms
+        for key, k, kappa in self._degrees():
+            buckets.setdefault(2 * k + kappa, {})[key] = terms[key]
         return {d: SuperPolynomial._wrap(self.n, t) for d, t in sorted(buckets.items())}
 
     def x_degree(self) -> int:
-        return max((slot_sum(key[0]) for key in self._terms), default=0)
+        xs, slots = x_shift(self.n), (1 << SLOT_BITS * self.n) - 1
+        return max((slot_sum(key >> xs & slots) for key in self._terms), default=0)
 
     def is_even_free(self) -> bool:
-        return all(not key[0] and not key[1] for key in self._terms)
+        xs = x_shift(self.n)
+        return all(not key >> xs for key in self._terms)
 
     # -- access ------------------------------------------------------------
 
@@ -416,12 +523,13 @@ class SuperPolynomial:
         """The terms as (tuple key, Scalar) pairs in term order."""
         n = self.n
         groups: dict = {}
-        for (xp, pp, m, h, q), c in self._terms.items():
-            groups.setdefault((xp, pp, m), {})[(h, q)] = c
-        out = [
-            ((unpack(xp, n), unpack(pp, n), xi_word(m)), Scalar._wrap(parts))
-            for (xp, pp, m), parts in groups.items()
-        ]
+        for key, c in self._terms.items():
+            groups.setdefault(key >> MASK_SHIFT << MASK_SHIFT, {})[
+                ((key >> H_SHIFT & _SLOT_MASK) - H_BIAS, key & 3)] = c
+        out = []
+        for head, parts in groups.items():
+            mask, xp, pp = derivative_fields(head, n)
+            out.append(((unpack(xp, n), unpack(pp, n), xi_word(mask)), Scalar._wrap(parts)))
         out.sort(key=lambda kv: term_sort_key(kv[0]))
         return out
 
@@ -430,7 +538,7 @@ class SuperPolynomial:
 
     def __len__(self) -> int:
         """The number of monomials with a nonzero coefficient."""
-        return len({key[:3] for key in self._terms})
+        return len({key >> MASK_SHIFT for key in self._terms})
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -510,41 +618,65 @@ def add_product(
     """
     if not factor:
         return
-    accumulate(terms, product_rows(left._terms, factor), right._terms.items(), guard_mask(left.n))
+    accumulate(terms, product_rows(left._terms, left.n, factor), right._terms.items(), guard_mask(left.n))
 
 
-def product_rows(table: dict, factor: Scalar | int | Fraction = 1) -> list[tuple]:
-    """factor * table as the left operand of ``accumulate``, one row per term and
-    basis element: (xp, pp, mask, odd-above mask, hpow, row of _PART_MUL, value)."""
-    factors = _factor_terms(factor)
+def product_rows(table: dict, n: int, factor: Scalar | int | Fraction = 1) -> list[tuple]:
+    """factor * table as the left operand of ``accumulate``, one row per term and basis
+    element: (mask bits, odd-above mask bits, parts, value).  parts[q] is (rational
+    factor, row key) for a right term of part q, whose key plus the row key is the key
+    of the product: the row term's key less H_BIAS, with the part of the product."""
+    if type(factor) is Scalar:  # (h slot shift, part, rational) per basis element
+        factors = []
+        for (fh, fq), fc in factor._terms.items():
+            if not -H_BIAS <= fh < H_BIAS:
+                raise _overflow()
+            factors.append(((fh << H_SHIFT) - _BIASED, fq, fc))
+    else:
+        factors = ((-_BIASED, 0, _rational(factor)),)
+    field = mask_field(n)
     rows = []
-    for (x1, p1, m1, h1, q1), c1 in table.items():
-        odd1 = _odd_above(m1) if m1 else 0
-        for (fh, fq), fc in factors:
+    for k1, c1 in table.items():
+        m1 = k1 & field
+        odd1 = _odd_above(m1) & field if m1 else 0
+        q1 = k1 & 3
+        for shift, fq, fc in factors:
             f1, q = _PART_MUL[q1][fq]
             a = c1 * fc * f1 if fc != 1 or f1 != 1 else c1
-            rows.append((x1, p1, m1, odd1, h1 + fh, _PART_MUL[q], a))
+            if type(a) is not int and a.denominator == 1:
+                a = a.numerator
+            base = k1 + (shift - q1)
+            if q:
+                (e0, d0), (e1, d1), (e2, d2), (e3, d3) = _PART_ROWS[q]
+                parts = ((e0, base + d0), (e1, base + d1), (e2, base + d2), (e3, base + d3))
+            else:  # the part 1 keeps every part: one entry serves all four
+                parts = ((1, base),) * 4
+            rows.append((m1, odd1, parts, a))
     return rows
 
 
 def accumulate(terms: dict, rows: list[tuple], right_items, guard: int) -> None:
-    """The product loop: add rows * right into ``terms``; guard is ``guard_mask(n)``."""
+    """The product loop: add rows * right into ``terms``; guard is ``guard_mask(n)``.
+
+    Only a key new to ``terms`` is tested against the guard: a key past a
+    limit has the top bit of some slot set, so it is never equal to a
+    stored key.
+    """
     get = terms.get
-    for x1, p1, m1, odd1, h, row, a in rows:
-        for (x2, p2, m2, h2, q2), c2 in right_items:
-            if m1 & m2:
+    for m1, odd1, parts, a in rows:
+        for k2, c2 in right_items:
+            if k2 & m1:
                 continue
-            xp = x1 + x2
-            pp = p1 + p2
-            if (xp | pp) & guard:
-                raise _overflow()
-            f, part = row[q2]
+            f, base = parts[k2 & 3]
+            key = base + k2
             c = a * c2 if f == 1 else a * c2 * f
-            if odd1 and (m2 & odd1).bit_count() & 1:
+            if odd1 and (k2 & odd1).bit_count() & 1:
                 c = -c
-            key = (xp, pp, m1 | m2, h + h2, part)
             acc = get(key)
-            if acc is not None:
+            if acc is None:
+                if key & guard:
+                    raise _overflow()
+            else:
                 c = acc + c
                 if not c:
                     del terms[key]
@@ -555,91 +687,95 @@ def accumulate(terms: dict, rows: list[tuple], right_items, guard: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _derivative_plan(dmask: int, dxp: int, dpp: int):
-    """Packed form of dxi^I dx^a dp^b for ``derive_table``; None for no derivative.
+def _derivative_plan(n: int, key: int):
+    """The derivative dxi^I dx^a dp^b of a ``derivative_key`` as ``derive_table`` reads it;
+    None for no derivative.
 
-    Takes the mask of I and packed a and b, and gives (x slots, packed a,
-    p slots, packed b, mask of I, sign mask): a slot is (bit shift, order)
-    for each nonzero order, and the parity of popcount(word & sign mask)
-    is that of the slots of I in the word.
+    Gives (slots, key, mask bits of I, sign bits): a slot is (bit shift in a
+    key, order) for each nonzero order of a and b, and the parity of
+    popcount(term key & sign bits) is that of the slots of I in the word.
     """
-    if not (dxp or dpp or dmask):
+    if not key:
         return None
-    xs, ps = (
-        tuple((s, e) for s in range(0, v.bit_length(), SLOT_BITS) if (e := v >> s & _SLOT_MASK))
-        for v in (dxp, dpp)
+    xs = MASK_SHIFT + n
+    orders = key >> xs
+    slots = tuple(
+        (xs + s, e) for s in range(0, orders.bit_length(), SLOT_BITS) if (e := orders >> s & _SLOT_MASK)
     )
-    return xs, dxp, ps, dpp, dmask, _odd_above(dmask)
+    dmask = key & mask_field(n)
+    return slots, key, dmask, _odd_above(dmask) & mask_field(n)
+
+
+def reaches(plan: tuple, support: int) -> bool:
+    """False when no term of a table whose keys, or-ed together, give support survives
+    the plan: each exponent is at most its slot of support, bit by bit."""
+    slots, _key, dmask, _below = plan
+    if support & dmask != dmask:
+        return False
+    for shift, a in slots:
+        if support >> shift & _SLOT_MASK < a:
+            return False
+    return True
 
 
 def derive_table(table: dict, plan: tuple) -> dict:
     """The derivative loop: the flat table of a ``_derivative_plan`` applied to ``table``, in
     its term order; distinct monomials stay distinct, so no two terms merge or cancel."""
-    xs, dxp, ps, dpp, dmask, below = plan
+    slots, delta, dmask, below = plan
     terms: dict = {}
-    for (xp, pp, m, h, q), c in table.items():
-        if m & dmask != dmask:
+    for key, c in table.items():
+        if key & dmask != dmask:
             continue
-        factor = 1
-        if xs:
-            factor = _falling(xp, xs)
-            if not factor:
-                continue
-            xp -= dxp
-        if ps:
-            pfactor = _falling(pp, ps)
-            if not pfactor:
-                continue
-            factor *= pfactor
-            pp -= dpp
-        if dmask:
-            if (m & below).bit_count() & 1:
-                factor = -factor
-            m ^= dmask
-        c = c * factor
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        terms[(xp, pp, m, h, q)] = c
+        factor = _falling(key, slots) if slots else 1
+        if not factor:
+            continue
+        if dmask and (key & below).bit_count() & 1:
+            factor = -factor
+        if factor != 1:
+            c = c * factor
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+        terms[key - delta] = c
     return terms
 
 
-def gradient(table: dict) -> dict[int, dict]:
+def gradient(table: dict, n: int) -> dict[int, dict]:
     """Every nonzero first derivative of a flat table, in one pass.
 
     The derivative by x^i, p_i or xi^i is the table ``derive`` gives, in
     the same term order, stored under 3(i-1) plus 0, 1 or 2 respectively.
     """
     out: dict[int, dict] = {}
-    for (xp, pp, m, h, q), c in table.items():
-        for on_x, code, rest in ((True, 0, xp), (False, 1, pp)):
-            unit = 1
-            while rest:
-                e = rest & _SLOT_MASK
-                if e:
-                    v = c if e == 1 else c * e
-                    if type(v) is not int and v.denominator == 1:
-                        v = v.numerator
-                    key = (xp - unit, pp, m, h, q) if on_x else (xp, pp - unit, m, h, q)
-                    out.setdefault(code, {})[key] = v
-                rest >>= SLOT_BITS
-                unit <<= SLOT_BITS
-                code += 3
+    xs, nm = MASK_SHIFT + n, (1 << n) - 1
+    for key, c in table.items():
+        rest, unit, slot = key >> xs, 1 << xs, 0  # the x slots, then the p slots
+        while rest and slot < 2 * n:
+            e = rest & _SLOT_MASK
+            if e:
+                v = c if e == 1 else c * e
+                if type(v) is not int and v.denominator == 1:
+                    v = v.numerator
+                out.setdefault(3 * (slot % n) + slot // n, {})[key - unit] = v
+            rest >>= SLOT_BITS
+            unit <<= SLOT_BITS
+            slot += 1
+        m = key >> MASK_SHIFT & nm
         odd = False
         for i in range(m.bit_length()):
             if m >> i & 1:
-                out.setdefault(3 * i + 2, {})[(xp, pp, m ^ (1 << i), h, q)] = -c if odd else c
+                out.setdefault(3 * i + 2, {})[key - (1 << (MASK_SHIFT + i))] = -c if odd else c
                 odd = not odd
     return out
 
 
-def _falling(packed: int, slots: tuple) -> int:
-    """prod e!/(e - a)! over the (shift, a) slots of a packed vector; 0 if some e < a."""
+def _falling(key: int, slots: tuple) -> int:
+    """prod e!/(e - a)! over the (shift, a) slots of a key; 0 if some e < a."""
     factor = 1
     for shift, a in slots:
-        e = packed >> shift & _SLOT_MASK
+        e = key >> shift & _SLOT_MASK
         if e < a:
             return 0
-        factor *= perm(e, a)
+        factor *= e if a == 1 else perm(e, a)
     return factor
 
 

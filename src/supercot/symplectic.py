@@ -17,14 +17,14 @@ brackets, so n bounds the caches; bound them if a long-lived caller
 appears.
 
 The builders read a field's derivatives from ``jacobian`` and ``hessian``
-(``superpoly.gradient``); a builder computes the Jacobian once and derives
-the Hessian, divergence and skew gradient it needs from that one table.
+(``superpoly.gradient``), each computed once per field and cached for
+the process like the builders, as a read-only mapping: a module-D action
+alone reads the Jacobian from five builders and the Hessian from three.
 The Jacobian, the Hessian and the skew gradient hold only nonzero
 entries; the skew gradient is computed only at the index pairs of the
 Jacobian's off-diagonal entries, and the Killing-factor check visits only
 the pairs where L_X eta - lambda eta can be nonzero, so no builder walks a
-dense n x n table.  These are not cached: the builders are, and a cache
-of their own would keep every field's derivatives for the process.
+dense n x n table.
 
 An operator builder lists its terms as ``((dxi, dx, dp), coeff)`` pairs,
 repeated keys and zero coefficients allowed, and makes one ``SuperDiffOp``
@@ -42,12 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
-from .coeff import _PART_MUL, Scalar, _rational
+from .coeff import Scalar, _rational
 from .diffop import SuperDiffOp
 from .superpoly import (
-    _SLOT_MASK, SLOT_BITS, Signature, SuperPolynomial, _odd_above, _overflow, add_product, add_term, gradient,
-    guard_mask, pack, unpack,
+    _BIASED, _H_UNIT, _PART_ROWS, _SLOT_MASK, MASK_SHIFT, SLOT_BITS, Signature, SuperPolynomial, _odd_above,
+    _overflow, add_product, add_term, derivative_key, gradient, guard_mask, pack, unpack, x_shift,
 )
 
 
@@ -98,9 +100,22 @@ def _slots(packed: int, n: int) -> int:
 
 
 def _bracket_terms(table: dict, n: int) -> list[tuple]:
-    """The terms of a bracket operand, one pass: (xp, pp, mask, hpow, part, value,
-    nonzero x slots, nonzero p slots)."""
-    return [(xp, pp, m, h, q, c, _slots(xp, n), _slots(pp, n)) for (xp, pp, m, h, q), c in table.items()]
+    """The terms of a bracket operand, one pass: (key, xi mask, value, nonzero x slots,
+    nonzero p slots, packed x, packed p)."""
+    xs, ps, nm, slots, _lowers = _bracket_layout(n)
+    return [
+        (key, key >> MASK_SHIFT & nm, c, _slots(xp := key >> xs & slots, n), _slots(pp := key >> ps, n), xp, pp)
+        for key, c in table.items()
+    ]
+
+
+@lru_cache(maxsize=None)
+def _bracket_layout(n: int) -> tuple:
+    """(x shift, p shift, xi mask bits, slot bits, key delta of d_x_i d_p_i by slot i)."""
+    xs = x_shift(n)
+    ps = xs + SLOT_BITS * n
+    lowers = tuple((1 << (xs + SLOT_BITS * i)) + (1 << (ps + SLOT_BITS * i)) for i in range(n))
+    return xs, ps, (1 << n) - 1, (1 << SLOT_BITS * n) - 1, lowers
 
 
 def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPolynomial:
@@ -119,12 +134,14 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
     F.parity()  # refuses an inhomogeneous F
     terms: dict = {}
     if F._terms and G._terms:
-        guard = guard_mask(sig.n)
+        n = sig.n
+        guard, lowers = guard_mask(n), _bracket_layout(n)[-1]
         negative = -1 << sig.p  # the xi indices with eta^ii = -1
-        right = _bracket_terms(G._terms, sig.n)
-        for x1, p1, m1, h1, q1, c1, xs1, ps1 in _bracket_terms(F._terms, sig.n):
-            row, odd1 = _PART_MUL[q1], _odd_above(m1)
-            for x2, p2, m2, h2, q2, c2, xs2, ps2 in right:
+        right = _bracket_terms(G._terms, n)
+        for k1, m1, c1, xs1, ps1, x1, p1 in _bracket_terms(F._terms, n):
+            q1 = k1 & 3
+            base1, row, odd1 = k1 - q1 - _BIASED, _PART_ROWS[q1], _odd_above(m1)
+            for k2, m2, c2, xs2, ps2, x2, p2 in right:
                 shared = m1 & m2
                 if not shared:
                     both = ps1 & xs2 | xs1 & ps2
@@ -132,27 +149,29 @@ def poisson(F: SuperPolynomial, G: SuperPolynomial, sig: Signature) -> SuperPoly
                         continue
                 elif shared & (shared - 1):
                     continue
-                f, part = row[q2]
+                f, dq = row[k2 & 3]
                 c = c1 * c2 * f
                 if (m2 & odd1).bit_count() & 1:  # xi^m1 xi^m2 = -xi^(m1 | m2)
                     c = -c
-                xp, pp = x1 + x2, p1 + p2
-                if shared:  # the odd part
-                    if (xp | pp) & guard:
+                key = base1 + k2 + dq
+                if shared:  # the odd part, at the word m1 ^ m2 and h^(h1 + h2 - 1)
+                    key -= (shared << (MASK_SHIFT + 1)) + _H_UNIT
+                    if key & guard:
                         raise _overflow()
-                    add_term(terms, (xp, pp, m1 ^ m2, h1 + h2 - 1, part), _rational(c if shared & negative else -c))
+                    add_term(terms, key, _rational(c if shared & negative else -c))
                     continue
                 while both:  # the even part, at each slot i where a product is nonzero
                     low = both & -both
                     both ^= low
-                    s = SLOT_BITS * (low.bit_length() - 1)
-                    u = 1 << s
-                    if (xp - u | pp - u) & guard:
+                    i = low.bit_length() - 1
+                    lowered = key - lowers[i]
+                    if lowered & guard:
                         raise _overflow()
+                    s = SLOT_BITS * i
                     e = ((p1 >> s & _SLOT_MASK) * (x2 >> s & _SLOT_MASK)
                          - (x1 >> s & _SLOT_MASK) * (p2 >> s & _SLOT_MASK))
                     if e:
-                        add_term(terms, (xp - u, pp - u, m1 | m2, h1 + h2, part), _rational(c * e))
+                        add_term(terms, lowered, _rational(c * e))
     return SuperPolynomial._wrap(sig.n, terms)
 
 
@@ -168,15 +187,15 @@ def hamiltonian_vector_field(F: SuperPolynomial, sig: Signature) -> SuperDiffOp:
     n = sig.n
     inv_h = (_INV_H[sign], _INV_H[-sign])
     terms: dict = {}
-    for code, table in gradient(F._terms).items():
+    for code, table in gradient(F._terms, n).items():
         i, kind = divmod(code, 3)
         unit = pack(units(n)[i])
         if kind == 0:
-            key, factor = (0, 0, unit), -1
+            key, factor = derivative_key(n, 0, 0, unit), -1
         elif kind == 1:
-            key, factor = (0, unit, 0), 1
+            key, factor = derivative_key(n, 0, unit, 0), 1
         else:
-            key, factor = (1 << i, 0, 0), inv_h[i >= sig.p]
+            key, factor = derivative_key(n, 1 << i, 0, 0), inv_h[i >= sig.p]
         terms[key] = SuperPolynomial._wrap(n, table).scale(factor)
     return SuperDiffOp._wrap(n, terms)
 
@@ -327,24 +346,26 @@ def units(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _x_gradient(F: SuperPolynomial) -> dict[int, SuperPolynomial]:
     """The nonzero d_j F of a polynomial in x only, by j in increasing order."""
-    grad = gradient(F._terms)
+    grad = gradient(F._terms, F.n)
     return {j: SuperPolynomial._wrap(F.n, grad[3 * j - 3]) for j in range(1, F.n + 1) if 3 * j - 3 in grad}
 
 
-def jacobian(X: VectorFieldOnM) -> dict[tuple[int, int], SuperPolynomial]:
+@lru_cache(maxsize=32)
+def jacobian(X: VectorFieldOnM) -> Mapping[tuple[int, int], SuperPolynomial]:
     """The nonzero d_j X^i under (i, j), in increasing order of (i, j), each in the term
     order of a single-index ``derive``; one ``gradient`` pass per component."""
-    return {(i, j): d for i, comp in enumerate(X.components, 1) for j, d in _x_gradient(comp).items()}
+    return MappingProxyType(
+        {(i, j): d for i, comp in enumerate(X.components, 1) for j, d in _x_gradient(comp).items()}
+    )
 
 
-def hessian(X: VectorFieldOnM) -> dict[tuple[int, int, int], SuperPolynomial]:
+@lru_cache(maxsize=32)
+def hessian(X: VectorFieldOnM) -> Mapping[tuple[int, int, int], SuperPolynomial]:
     """The nonzero d_k d_j X^i under (i, j, k), in increasing order of (i, j, k), each as
     two single-index derives give it; one ``gradient`` pass per entry of the Jacobian."""
-    return _hessian_of(jacobian(X))
-
-
-def _hessian_of(jac: dict) -> dict[tuple[int, int, int], SuperPolynomial]:
-    return {(i, j, k): d for (i, j), first in jac.items() for k, d in _x_gradient(first).items()}
+    return MappingProxyType(
+        {(i, j, k): d for (i, j), first in jacobian(X).items() for k, d in _x_gradient(first).items()}
+    )
 
 
 def divergence(X: VectorFieldOnM) -> SuperPolynomial:
@@ -423,7 +444,7 @@ def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     unit = units(n)
     spin = [
         (((), (), unit[i - 1]), d * SuperPolynomial.monomial(n, xi=(j, k), coeff=_MINUS_HALF_H[sig.eta(j)]))
-        for (j, i, k), d in _hessian_of(jac).items()
+        for (j, i, k), d in hessian(X).items()
         if j != k
     ]
     return SuperDiffOp(n, _cotangent_terms(X, jac) + rotation + spin)

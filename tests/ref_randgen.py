@@ -7,14 +7,14 @@ compare the two draw for draw, and the state of the generator after them.
 
 import random
 
-from supercot.superpoly import SLOT_BITS, SuperPolynomial, add_term, xi_mask
+from supercot.superpoly import SLOT_BITS, SuperPolynomial, add_term, pack_key, xi_mask
 
 
 def _table(n, draws):
     table = {}
     for xp, pp, xi, hpow, coeff in draws:
         if coeff:
-            add_term(table, (xp, pp, xi_mask(xi), hpow, 0), coeff)
+            add_term(table, pack_key(n, xp, pp, xi_mask(xi), hpow), coeff)
     return SuperPolynomial._wrap(n, table)
 
 

@@ -1,7 +1,7 @@
 """The batched search build against the per-monomial loop it replaced.
 
-``_linear_system`` tags each ansatz monomial with its column in the spare
-packed slot n and applies each generating-set operator once to the
+``_linear_system`` tags each ansatz monomial with its column in a slot
+above the p slots of its packed key and applies each generating-set operator once to the
 tagged table.  The reference below applies every operator to every
 monomial on its own; both must give the same rows, in any order.
 """
@@ -18,7 +18,7 @@ from supercot.diffop import SuperDiffOp
 from supercot.invariants import (
     Weights, _action_operator, _ansatz_monomials, _linear_system, search_invariants,
 )
-from supercot.superpoly import Signature
+from supercot.superpoly import Signature, unpack_key
 from supercot.symplectic import conformal_generating_set
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -35,7 +35,7 @@ def per_monomial_rows(sig, tag, weights, monomials):
     for col, mono in enumerate(monomials):
         for name, op in ops:
             for key, value in op.apply(mono)._terms.items():
-                rows.setdefault((name, key), {})[col] = value
+                rows.setdefault((name, unpack_key(key, sig.n)), {})[col] = value
     return list(rows.values())
 
 

@@ -30,7 +30,8 @@ from supercot.randgen import random_parity_homogeneous, random_superpoly
 from supercot.spinop import SpinorDiffOp
 from supercot.star import star_mul
 from supercot.superpoly import (
-    SLOT_LIMIT, Signature, SuperPolynomial, add_product, pack, sort_xi_word, unpack, xi_word,
+    H_SHIFT, SLOT_BITS, SLOT_LIMIT, Signature, SuperPolynomial, add_product, derivative_fields, pack, slot_sum,
+    sort_xi_word, unpack, x_shift, xi_word,
 )
 from supercot.symplectic import conformal_generators, hamiltonian_lift, poisson
 
@@ -364,9 +365,11 @@ def test_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     )
     tables = []
     original = diffop._even_leibniz
+    xs = x_shift(n)
 
-    def recorded(dxp, dpp, xp, pp):
-        tables.append((unpack(xp, n), original(dxp, dpp, xp, pp)))
+    def recorded(shift, d, e):
+        assert shift == xs
+        tables.append((unpack(e, n), original(shift, d, e)))
         return tables[-1][1]
 
     monkeypatch.setattr(diffop, "_even_leibniz", recorded)
@@ -374,8 +377,8 @@ def test_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     monkeypatch.undo()
     # (x rest, gamma, factor): x1 needs gamma1 >= 1 and gamma2 = 1, x2 needs gamma1 = 2
     assert sorted(
-        (entry, unpack(xr, n), unpack(xg, n), factor)
-        for entry, table in tables for xr, _pr, xg, _pg, factor in table
+        (entry, tuple(e - lost for e, lost in zip(entry, unpack(loss >> xs, n))), unpack(gain >> xs, n), factor)
+        for entry, table in tables for loss, gain, factor in table
     ) == [
         ((0, 1, 0), (0, 0, 0), (2, 0, 0), 1), ((0, 1, 0), (0, 1, 0), (2, 1, 0), 1),
         ((1, 0, 0), (0, 0, 0), (1, 1, 0), 2), ((1, 0, 0), (1, 0, 0), (2, 1, 0), 1),
@@ -430,7 +433,7 @@ def test_constructor_sums_a_list_of_terms():
     summed = SuperDiffOp(n, pairs)
     assert list(summed._terms.items()) == list(added._terms.items())
     assert [word for (word, _dx, _dp), _c in summed.items()] == [(), (1,), (1, 2)]
-    assert list(summed._terms)[-1] == (1, pack((0, 1)), 0)
+    assert derivative_fields(list(summed._terms)[-1], n) == (1, pack((0, 1)), 0)
 
 
 @pytest.mark.parametrize(
@@ -470,9 +473,13 @@ def test_even_leibniz_table_lists_the_surviving_splits():
                 rest_x = tuple(t - o + g for t, o, g in zip(e, a, gamma))
                 rest_p = tuple(t - o + g for t, o, g in zip(f, b, delta))
                 want.append((rest_x, rest_p, gamma, delta, factor))
-        table = diffop._even_leibniz(pack(a), pack(b), pack(e), pack(f))
-        got = [(unpack(xr, n), unpack(pr, n), unpack(xg, n), unpack(pg, n), fac)
-               for xr, pr, xg, pg, fac in table]
+        xs = x_shift(n)
+        table = diffop._even_leibniz(xs, pack(a + b), pack(e + f))
+        got = []
+        for loss, gain, fac in table:
+            rest = tuple(t - lost for t, lost in zip(e + f, unpack(loss >> xs, 2 * n)))
+            gained = unpack(gain >> xs, 2 * n)
+            got.append((rest[:n], rest[n:], gained[:n], gained[n:], fac))
         assert sorted(got) == sorted(want)
 
 
@@ -544,8 +551,8 @@ def test_spinor_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     tables = []
     original = star._contractions
 
-    def recorded(pexp, xexp):
-        tables.append((unpack(pexp, n), unpack(xexp, n), original(pexp, xexp)))
+    def recorded(dim, pexp, xexp):
+        tables.append((unpack(pexp, n), unpack(xexp, n), original(dim, pexp, xexp)))
         return tables[-1][2]
 
     monkeypatch.setattr(star, "_contractions", recorded)
@@ -555,12 +562,17 @@ def test_spinor_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
     # are contracted, each with a nonzero factor C(p, gamma) x!/(x - gamma)!
     ((pexp, xexp, table),) = tables
     assert (pexp, xexp) == ((2, 1), (1, 1))
-    assert [(unpack(p_rest, n), unpack(x_rest, n), order) for p_rest, x_rest, order, _f in table] == [
+    assert [(unpack(pack(pexp) - g, n), unpack(pack(xexp) - g, n), slot_sum(g)) for g, _d, _f in table] == [
         ((2, 1), (1, 1), 0), ((2, 0), (1, 0), 1), ((1, 1), (0, 1), 1), ((1, 0), (0, 0), 2),
     ]
-    # the factor of each gamma is h^order times its integer
-    assert [Scalar.h(order, factor) for _p, _x, order, factor in table] == [
+    # the factor of each gamma is h^order times its integer, and its key delta lowers
+    # the x and p slots by gamma and raises the h slot by |gamma|
+    assert [Scalar.h(slot_sum(g), factor) for g, _d, factor in table] == [
         Scalar.one(), Scalar.h(1, 1), Scalar.h(1, 2), Scalar.h(2, 2),
+    ]
+    xs = x_shift(n)
+    assert [delta for _g, delta, _f in table] == [
+        (slot_sum(g) << H_SHIFT) - (g << xs) - (g << xs + SLOT_BITS * n) for g, _d, _f in table
     ]
     assert AB == ref_spin_compose(A, B)
 

@@ -22,6 +22,8 @@ from supercot.symplectic import (
     conformal_generators,
     conformal_killing_factor,
     hamiltonian_lift,
+    hessian,
+    jacobian,
     vf_bracket,
 )
 
@@ -49,6 +51,17 @@ def test_memoised_builders_equal_a_fresh_build(sig):
             got = build(field, sig, *extra)
             assert got == build.__wrapped__(field, sig, *extra)
             assert build(field, sig, *extra) is got
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=str)
+def test_each_field_derivative_table_is_computed_once_and_read_only(sig):
+    for field in _fields(sig):
+        for table in (jacobian, hessian):
+            got = table(field)
+            assert got == table.__wrapped__(field)
+            assert table(field) is got
+            with pytest.raises(TypeError):
+                got[next(iter(got), (1, 1))] = SuperPolynomial.zero(sig.n)
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=str)
@@ -162,17 +175,22 @@ def test_comoment_suite_brackets_each_pair_of_distinct_generators_once(monkeypat
     assert len(calls) == count * (count - 1) // 2
 
 
-def test_kosmann_suite_composes_twice_per_pair_of_distinct_generators(monkeypatch):
+def test_kosmann_suite_brackets_each_unordered_pair_once(monkeypatch):
     sig = Signature(2, 0)
     calls = []
-    original = SpinorDiffOp.compose
+    original = SpinorDiffOp.graded_commutator
 
     def counted(self, other):
         calls.append((self, other))
         return original(self, other)
 
-    monkeypatch.setattr(SpinorDiffOp, "compose", counted)
+    def refused(self, other):
+        raise AssertionError("the kosmann suite composes")
+
+    monkeypatch.setattr(SpinorDiffOp, "graded_commutator", counted)
+    monkeypatch.setattr(SpinorDiffOp, "compose", refused)
     rows = verify.suite_kosmann(sig, 0)
     assert all(r.ok for r in rows)
     count = len(conformal_generators(sig))
-    assert len(calls) == 2 * (count * (count - 1) // 2)
+    # the diagonal pairs need no bracket, and the bracket composes neither way
+    assert len(calls) == count * (count - 1) // 2

@@ -1,7 +1,7 @@
 """The flat term table of SuperPolynomial and its boundary with tuple keys.
 
-Inside, a term is ``(xp, pp, mask, hpow, part) -> rational`` with packed
-exponents (see superpoly's module docstring); outside, the constructor,
+Inside, a term is one packed int key -> rational, the key holding
+(xp, pp, mask, hpow, part) (see superpoly's module docstring); outside, the constructor,
 ``items()`` and JSON speak ``(xexp, pexp, xi) -> Scalar``.
 These tests check that the two views agree, that the packed exponents
 never carry between slots, and that the kernels skip empty operands.
@@ -20,7 +20,8 @@ from supercot.invariants import MAX_DIRAC_TERMS, Weights, dirac_power
 from supercot.parse import MAX_EXPONENT
 from supercot.star import standard_mul, star_mul
 from supercot.superpoly import (
-    SLOT_LIMIT, Signature, SuperPolynomial, add_product, term_sort_key, unpack,
+    H_BIAS, SLOT_LIMIT, Signature, SuperPolynomial, add_product, guard_mask, pack, pack_key, term_sort_key,
+    unpack, unpack_key, xi_mask,
 )
 from supercot.symplectic import poisson
 
@@ -117,6 +118,20 @@ def test_exponents_at_the_slot_limit_are_refused_at_the_boundary():
         ]})
 
 
+def test_partial_refuses_a_multi_index_that_would_reach_other_slots():
+    F = SuperPolynomial.monomial(2, xexp=(1, 1), pexp=(1, 1), xi=(1, 2))
+    # packed, a third x order would read p1, and xi3 would read x1
+    with pytest.raises(ValueError, match="length n"):
+        F.partial(dx=(0, 0, 1))
+    with pytest.raises(ValueError, match="length n"):
+        F.partial(dp=(1,))
+    with pytest.raises(IndexError):
+        F.partial(dxi=(3,))
+    with pytest.raises(IndexError):
+        F.partial(dxi=(0,))
+    assert F.partial(dx=(0, 1), dp=(1, 0), dxi=(2,)) == -SuperPolynomial.monomial(2, xexp=(1, 0), pexp=(0, 1), xi=(1,))
+
+
 def test_a_product_that_would_reach_the_slot_limit_raises():
     n, sig = 2, Signature(2, 0)
     half = SLOT_LIMIT // 2
@@ -125,7 +140,7 @@ def test_a_product_that_would_reach_the_slot_limit_raises():
     below = x_top * SuperPolynomial.monomial(n, xexp=(half - 1, 1))
     ((key, _c),) = below.items()
     assert key == ((SLOT_LIMIT - 1, 1), (0, 0), (1,))
-    assert unpack(next(iter(below._terms))[0], n) == (SLOT_LIMIT - 1, 1)
+    assert unpack(unpack_key(next(iter(below._terms)), n)[0], n) == (SLOT_LIMIT - 1, 1)
     p_top = SuperPolynomial.monomial(n, pexp=(0, half))
     for product in (
         lambda: x_top * x_top.derive("xi", 1),
@@ -136,6 +151,73 @@ def test_a_product_that_would_reach_the_slot_limit_raises():
     ):
         with pytest.raises(ValueError, match="slot limit"):
             product()
+
+
+@pytest.mark.parametrize("n", [1, 4, 20])
+def test_boundary_keys_round_trip_through_the_packed_int(n):
+    """Exponents 0, 1 and SLOT_LIMIT - 1 in the first and last slots, h powers down to
+    -MAX_EXPONENT and out to both ends of the h slot, every part and the full word."""
+    rng = random.Random(n)
+    exps = [(0,) * n, (SLOT_LIMIT - 1,) + (0,) * (n - 1), (0,) * (n - 1) + (SLOT_LIMIT - 1,),
+            tuple(rng.choice((0, 1, SLOT_LIMIT - 1)) for _ in range(n))]
+    words = [(), (1,), (n,), tuple(range(1, n + 1))]
+    hpows = [-MAX_EXPONENT, -1, 0, MAX_EXPONENT, -H_BIAS, H_BIAS - 1]
+    guard = guard_mask(n)
+    for xexp in exps:
+        for pexp in exps[::-1]:
+            for word in words:
+                for hpow in hpows:
+                    for part in range(4):
+                        key = pack_key(n, pack(xexp), pack(pexp), xi_mask(word), hpow, part)
+                        assert not key & guard
+                        assert unpack_key(key, n) == (pack(xexp), pack(pexp), xi_mask(word), hpow, part)
+                        coeff = Scalar({(hpow, part): Fraction(-3, 2)})
+                        F = SuperPolynomial(n, {(xexp, pexp, word): coeff})
+                        assert list(F._terms.items()) == [(key, Fraction(-3, 2))]
+                        assert list(F.items()) == [((xexp, pexp, word), coeff)]
+                        assert SuperPolynomial.from_json(F.to_json()) == F
+
+
+@pytest.mark.parametrize("n", [1, 4, 20])
+def test_the_guard_refuses_an_x_p_or_h_slot_past_its_limit(n):
+    half = SLOT_LIMIT // 2
+    last = (0,) * (n - 1)
+    x_top = SuperPolynomial.monomial(n, xexp=last + (half,))
+    p_top = SuperPolynomial.monomial(n, pexp=last + (half,))
+    h_top = SuperPolynomial.constant(n, Scalar.h(H_BIAS - 1))
+    h_bottom = SuperPolynomial.constant(n, Scalar.h(-H_BIAS))
+    assert (x_top * SuperPolynomial.monomial(n, xexp=last + (half - 1,))).x_degree() == SLOT_LIMIT - 1
+    assert h_top * h_bottom == SuperPolynomial.constant(n, Scalar.h(-1))
+    for F, G in ((x_top, x_top), (p_top, p_top), (h_top, SuperPolynomial.constant(n, Scalar.h(1))),
+                 (h_bottom, SuperPolynomial.constant(n, Scalar.h(-1)))):
+        with pytest.raises(ValueError, match="slot limit"):
+            F * G
+        with pytest.raises(ValueError, match="slot limit"):
+            standard_mul(F, G, Signature(n, 0))
+    for hpow in (H_BIAS, -H_BIAS - 1):
+        with pytest.raises(ValueError, match="h power"):
+            SuperPolynomial.constant(n, Scalar.h(hpow))
+        with pytest.raises(ValueError, match="slot limit"):
+            SuperPolynomial.one(n).scale(Scalar.h(hpow))
+
+
+def test_search_column_tags_survive_at_the_largest_admitted_ansatz():
+    """(14,0) D(2,2) with h-degree 1, 19,110 columns: the tag above the p slots reads back
+    the column of every entry, as applying each operator to one monomial gives it."""
+    sig = Signature(14, 0)
+    weights = Weights.operator(Fraction(3, 7), Fraction(1, 2))
+    monomials = invariants._ansatz_monomials(sig, 2, 2, 0, 1)
+    assert len(monomials) == 19_110
+    rows = invariants._linear_system(sig, "D", weights, monomials)
+    by_column: dict = {}
+    for row in rows:
+        for col, value in row.items():
+            by_column.setdefault(col, []).append(value)
+    assert set(by_column) == set(range(len(monomials)))
+    ops = [invariants._action_operator("D", gen, weights, sig) for gen in invariants.conformal_generating_set(sig)]
+    for col in (0, 1, 9_554, len(monomials) - 2, len(monomials) - 1):
+        want = [value for op in ops for value in op.apply(monomials[col])._terms.values()]
+        assert sorted(by_column[col]) == sorted(want), col
 
 
 def test_every_cli_input_stays_far_below_the_slot_limit():
