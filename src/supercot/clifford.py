@@ -26,12 +26,12 @@ from .spinop import SpinorDiffOp
 from .star import star_mul
 from .superpoly import Signature, SuperPolynomial
 from .symplectic import (
-    NotConformalError,
     VectorFieldOnM,
     _skew_gradient,
     conformal_killing_factor,
     jacobian,
     poisson,
+    require_conformal,
     units,
 )
 
@@ -212,8 +212,7 @@ def _kosmann_core(X: VectorFieldOnM, sig: Signature) -> SpinorDiffOp:
     """The weight-free spinor Lie derivative; kosmann_lie adds the weight term to it."""
     if sig.n % 2:
         raise ValueError("spinor Lie derivative requires even dimension")
-    if conformal_killing_factor(X, sig) is None:
-        raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
+    require_conformal(X, sig)
     items = [(((), unit), comp) for unit, comp in zip(units(sig.n), X.components)]
     items += [(((j, k), ()), entry) for (k, j), entry in _skew_gradient(jacobian(X), sig).items() if j < k]
     return SpinorDiffOp.from_items(sig, items)

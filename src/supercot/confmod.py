@@ -41,15 +41,14 @@ from .diffop import SuperDiffOp
 from .spinop import SpinorDiffOp
 from .superpoly import Signature, SuperPolynomial
 from .symplectic import (
-    NotConformalError,
     VectorFieldOnM,
     _cotangent_terms,
     _divergence_of,
-    conformal_killing_factor,
     divergence,
     hamiltonian_lift,
     hessian,
     jacobian,
+    require_conformal,
     units,
 )
 
@@ -197,9 +196,7 @@ def act_D_direct(
     on the left multiplies the symbol.  sL^lam_X is even, so the
     commutator takes A of either parity.
     """
-    factor = conformal_killing_factor(X, sig)
-    if factor is None:
-        raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
+    factor = require_conformal(X, sig)
     lam, mu = Fraction(lam), Fraction(mu)
     bracket = kosmann_lie(X, sig, lam).graded_commutator(A)
     if mu == lam:

@@ -25,7 +25,7 @@ above MAX_DIRAC_TERMS before its symbol is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -225,7 +225,6 @@ class SearchResult:
     module_tag: str
     weights: Weights
     basis: tuple[SuperPolynomial, ...]
-    ansatz_size: int = field(compare=False, default=0)
 
     @property
     def dimension(self) -> int:
@@ -353,7 +352,7 @@ def search_invariants(
         for col, coeff in vec.items():
             poly = poly + monomials[col].scale(coeff)
         basis.append(poly)
-    return SearchResult(sig, (k, kappa), module_tag, weights, tuple(basis), len(monomials))
+    return SearchResult(sig, (k, kappa), module_tag, weights, tuple(basis))
 
 
 # -- conformal Dirac powers -------------------------------------------------------

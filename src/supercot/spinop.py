@@ -11,9 +11,10 @@ stored data, the linear structure is the symbol's, and composition is
 the standard-ordered product of star.py, which is associative on the
 nose; ``graded_commutator`` is star's one-table ``standard_commutator``.
 ``items()`` groups the symbol back into (c^I, dx^a) blocks, each
-coefficient times h^|a|, for rendering and JSON; it and ``from_items``
-move entries between the flat term tables of the blocks and the symbol
-without building a Scalar.
+coefficient times h^|a|, for rendering and JSON.  ``from_items`` sums
+``monomial`` symbols through ``add_product``, and ``items()`` regroups
+the symbol's terms through ``unpack_key``/``pack_key``: only superpoly
+knows where a key keeps its fields.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ from typing import Iterable, Mapping
 
 from .coeff import Scalar
 from .star import standard_commutator, standard_mul
-from .superpoly import (
-    H_SHIFT, MASK_SHIFT, SLOT_BITS, SLOT_LIMIT, Signature, SuperPolynomial, _overflow, add_product, add_term,
-    derivative_fields, derivative_key, guard_mask, pack, slot_sum, sort_xi_word, unpack, x_shift, xi_mask,
-    xi_word,
-)
+from .superpoly import Signature, SuperPolynomial, add_product, pack_key, slot_sum, unpack, unpack_key, xi_word
 
 
 class SpinorDiffOp:
@@ -54,35 +51,20 @@ class SpinorDiffOp:
     def from_items(sig: Signature, items: Iterable[tuple[tuple, SuperPolynomial]]) -> "SpinorDiffOp":
         """The sum of xcoeff * c^cliff * dx^dx over ((cliff, dx), xcoeff); inverts items().
 
-        A cliff word may be in any order; its reordering sign is absorbed.
+        A cliff word may be in any order (its reordering sign is absorbed); a repeated index gives zero.
         """
         n = sig.n
-        guard = guard_mask(n)
         terms: dict = {}
         for (cliff, dx), xcoeff in items:
-            dx = tuple(dx) or (0,) * n
-            if len(dx) != n:
-                raise ValueError("dx multi-index must have length n")
             if xcoeff.n != n:
                 raise ValueError("coefficient dimension mismatch")
             if xcoeff.bidegrees() - {(0, 0)}:
                 raise ValueError("SpinorDiffOp coefficients must be polynomials in x only")
-            sorted_word = sort_xi_word(cliff)
-            if sorted_word is None:
-                continue
-            sign, word = sorted_word
-            if word and not (1 <= word[0] and word[-1] <= n):
-                raise ValueError(f"Clifford word {word!r} must lie within 1..{n}")
-            order = sum(dx)
-            if order >= SLOT_LIMIT:
-                raise _overflow()
-            # h^-|dx| dx^dx c^word, as a key delta: the xcoeff entries hold no p and no xi
-            head = derivative_key(n, xi_mask(word), 0, pack(dx)) - (order << H_SHIFT)
-            for key, c in xcoeff._terms.items():
-                key += head
-                if key & guard:
-                    raise _overflow()
-                add_term(terms, key, c if sign > 0 else -c)
+            if not all(1 <= i <= n for i in cliff):
+                raise ValueError(f"Clifford word {tuple(cliff)!r} must lie within 1..{n}")
+            # h^-|dx| dx^dx c^cliff as its symbol; xcoeff is even, so it may stand on the right
+            head = SuperPolynomial.monomial(n, pexp=dx, xi=cliff, coeff=Scalar.h(-sum(dx)))
+            add_product(terms, head, xcoeff)
         return SpinorDiffOp(sig, SuperPolynomial._wrap(n, terms))
 
     # -- linear structure and composition ----------------------------------
@@ -130,28 +112,17 @@ class SpinorDiffOp:
     def items(self):
         """((cliff, dx), xcoeff) blocks sorted by (cliff, dx); xcoeff carries h^|dx|."""
         n = self.n
-        guard = guard_mask(n)
-        xs = x_shift(n)
-        x_bits = ((1 << SLOT_BITS * n) - 1) << xs
         blocks: dict = {}
-        heads: dict = {}
         for key, c in self.symbol._terms.items():
-            head_key = key >> MASK_SHIFT << MASK_SHIFT & ~x_bits  # the p slots and the mask
-            head = heads.get(head_key)
-            if head is None:
-                m, _xp, pp = derivative_fields(head_key, n)
-                order = slot_sum(pp)
-                if order >= SLOT_LIMIT:
-                    raise _overflow()
-                table = blocks[(xi_word(m), unpack(pp, n))] = {}
-                head = heads[head_key] = (table, (order << H_SHIFT) - head_key)
-            table, delta = head
-            key += delta  # the x-polynomial entry times h^|dx|
-            if key & guard:
-                raise _overflow()
-            table[key] = c
+            xp, pp, mask, hpow, part = unpack_key(key, n)
+            block = blocks.get((mask, pp))
+            if block is None:
+                block = blocks[mask, pp] = ({}, slot_sum(pp))
+            table, order = block
+            table[pack_key(n, xp, 0, 0, hpow + order, part)] = c  # the x-polynomial entry times h^|dx|
         return iter(sorted(
-            ((key, SuperPolynomial._wrap(n, table)) for key, table in blocks.items()),
+            (((xi_word(mask), unpack(pp, n)), SuperPolynomial._wrap(n, table))
+             for (mask, pp), (table, _order) in blocks.items()),
             key=itemgetter(0),
         ))
 

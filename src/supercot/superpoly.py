@@ -454,24 +454,31 @@ class SuperPolynomial:
         dp: tuple[int, ...] = (),
         dxi: tuple[int, ...] = (),
     ) -> "SuperPolynomial":
-        """Apply dxi^I dx^a dp^b in one pass; dxi is a strictly increasing word.
+        """Apply dxi^I dx^a dp^b in one pass; dxi is a word in any order.
 
-        d_xi^(i1,..,ik) is d_{xi^i1} o ... o d_{xi^ik}.  Removing its
-        indices from the largest down leaves the position of each smaller
-        one unchanged, so the sign is (-1)^(sum of their slots in the
-        word).  An empty multi-index is no derivative.  A multi-index of
-        another length, or an index outside 1..n, is refused: packed, it
-        would reach the slots of other variables.
+        d_xi^(i1,..,ik) is d_{xi^i1} o ... o d_{xi^ik}.  The xi derivatives
+        anticommute, so a repeated index gives zero and a word is sorted
+        with the sign of its permutation.  Removing the sorted indices
+        from the largest down leaves the position of each smaller one
+        unchanged, so the sign is (-1)^(sum of their slots in the word).
+        An empty multi-index is no derivative.  A multi-index of another
+        length, or an index outside 1..n, is refused: packed, it would
+        reach the slots of other variables.
         """
         n = self.n
         if len(dx) not in (0, n) or len(dp) not in (0, n):
             raise ValueError("derivative multi-indices must have length n")
         for i in dxi:
             _check_index(i, n)
+        sorted_word = sort_xi_word(dxi)
+        if sorted_word is None:
+            return SuperPolynomial.zero(n)
+        sign, dxi = sorted_word
         plan = _derivative_plan(n, derivative_key(n, xi_mask(dxi), pack(dx), pack(dp)))
         if plan is None:
             return self
-        return SuperPolynomial._wrap(n, derive_table(self._terms, plan))
+        out = SuperPolynomial._wrap(n, derive_table(self._terms, plan))
+        return out if sign > 0 else -out
 
     # -- grading ---------------------------------------------------------
 

@@ -350,7 +350,7 @@ def _x_gradient(F: SuperPolynomial) -> dict[int, SuperPolynomial]:
     return {j: SuperPolynomial._wrap(F.n, grad[3 * j - 3]) for j in range(1, F.n + 1) if 3 * j - 3 in grad}
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def jacobian(X: VectorFieldOnM) -> Mapping[tuple[int, int], SuperPolynomial]:
     """The nonzero d_j X^i under (i, j), in increasing order of (i, j), each in the term
     order of a single-index ``derive``; one ``gradient`` pass per component."""
@@ -359,7 +359,7 @@ def jacobian(X: VectorFieldOnM) -> Mapping[tuple[int, int], SuperPolynomial]:
     )
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def hessian(X: VectorFieldOnM) -> Mapping[tuple[int, int, int], SuperPolynomial]:
     """The nonzero d_k d_j X^i under (i, j, k), in increasing order of (i, j, k), each as
     two single-index derives give it; one ``gradient`` pass per entry of the Jacobian."""
@@ -400,6 +400,14 @@ def conformal_killing_factor(X: VectorFieldOnM, sig: Signature) -> SuperPolynomi
     return factor
 
 
+def require_conformal(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
+    """The conformal Killing factor of X; NotConformalError when X is not conformal."""
+    factor = conformal_killing_factor(X, sig)
+    if factor is None:
+        raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
+    return factor
+
+
 def _skew_gradient(jac: dict, sig: Signature) -> dict[tuple[int, int], SuperPolynomial]:
     """The nonzero d_[k X_j] = (d_k X_j - d_j X_k)/2 under (k, j), in increasing order of (j, k).
 
@@ -433,8 +441,7 @@ def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
     """Hamiltonian lift of a conformal vector field, in flat Darboux form:
     X^i dx_i + eta^kk d_[l X_k] xi^l dxi_k - p_j (d_i X^j) dp_i
     - (h/2) eta_jj (d_k d_i X^j) xi^j xi^k dp_i, the last summed over j != k."""
-    if conformal_killing_factor(X, sig) is None:
-        raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
+    require_conformal(X, sig)
     n = sig.n
     jac = jacobian(X)
     rotation = [
@@ -453,8 +460,7 @@ def hamiltonian_lift(X: VectorFieldOnM, sig: Signature) -> SuperDiffOp:
 @lru_cache(maxsize=None)
 def comoment_even(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     """J^alpha_X = p_i X^i + (h/2) xi^j xi^k d_[k X_j]."""
-    if conformal_killing_factor(X, sig) is None:
-        raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
+    require_conformal(X, sig)
     n = sig.n
     terms: dict = {}
     for i, comp in enumerate(X.components, 1):
@@ -467,8 +473,7 @@ def comoment_even(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
 
 def comoment_odd(X: VectorFieldOnM, sig: Signature) -> SuperPolynomial:
     """J^beta_X = xi_i X^i (flat chart: the density factor is 1)."""
-    if conformal_killing_factor(X, sig) is None:
-        raise NotConformalError(f"{X.name or 'vector field'} is not conformal")
+    require_conformal(X, sig)
     n = sig.n
     terms: dict = {}
     for i, comp in enumerate(X.components, 1):

@@ -15,7 +15,7 @@ the same way.
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 from math import comb, perm
 
 import pytest
@@ -238,6 +238,21 @@ def test_partial_grassmann_signs():
     G = SuperPolynomial.monomial(2, xexp=(3, 1), pexp=(0, 2), coeff=2)
     assert G.partial((2, 1), (0, 2)) == SuperPolynomial.monomial(2, xexp=(1, 0), coeff=2 * 6 * 2)
     assert G.partial((0, 2)).is_zero()
+
+
+def test_partial_takes_an_xi_word_in_any_order():
+    F = SuperPolynomial.monomial(2, xi=(1, 2))
+    assert F.partial(dxi=(2, 1)) == F.derive("xi", 1).derive("xi", 2) == SuperPolynomial.one(2)
+    assert F.partial(dxi=(1, 1)).is_zero()  # d_xi1 o d_xi1 = 0
+    G = SuperPolynomial(3, {
+        ((1, 0, 2), (0, 1, 0), (1, 2, 3)): Scalar.h(-1, 5),
+        ((0, 0, 0), (0, 0, 0), (1, 3)): Scalar.sqrt2(),
+        ((2, 0, 0), (1, 0, 0), (2, 3)): Scalar.i(),
+    })
+    for word in permutations((1, 2, 3)):
+        assert G.partial(dxi=word) == ref_partial(G, (0, 0, 0), (0, 0, 0), word)
+        assert G.partial(dxi=word[:2]) == ref_partial(G, (0, 0, 0), (0, 0, 0), word[:2])
+        assert G.partial(dxi=word + word[:1]).is_zero()
 
 
 @_settings
@@ -575,6 +590,84 @@ def test_spinor_compose_prunes_derivatives_past_the_x_degree(monkeypatch):
         (slot_sum(g) << H_SHIFT) - (g << xs) - (g << xs + SLOT_BITS * n) for g, _d, _f in table
     ]
     assert AB == ref_spin_compose(A, B)
+
+
+def ref_spin_from_items(sig, items):
+    """The symbol of the sum of xcoeff * c^cliff * dx^dx, term by term through tuple keys."""
+    n = sig.n
+    symbol = SuperPolynomial.zero(n)
+    for (cliff, dx), xcoeff in items:
+        sorted_word = sort_xi_word(cliff)
+        if sorted_word is None:
+            continue
+        sign, word = sorted_word
+        symbol = symbol + SuperPolynomial(n, {
+            (xexp, dx, word): coeff.mul_hpow(-sum(dx)) * sign for (xexp, _p, _xi), coeff in xcoeff.items()
+        })
+    return SpinorDiffOp(sig, symbol)
+
+
+def ref_spin_items(op):
+    """items() from the symbol's tuple keys: one block per (word, dx), h^|dx| moved into the coefficient."""
+    n = op.n
+    blocks: dict = {}
+    for (xexp, pexp, word), coeff in op.symbol.items():
+        blocks.setdefault((word, pexp), {})[(xexp, (0,) * n, ())] = coeff.mul_hpow(sum(pexp))
+    return sorted((key, SuperPolynomial(n, terms)) for key, terms in blocks.items())
+
+
+# every part 1, i, s, is and h powers -2..2
+_spin_scalars = st.builds(
+    lambda h, part, c: Scalar({(h, part): c}),
+    st.integers(-2, 2),
+    st.integers(0, 3),
+    st.one_of(st.integers(-3, 3).filter(bool), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])),
+)
+
+
+@st.composite
+def spin_items(draw, n):
+    """((cliff, dx), xcoeff) items: words in any order, repeated indices allowed, dx up to 3."""
+    words = st.lists(st.integers(1, n), max_size=n + 1).map(tuple)
+    xcoeffs = st.dictionaries(_exps(n, 2), _spin_scalars, min_size=1, max_size=3).map(
+        lambda terms: SuperPolynomial(n, {(xexp, (0,) * n, ()): c for xexp, c in terms.items()})
+    )
+    return draw(st.lists(st.tuples(st.tuples(words, _exps(n, 3)), xcoeffs), max_size=5))
+
+
+@_settings
+@given(st.data())
+def test_spinor_items_round_trip(data):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(st.integers(0, n))
+    sig = Signature(p, n - p)
+    items = data.draw(spin_items(n))
+    A = SpinorDiffOp.from_items(sig, items)
+    assert A == ref_spin_from_items(sig, items)
+    assert SpinorDiffOp.from_items(sig, A.items()) == A
+    assert SpinorDiffOp.from_json(A.to_json(), sig) == A
+    assert list(A.items()) == ref_spin_items(A)
+
+
+def test_spinor_from_items_refusals():
+    sig = Signature(2, 0)
+    one = SuperPolynomial.one(2)
+    refused = [
+        (((1,), (0, 0)), SuperPolynomial.one(3)),  # coefficient dimension
+        (((1,), (0, 0)), SuperPolynomial.var_p(2, 1)),  # a coefficient with p
+        (((1,), (0, 0)), SuperPolynomial.var_xi(2, 2)),  # a coefficient with xi
+        (((0,), (0, 0)), one),  # Clifford index 0
+        (((1, 3), (0, 0)), one),  # Clifford index n + 1
+        (((1,), (1,)), one),  # dx of the wrong length
+        (((), (1, 0, 0)), one),
+        # h^-|dx| below the h slot, alone or times the coefficient's h power
+        (((), (SLOT_LIMIT // 2 + 1, 0)), one),
+        (((), (SLOT_LIMIT // 2, SLOT_LIMIT // 2)), one),
+        (((1,), (SLOT_LIMIT // 2, 0)), SuperPolynomial.constant(2, Scalar.h(-1))),
+    ]
+    for item in refused:
+        with pytest.raises(ValueError):
+            SpinorDiffOp.from_items(sig, [item])
 
 
 # -- poisson and normal ordering ------------------------------------------------------
