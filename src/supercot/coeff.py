@@ -272,8 +272,13 @@ class Scalar:
     def from_json(records: Iterable[Mapping]) -> "Scalar":
         terms: dict[tuple[int, int], RationalLike] = {}
         for record in records:
-            key = (int(record["hpow"]), _PART_BY_NAME[record["part"]])
-            coeff = Fraction(int(record["num"]), int(record["den"]))
+            part, den = record["part"], int(record["den"])
+            if part not in PART_NAMES:
+                raise ValueError(f'scalar record has "part" {part!r}, not one of {", ".join(PART_NAMES)}')
+            if not den:
+                raise ValueError('scalar record has "den" 0')
+            key = (int(record["hpow"]), _PART_BY_NAME[part])
+            coeff = Fraction(int(record["num"]), den)
             terms[key] = terms.get(key, 0) + coeff
         return Scalar(terms)
 

@@ -12,9 +12,9 @@ refuses a bad key, and adds the coefficients of keys that coincide once
 sorted (a repeated key, or two orders of one word), dropping a key whose
 sum cancels.  So an operator built term by term is one constructor call
 over its list of terms, and the list's order is the table's.  Inside, a
-key is one int, superpoly's ``derivative_key`` of (mask of I, packed a,
-packed b): the term-key layout with an empty h slot and part, so that a
-derivative subtracts its key from a term key.
+key is one int, superpoly's ``term_key`` of (a, b, I): the term-key
+layout with an empty h slot and part, so that a derivative subtracts its
+key from a term key.
 
 ``apply_all`` applies a family of operators to one polynomial, taking
 each derivative of it once for every operator that reads it; ``apply``
@@ -46,9 +46,8 @@ from typing import Iterable, Mapping, Sequence
 from .coeff import Scalar
 from .superpoly import (
     MASK_SHIFT, SuperPolynomial, _derivative_plan, _odd_above, _overflow, _slot_leibniz, accumulate,
-    add_term, denominator, derivative_fields, derivative_key, derive_table, divided, guard_mask, integral,
-    mask_field, pack, product_rows, reaches, slot_sum, sort_xi_word, term_sort_key, unpack, x_shift, xi_mask,
-    xi_word,
+    add_term, denominator, derivative_fields, derive_table, divided, guard_mask, integral, mask_field,
+    product_rows, reaches, slot_sum, term_key, term_sort_key, unpack, x_shift, xi_word,
 )
 
 OpKey = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # (dxi, dx, dp)
@@ -192,16 +191,10 @@ class SuperDiffOp:
                 raise ValueError("coefficient dimension mismatch")
             if not coeff:
                 continue
-            dx, dp = tuple(dx), tuple(dp)  # () stands for no derivative and packs to 0
-            if len(dx) not in (0, n) or len(dp) not in (0, n):
-                raise ValueError("derivative multi-indices must have length n")
-            if not all(type(i) is int and 1 <= i <= n for i in dxi):
-                raise ValueError(f"xi derivative word {tuple(dxi)!r} must lie within 1..{n}")
-            sorted_word = sort_xi_word(dxi)
-            if sorted_word is None:
+            sign, key = term_key(n, dx, dp, dxi)  # () stands for no derivative
+            if not sign:
                 continue
-            key = derivative_key(n, xi_mask(dxi), pack(dx), pack(dp))
-            if sorted_word[0] < 0:
+            if sign < 0:
                 coeff = -coeff
             acc = table.get(key)
             coeff = coeff if acc is None else acc + coeff

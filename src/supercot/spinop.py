@@ -60,8 +60,6 @@ class SpinorDiffOp:
                 raise ValueError("coefficient dimension mismatch")
             if xcoeff.bidegrees() - {(0, 0)}:
                 raise ValueError("SpinorDiffOp coefficients must be polynomials in x only")
-            if not all(1 <= i <= n for i in cliff):
-                raise ValueError(f"Clifford word {tuple(cliff)!r} must lie within 1..{n}")
             # h^-|dx| dx^dx c^cliff as its symbol; xcoeff is even, so it may stand on the right
             head = SuperPolynomial.monomial(n, pexp=dx, xi=cliff, coeff=Scalar.h(-sum(dx)))
             add_product(terms, head, xcoeff)
@@ -182,7 +180,7 @@ class SpinorDiffOp:
             raise ValueError("dimension mismatch between JSON and signature")
         return SpinorDiffOp.from_items(sig, (
             (
-                (tuple(int(i) for i in record["cliff"]), tuple(int(e) for e in record["dx"])),
+                (tuple(record["cliff"]), tuple(record["dx"])),
                 SuperPolynomial.from_json(record["xcoeff"]),
             )
             for record in data["terms"]

@@ -31,8 +31,9 @@ Every stored exponent is below SLOT_LIMIT = 2^(SLOT_BITS-1), and every h
 power lies in -H_BIAS..H_BIAS-1, so each slot of a sum of two keys stays
 in its slot, and any result past a limit sets the top bit of its slot:
 each product tests its result against ``guard_mask`` in one ``&`` and
-raises ValueError before it would store it.  ``pack_key``/``unpack_key``
-convert at the boundary.
+raises ValueError before it would store it.  ``term_key`` alone turns an
+(exponents, xi word) triple into a key, and ``pack_key``/``unpack_key``
+convert packed fields at the boundary.
 
 Two loops carry the operator layers.  ``derive_table`` (behind ``partial``
 and the single-index ``derive``) applies a whole derivative multi-index to
@@ -167,6 +168,29 @@ def derivative_fields(key: int, n: int) -> tuple[int, int, int]:
     return key >> MASK_SHIFT & ((1 << n) - 1), key >> xs & slots, key >> (xs + SLOT_BITS * n) & slots
 
 
+def term_key(n: int, xexp: Iterable[int] = (), pexp: Iterable[int] = (),
+             word: Iterable[int] = ()) -> tuple[int, int]:
+    """(sign, ``derivative_key``) of x^xexp p^pexp xi^word, sign that of sorting the word;
+    (0, 0) when the word repeats an index.  The one place a tuple triple becomes a key.
+
+    An empty exponent tuple is all zeros.  ValueError for an exponent tuple of another
+    length than n, an exponent ``pack`` refuses, or a word index that is not an int
+    in 1..n, which is checked over the whole word before any repeat counts.
+    """
+    xexp, pexp = tuple(xexp), tuple(pexp)
+    if len(xexp) not in (0, n) or len(pexp) not in (0, n):
+        raise ValueError(f"exponent tuples must have length n = {n}, or 0")
+    mask, odd, repeated = 0, 0, 0
+    for i in word:
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"xi index {i!r} must be an int within 1..{n}")
+        repeated |= mask >> (i - 1) & 1
+        odd ^= (mask >> i).bit_count() & 1  # the indices above i that precede it
+        mask |= 1 << (i - 1)
+    key = derivative_key(n, mask, pack(xexp), pack(pexp))
+    return (0, 0) if repeated else (-1 if odd else 1, key)
+
+
 def pack_key(n: int, xp: int, pp: int, mask: int, hpow: int = 0, part: int = 0) -> int:
     """The key of the term h^hpow part x^xp p^pp xi^mask, exponents packed."""
     return derivative_key(n, mask, xp, pp) | _h_field(hpow) | part
@@ -291,9 +315,13 @@ class SuperPolynomial:
         table: dict = {}
         if terms:
             for key, coeff in terms.items():
-                _check_key(key, n)
+                if not (isinstance(key, tuple) and len(key) == 3):
+                    raise ValueError(f"monomial key {key!r} is not (xexp, pexp, xi)")
                 xexp, pexp, xi = key
-                head = derivative_key(n, xi_mask(xi), pack(xexp), pack(pexp))
+                sign, head = term_key(n, xexp, pexp, xi)
+                if len(xexp) != n or len(pexp) != n or not sign or xi != tuple(sorted(xi)):
+                    raise ValueError(f"monomial key {key!r} is not canonical: exponent tuples of"
+                                     f" length {n} and a strictly increasing xi word")
                 for (hpow, part), c in Scalar.coerce(coeff)._terms.items():
                     table[head | _h_field(hpow) | part] = c
         self._terms = table
@@ -330,18 +358,9 @@ class SuperPolynomial:
     ) -> "SuperPolynomial":
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        xexp = tuple(xexp) or (0,) * n
-        pexp = tuple(pexp) or (0,) * n
-        if len(xexp) != n or len(pexp) != n:
-            raise ValueError("exponent tuples must have length n")
-        xp, pp = pack(xexp), pack(pexp)
-        sorted_word = sort_xi_word(xi)
-        if sorted_word is None:
+        sign, head = term_key(n, xexp, pexp, xi)
+        if not sign:
             return SuperPolynomial.zero(n)
-        sign, word = sorted_word
-        if word and not (1 <= word[0] and word[-1] <= n):
-            raise IndexError(f"xi index out of range 1..{n}")
-        head = derivative_key(n, xi_mask(word), xp, pp)
         if type(coeff) is int:  # the common case: no Scalar to build
             terms = {(0, 0): coeff} if coeff else {}
         else:
@@ -434,19 +453,18 @@ class SuperPolynomial:
     # -- derivations ----------------------------------------------------
 
     def derive(self, kind: str, index: int) -> "SuperPolynomial":
-        """Left partial derivative with respect to x^i, p_i or xi^i: ``derive_table``
-        with a one-index plan."""
+        """Left partial derivative with respect to x^i, p_i or xi^i: ``partial`` with a
+        unit multi-index or a one-index word."""
         n = self.n
         _check_index(index, n)
+        unit = tuple(int(k == index) for k in range(1, n + 1))
         if kind == "x":
-            key = 1 << (x_shift(n) + SLOT_BITS * (index - 1))
-        elif kind == "p":
-            key = 1 << (p_shift(n) + SLOT_BITS * (index - 1))
-        elif kind == "xi":
-            key = 1 << (MASK_SHIFT + index - 1)
-        else:
-            raise ValueError(f"unknown variable kind {kind!r}")
-        return SuperPolynomial._wrap(n, derive_table(self._terms, _derivative_plan(n, key)))
+            return self.partial(dx=unit)
+        if kind == "p":
+            return self.partial(dp=unit)
+        if kind == "xi":
+            return self.partial(dxi=(index,))
+        raise ValueError(f"unknown variable kind {kind!r}")
 
     def partial(
         self,
@@ -462,19 +480,14 @@ class SuperPolynomial:
         from the largest down leaves the position of each smaller one
         unchanged, so the sign is (-1)^(sum of their slots in the word).
         An empty multi-index is no derivative.  A multi-index of another
-        length, or an index outside 1..n, is refused: packed, it would
-        reach the slots of other variables.
+        length, or an index outside 1..n, is refused with ValueError
+        (``term_key``): packed, it would reach the slots of other variables.
         """
         n = self.n
-        if len(dx) not in (0, n) or len(dp) not in (0, n):
-            raise ValueError("derivative multi-indices must have length n")
-        for i in dxi:
-            _check_index(i, n)
-        sorted_word = sort_xi_word(dxi)
-        if sorted_word is None:
+        sign, key = term_key(n, dx, dp, dxi)
+        if not sign:
             return SuperPolynomial.zero(n)
-        sign, dxi = sorted_word
-        plan = _derivative_plan(n, derivative_key(n, xi_mask(dxi), pack(dx), pack(dp)))
+        plan = _derivative_plan(n, key)
         if plan is None:
             return self
         out = SuperPolynomial._wrap(n, derive_table(self._terms, plan))
@@ -580,17 +593,16 @@ class SuperPolynomial:
     @staticmethod
     def from_json(data: Mapping) -> "SuperPolynomial":
         """Inverse of to_json in one pass; records with equal monomials accumulate."""
+        for field in ("n", "terms"):
+            if field not in data:
+                raise ValueError(f'polynomial record has no "{field}"')
         n = int(data["n"])
         if n < 1:
             raise ValueError("dimension must be >= 1")
         terms: dict = {}
         for record in data["terms"]:
             term = SuperPolynomial.monomial(
-                n,
-                xexp=tuple(int(e) for e in record["x"]),
-                pexp=tuple(int(e) for e in record["p"]),
-                xi=tuple(int(i) for i in record["xi"]),
-                coeff=Scalar.from_json(record["coeff"]),
+                n, record["x"], record["p"], record["xi"], Scalar.from_json(record["coeff"])
             )
             for key, c in term._terms.items():
                 add_term(terms, key, c)
@@ -800,20 +812,6 @@ def _slot_leibniz(d: int, e: int) -> list:
         d >>= SLOT_BITS
         shift += SLOT_BITS
     return out
-
-
-def _check_key(key, n: int) -> None:
-    """Reject a monomial key that is not (xexp, pexp, xi) in canonical form."""
-    if not (isinstance(key, tuple) and len(key) == 3):
-        raise ValueError(f"monomial key {key!r} is not (xexp, pexp, xi)")
-    xexp, pexp, xi = key
-    for exp in (xexp, pexp):
-        if not (isinstance(exp, tuple) and len(exp) == n
-                and all(type(e) is int and 0 <= e < SLOT_LIMIT for e in exp)):
-            raise ValueError(f"exponents {exp!r} must be a tuple of {n} ints in 0..{SLOT_LIMIT - 1}")
-    if not (isinstance(xi, tuple) and all(type(i) is int for i in xi)
-            and list(xi) == sorted(set(xi)) and set(xi) <= set(range(1, n + 1))):
-        raise ValueError(f"xi word {xi!r} must be strictly increasing within 1..{n}")
 
 
 def _check_index(index: int, n: int) -> None:

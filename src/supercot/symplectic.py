@@ -13,8 +13,8 @@ its Killing factor, lift and even comoment) are built once per (field,
 signature) and cached for the life of the process; every caller shares
 the result, and no code changes an operator or polynomial after it is
 built.  The callers ask for the (n+1)(n+2)/2 generators and their
-brackets, so n bounds the caches; bound them if a long-lived caller
-appears.
+brackets, so n bounds the caches.  The bracket's ``_slots`` cache holds one
+entry per exponent vector it meets, like every other process cache unbounded.
 
 The builders read a field's derivatives from ``jacobian`` and ``hessian``
 (``superpoly.gradient``), each computed once per field and cached for
@@ -93,7 +93,7 @@ class VectorFieldOnM:
 _INV_H = {1: Scalar.h(-1, 1), -1: Scalar.h(-1, -1)}
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _slots(packed: int, n: int) -> int:
     """The set of nonzero slots of a packed exponent vector, bit k for slot k."""
     return sum(1 << k for k, e in enumerate(unpack(packed, n)) if e)

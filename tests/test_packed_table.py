@@ -18,10 +18,12 @@ from supercot.coeff import Scalar
 from supercot.diffop import SuperDiffOp
 from supercot.invariants import MAX_DIRAC_TERMS, Weights, dirac_power
 from supercot.parse import MAX_EXPONENT
+from supercot.randgen import random_superpoly
+from supercot.spinop import SpinorDiffOp
 from supercot.star import standard_mul, star_mul
 from supercot.superpoly import (
-    H_BIAS, SLOT_LIMIT, Signature, SuperPolynomial, add_product, guard_mask, pack, pack_key, term_sort_key,
-    unpack, unpack_key, xi_mask,
+    H_BIAS, SLOT_LIMIT, Signature, SuperPolynomial, add_product, gradient, guard_mask, pack, pack_key,
+    term_sort_key, unpack, unpack_key, xi_mask,
 )
 from supercot.symplectic import poisson
 
@@ -125,11 +127,85 @@ def test_partial_refuses_a_multi_index_that_would_reach_other_slots():
         F.partial(dx=(0, 0, 1))
     with pytest.raises(ValueError, match="length n"):
         F.partial(dp=(1,))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         F.partial(dxi=(3,))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         F.partial(dxi=(0,))
     assert F.partial(dx=(0, 1), dp=(1, 0), dxi=(2,)) == -SuperPolynomial.monomial(2, xexp=(1, 0), pexp=(0, 1), xi=(1,))
+
+
+# -- one tuple-to-key builder ---------------------------------------------------------------
+
+
+def _word_entry_points(word):
+    """Every entry point that turns a tuple xi word into a key, at n = 2."""
+    n, sig, one = 2, Signature(2, 0), SuperPolynomial.one(2)
+    record = {"x": [0, 0], "p": [0, 0], "xi": list(word), "coeff": Scalar.one().to_json()}
+    block = {"cliff": list(word), "xcoeff": one.to_json(), "dx": [0, 0]}
+    return {
+        "constructor": lambda: SuperPolynomial(n, {((0, 0), (0, 0), word): Scalar.one()}),
+        "monomial": lambda: SuperPolynomial.monomial(n, xi=word),
+        "from_json": lambda: SuperPolynomial.from_json({"n": n, "terms": [record]}),
+        "partial": lambda: SuperPolynomial.monomial(n, xi=(1, 2)).partial(dxi=word),
+        "SuperDiffOp": lambda: SuperDiffOp(n, {(word, (), ()): one}),
+        "SuperDiffOp.term": lambda: SuperDiffOp.term(one, dxi=word),
+        "SpinorDiffOp.from_items": lambda: SpinorDiffOp.from_items(sig, [((word, (0, 0)), one)]),
+        "SpinorDiffOp.from_json": lambda: SpinorDiffOp.from_json({"n": n, "terms": [block]}, sig),
+    }
+
+
+_ENTRY_POINTS = list(_word_entry_points(()))
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+@pytest.mark.parametrize("word", [(0,), (3,), (1, 1, 3), (1.0,)], ids=["0", "3", "1-1-3", "float"])
+def test_every_tuple_entry_point_refuses_a_bad_xi_word_with_value_error(entry, word):
+    with pytest.raises(ValueError, match="within 1..2"):
+        _word_entry_points(word)[entry]()
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_a_repeated_xi_index_gives_zero_and_the_constructor_refuses_it(entry):
+    build = _word_entry_points((1, 1))[entry]
+    if entry == "constructor":
+        with pytest.raises(ValueError):
+            build()
+    else:
+        assert build().is_zero()
+
+
+def test_derive_agrees_with_gradient():
+    rng = random.Random(29)
+    offset = {"x": 0, "p": 1, "xi": 2}
+    cases = 0
+    for n in range(1, 5):
+        for h_max in (0, 1):
+            for draw in range(6):
+                F = random_superpoly(rng, n, terms=6, max_x=2, h_max=h_max)
+                if draw % 2:
+                    F = F.scale(Fraction(1, 3))
+                grad = gradient(F._terms, n)
+                for kind, k in offset.items():
+                    for i in range(1, n + 1):
+                        expected = grad.get(3 * (i - 1) + k, {})
+                        assert list(F.derive(kind, i)._terms.items()) == list(expected.items())
+                        cases += 1
+    assert cases == 360
+
+
+@pytest.mark.parametrize(
+    "read,field",
+    [
+        (lambda: Scalar.from_json([{"hpow": 0, "part": "j", "num": 1, "den": 1}]), '"part"'),
+        (lambda: Scalar.from_json([{"hpow": 0, "part": "1", "num": 1, "den": 0}]), '"den"'),
+        (lambda: SuperPolynomial.from_json({"n": 2}), '"terms"'),
+        (lambda: SuperPolynomial.from_json({"terms": []}), '"n"'),
+    ],
+    ids=["unknown-part", "zero-den", "no-terms", "no-n"],
+)
+def test_json_readers_refuse_a_malformed_record_naming_the_field(read, field):
+    with pytest.raises(ValueError, match=field):
+        read()
 
 
 def test_a_product_that_would_reach_the_slot_limit_raises():
